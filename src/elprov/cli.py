@@ -49,7 +49,6 @@ from .ontology import (
 from .provenance import parse_monomial, parse_polynomial, poly_contains
 from .relevance import (
     merged_saturate,
-    relevant_variables,
     relevant_variables_for_axiom,
     relevant_variables_for_iq,
 )
@@ -62,8 +61,11 @@ EXIT_RESOURCES = 3
 
 def _limits(args) -> Limits:
     cap = os.environ.get("ELPROV_MAX_AXIOMS")
-    max_axioms = int(cap) if cap else 1_000_000
-    return Limits(max_axioms=max_axioms)
+    if not cap:
+        return Limits()
+    if not cap.isdecimal() or int(cap) <= 0:
+        raise ValueError(f"ELPROV_MAX_AXIOMS must be a positive integer, got {cap!r}")
+    return Limits(max_axioms=int(cap))
 
 
 def _load_ontology(path: str) -> AnnotatedOntology:
@@ -157,8 +159,8 @@ def _cmd_relevant(args) -> int:
     else:
         axiom = parse_axiom(text)
         if isinstance(axiom, (CA, RA)):
-            variables = relevant_variables(ontology, axiom)
             merged = merged_saturate(normalize(ontology)).monomial(axiom)
+            variables = merged.variables() if merged is not None else frozenset()
             merged_annotation = str(merged) if merged is not None else None
         else:
             variables = relevant_variables_for_axiom(ontology, axiom)

@@ -12,6 +12,12 @@ The same engine serves two stores: a set store that keeps every derived
 most ``k`` variables), and a merge store used by the relevance algorithm
 that keeps one monomial per axiom and unions variables on update.
 
+Inside a run monomials are int bitmasks over the run's seed variables,
+numbered in name order, so a product is ``|`` and a degree is
+``bit_count()``. ``Monomial`` is the boundary type: seeding maps
+annotations to masks; ``SaturatedSet`` and ``merged_saturation_store``
+map masks back.
+
 Entailment of annotated assertions is membership in the k-saturation
 for k the number of variables of the queried monomial. GCI, role
 inclusion, range restriction and instance query entailment reduce to
@@ -120,18 +126,40 @@ class SaturationStats:
 # --- stores ----------------------------------------------------------------
 
 
+class _VarTable:
+    """One run's variables in name order; variable i is the bit ``1 << i``."""
+
+    def __init__(self, annotations):
+        self.vars = tuple(sorted({v for mon in annotations for v in mon.vars}))
+        self.bits = {v: 1 << i for i, v in enumerate(self.vars)}
+        self._monomials: dict[int, Monomial] = {0: ONE}
+
+    def mask(self, mon: Monomial) -> int | None:
+        """None if ``mon`` names a variable outside the run."""
+        if not all(v in self.bits for v in mon.vars):
+            return None
+        return sum(self.bits[v] for v in mon.vars)  # the variables are distinct
+
+    def monomial(self, mask: int) -> Monomial:
+        mon = self._monomials.get(mask)
+        if mon is None:
+            vs = tuple(v for i, v in enumerate(self.vars) if mask >> i & 1)
+            mon = self._monomials[mask] = Monomial(vs)
+        return mon
+
+
 class _SetStore:
-    """One entry per (axiom, monomial) pair; insertion ordered."""
+    """One entry per (axiom, monomial mask) pair; insertion ordered."""
 
     def __init__(self, k: int | None):
         self.k = k
-        self.by_axiom: dict[Axiom, dict[Monomial, None]] = {}
+        self.by_axiom: dict[Axiom, dict[int, None]] = {}
         self.size = 0
 
-    def admits(self, mon: Monomial) -> bool:
-        return self.k is None or mon.degree <= self.k
+    def admits(self, mon: int) -> bool:
+        return self.k is None or mon.bit_count() <= self.k
 
-    def add(self, axiom: Axiom, mon: Monomial, seed: bool) -> list[tuple[Axiom, Monomial]]:
+    def add(self, axiom: Axiom, mon: int, seed: bool) -> list[tuple[Axiom, int]]:
         if not seed and not self.admits(mon):
             return []
         mons = self.by_axiom.setdefault(axiom, {})
@@ -141,41 +169,41 @@ class _SetStore:
         self.size += 1
         return [(axiom, mon)]
 
-    def monomials(self, axiom: Axiom) -> tuple[Monomial, ...]:
+    def monomials(self, axiom: Axiom) -> tuple[int, ...]:
         mons = self.by_axiom.get(axiom)
         return tuple(mons) if mons else ()
 
-    def contains(self, axiom: Axiom, mon: Monomial) -> bool:
+    def contains(self, axiom: Axiom, mon: int) -> bool:
         mons = self.by_axiom.get(axiom)
         return bool(mons) and mon in mons
 
 
 class _MergeStore:
-    """One monomial per axiom; additions union the variable sets."""
+    """One monomial mask per axiom; additions union the variable sets."""
 
     def __init__(self):
-        self.by_axiom: dict[Axiom, Monomial] = {}
+        self.by_axiom: dict[Axiom, int] = {}
         self.size = 0
         self.growths = 0
 
-    def add(self, axiom: Axiom, mon: Monomial, seed: bool) -> list[tuple[Axiom, Monomial]]:
+    def add(self, axiom: Axiom, mon: int, seed: bool) -> list[tuple[Axiom, int]]:
         current = self.by_axiom.get(axiom)
         if current is None:
             self.by_axiom[axiom] = mon
             self.size += 1
             return [(axiom, mon)]
-        merged = current * mon
+        merged = current | mon
         if merged == current:
             return []
         self.by_axiom[axiom] = merged
         self.growths += 1
         return [(axiom, merged)]
 
-    def monomials(self, axiom: Axiom) -> tuple[Monomial, ...]:
+    def monomials(self, axiom: Axiom) -> tuple[int, ...]:
         mon = self.by_axiom.get(axiom)
         return (mon,) if mon is not None else ()
 
-    def contains(self, axiom: Axiom, mon: Monomial) -> bool:
+    def contains(self, axiom: Axiom, mon: int) -> bool:
         return self.by_axiom.get(axiom) == mon
 
 
@@ -212,8 +240,9 @@ class _Saturator:
         self.limits = limits or Limits()
         self.track = track
         self.stats = SaturationStats()
-        self.derivations: dict[tuple[Axiom, Monomial], Counter] = {}
-        self.queue: deque[tuple[Axiom, Monomial]] = deque()
+        self.table = _VarTable(ann.annotation for ann in ontology.axioms)
+        self.derivations: dict[tuple[Axiom, int], Counter] = {}
+        self.queue: deque[tuple[Axiom, int]] = deque()
         self.deadline = (
             time.monotonic() + self.limits.max_seconds if self.limits.max_seconds else None
         )
@@ -279,7 +308,7 @@ class _Saturator:
             if time.monotonic() > self.deadline:
                 raise ResourceCapExceeded("saturation wall-clock budget exceeded", self.stats)
 
-    def _add(self, axiom: Axiom, mon: Monomial, rule: str, seed: bool = False) -> None:
+    def _add(self, axiom: Axiom, mon: int, rule: str, seed: bool = False) -> None:
         self._tick()
         if not seed:
             self.stats.fired[rule] += 1
@@ -299,23 +328,23 @@ class _Saturator:
             self._index(axiom)
         self.queue.extend(deltas)
 
-    def _mons(self, axiom: Axiom) -> tuple[Monomial, ...]:
+    def _mons(self, axiom: Axiom) -> tuple[int, ...]:
         return self.store.monomials(axiom)
 
     def _seed(self, ontology: AnnotatedOntology) -> None:
         for ann in ontology.axioms:
             _normal_shape(ann.axiom)  # raises if not normal form
-            self._add(ann.axiom, ann.annotation, "input", seed=True)
+            self._add(ann.axiom, self.table.mask(ann.annotation), "input", seed=True)
         if 0 not in self.disabled:
             for name in ontology.concept_names:
-                self._add(GCI(Atomic(name), Atomic(name)), ONE, "reflexivity", seed=True)
+                self._add(GCI(Atomic(name), Atomic(name)), 0, "reflexivity", seed=True)
             for role in ontology.role_names:
-                self._add(RI(role, role), ONE, "reflexivity", seed=True)
+                self._add(RI(role, role), 0, "reflexivity", seed=True)
             if ontology.top_occurs or ontology.individuals:
-                self._add(GCI(TOP, TOP), ONE, "reflexivity", seed=True)
+                self._add(GCI(TOP, TOP), 0, "reflexivity", seed=True)
         if 11 not in self.disabled:
             for ind in ontology.individuals:
-                self._add(CA(TOP, ind), ONE, "top-instance", seed=True)
+                self._add(CA(TOP, ind), 0, "top-instance", seed=True)
 
     def run(self) -> SaturationStats:
         while self.queue:
@@ -332,23 +361,23 @@ class _Saturator:
 
     # -- rule joins, one handler per delta shape -----------------------------
 
-    def _on_ri(self, ax: RI, m: Monomial) -> None:
+    def _on_ri(self, ax: RI, m: int) -> None:
         r1, r2 = ax.sub, ax.sup
         if self._rule_on(1):
             for other in tuple(self.ri_by_sub.get(r2, ())):
                 for n in self._mons(other):
-                    self._add(RI(r1, other.sup), m * n, "role-chain")
+                    self._add(RI(r1, other.sup), m | n, "role-chain")
             for other in tuple(self.ri_by_sup.get(r1, ())):
                 for n in self._mons(other):
-                    self._add(RI(other.sub, r2), n * m, "role-chain")
+                    self._add(RI(other.sub, r2), n | m, "role-chain")
         if self._rule_on(2):
             for rr in tuple(self.rr_by_role.get(r2, ())):
                 for n in self._mons(rr):
-                    self._add(RR(r1, rr.filler), m * n, "range-of-subrole")
+                    self._add(RR(r1, rr.filler), m | n, "range-of-subrole")
         if self._rule_on(3):
             for exr in tuple(self.exr_by_role.get(r1, ())):
                 for n in self._mons(exr):
-                    self._add(GCI(exr.lhs, Exists(r2)), n * m, "existential-subrole")
+                    self._add(GCI(exr.lhs, Exists(r2)), n | m, "existential-subrole")
         if self._rule_on(9):
             # delta is premise 4: (S <= R, m4)
             s, r = r1, r2
@@ -356,14 +385,14 @@ class _Saturator:
         if self._rule_on(12):
             for ra in tuple(self.ra_by_role.get(r1, ())):
                 for n in self._mons(ra):
-                    self._add(RA(r2, ra.a, ra.b), n * m, "role-fact-hierarchy")
+                    self._add(RA(r2, ra.a, ra.b), n | m, "role-fact-hierarchy")
 
-    def _on_rr(self, ax: RR, m: Monomial) -> None:
+    def _on_rr(self, ax: RR, m: int) -> None:
         s, b = ax.role, Atomic(ax.filler)
         if self._rule_on(2):
             for ri in tuple(self.ri_by_sup.get(s, ())):
                 for n in self._mons(ri):
-                    self._add(RR(ri.sub, ax.filler), n * m, "range-of-subrole")
+                    self._add(RR(ri.sub, ax.filler), n | m, "range-of-subrole")
         if self._rule_on(7):
             self._cr7(s, p1_choices=((ax, m),), p2_choices=None)
             self._cr7(s, p1_choices=None, p2_choices=((ax, m),))
@@ -381,13 +410,13 @@ class _Saturator:
                                         for m5 in self._mons(exq):
                                             self._add(
                                                 GCI(exr.lhs, exq.rhs),
-                                                m1 * m * m3 * m4 * m5,
+                                                m1 | m | m3 | m4 | m5,
                                                 "existential-composition",
                                             )
         if self._rule_on(16):
             for ra in tuple(self.ra_by_role.get(s, ())):
                 for n in self._mons(ra):
-                    self._add(CA(b, ra.b), n * m, "instance-range")
+                    self._add(CA(b, ra.b), n | m, "instance-range")
 
     def _cr7(self, role: str, p1_choices, p2_choices) -> None:
         p1s = p1_choices or [
@@ -409,7 +438,7 @@ class _Saturator:
                                     for m5 in self._mons(conj):
                                         self._add(
                                             RR(role, conj.rhs.name),
-                                            m1 * m2 * m3 * m4 * m5,
+                                            m1 | m2 | m3 | m4 | m5,
                                             "range-conjunction",
                                         )
 
@@ -427,23 +456,23 @@ class _Saturator:
                                         for m5 in self._mons(exq):
                                             self._add(
                                                 GCI(exr.lhs, exq.rhs),
-                                                m1 * m2 * m3 * m4 * m5,
+                                                m1 | m2 | m3 | m4 | m5,
                                                 "existential-composition",
                                             )
 
-    def _on_sub(self, ax: GCI, m: Monomial) -> None:
+    def _on_sub(self, ax: GCI, m: int) -> None:
         a, b = ax.lhs, ax.rhs
         if self._rule_on(4):
             for sub in tuple(self.sub_by_lhs.get(b, ())):
                 for n in self._mons(sub):
-                    self._add(GCI(a, sub.rhs), m * n, "concept-chain")
+                    self._add(GCI(a, sub.rhs), m | n, "concept-chain")
             for sub in tuple(self.sub_by_rhs.get(a, ())):
                 for n in self._mons(sub):
-                    self._add(GCI(sub.lhs, b), n * m, "concept-chain")
+                    self._add(GCI(sub.lhs, b), n | m, "concept-chain")
         if self._rule_on(5):
             for exr in tuple(self.exr_by_lhs.get(b, ())):
                 for n in self._mons(exr):
-                    self._add(GCI(a, exr.rhs), m * n, "chain-into-existential")
+                    self._add(GCI(a, exr.rhs), m | n, "chain-into-existential")
         if self._rule_on(6):
             # delta as (A <= B1) and as (A <= B2)
             for sub in tuple(self.sub_by_lhs.get(a, ())):
@@ -452,12 +481,12 @@ class _Saturator:
                         if conj.lhs.right != sub.rhs:
                             continue
                         for c in self._mons(conj):
-                            self._add(GCI(a, conj.rhs), m * n * c, "conjunction-subsumption")
+                            self._add(GCI(a, conj.rhs), m | n | c, "conjunction-subsumption")
                     for conj in tuple(self.conj_by_c2.get(b, ())):
                         if conj.lhs.left != sub.rhs:
                             continue
                         for c in self._mons(conj):
-                            self._add(GCI(a, conj.rhs), n * m * c, "conjunction-subsumption")
+                            self._add(GCI(a, conj.rhs), n | m | c, "conjunction-subsumption")
         if self._rule_on(7) and isinstance(a, Atomic):
             # delta as premise 3 and as premise 4
             for rr1 in tuple(self.rr_by_filler.get(a.name, ())):
@@ -475,7 +504,7 @@ class _Saturator:
                                         for m5 in self._mons(conj):
                                             self._add(
                                                 RR(role, conj.rhs.name),
-                                                m1 * m2 * m * m4 * m5,
+                                                m1 | m2 | m | m4 | m5,
                                                 "range-conjunction",
                                             )
                             # delta as (B2 <= C2): partner (B1 <= C1) free
@@ -487,17 +516,17 @@ class _Saturator:
                                         for m5 in self._mons(conj):
                                             self._add(
                                                 RR(role, conj.rhs.name),
-                                                m2 * m1 * m3 * m * m5,
+                                                m2 | m1 | m3 | m | m5,
                                                 "range-conjunction",
                                             )
         if self._rule_on(8) and isinstance(a, Top):
             # delta is (Top <= B); eliminate B from either conjunct position
             for conj in tuple(self.conj_by_c2.get(b, ())):
                 for n in self._mons(conj):
-                    self._add(GCI(conj.lhs.left, conj.rhs), n * m, "top-conjunct-elim")
+                    self._add(GCI(conj.lhs.left, conj.rhs), n | m, "top-conjunct-elim")
             for conj in tuple(self.conj_by_c1.get(b, ())):
                 for n in self._mons(conj):
-                    self._add(GCI(conj.lhs.right, conj.rhs), n * m, "top-conjunct-elim")
+                    self._add(GCI(conj.lhs.right, conj.rhs), n | m, "top-conjunct-elim")
         if self._rule_on(9) and isinstance(a, Atomic):
             # delta is premise 3: (B <= C, m3)
             for rr in tuple(self.rr_by_filler.get(a.name, ())):
@@ -513,7 +542,7 @@ class _Saturator:
                                         for m5 in self._mons(exq):
                                             self._add(
                                                 GCI(exr.lhs, exq.rhs),
-                                                m1 * m2 * m * m4 * m5,
+                                                m1 | m2 | m | m4 | m5,
                                                 "existential-composition",
                                             )
         if self._rule_on(10) and isinstance(a, Top):
@@ -522,22 +551,22 @@ class _Saturator:
                 for m3 in self._mons(exq):
                     for exr in tuple(self.exr_by_role.get(exq.lhs.role, ())):
                         for m1 in self._mons(exr):
-                            self._add(GCI(exr.lhs, exq.rhs), m1 * m * m3, "existential-top-composition")
+                            self._add(GCI(exr.lhs, exq.rhs), m1 | m | m3, "existential-top-composition")
         if self._rule_on(13):
             for ca in tuple(self.ca_by_concept.get(a, ())):
                 for n in self._mons(ca):
-                    self._add(CA(b, ca.ind), n * m, "instance-chain")
+                    self._add(CA(b, ca.ind), n | m, "instance-chain")
 
-    def _on_exr(self, ax: GCI, m: Monomial) -> None:
+    def _on_exr(self, ax: GCI, m: int) -> None:
         a, role = ax.lhs, ax.rhs.role
         if self._rule_on(3):
             for ri in tuple(self.ri_by_sub.get(role, ())):
                 for n in self._mons(ri):
-                    self._add(GCI(a, Exists(ri.sup)), m * n, "existential-subrole")
+                    self._add(GCI(a, Exists(ri.sup)), m | n, "existential-subrole")
         if self._rule_on(5):
             for sub in tuple(self.sub_by_rhs.get(a, ())):
                 for n in self._mons(sub):
-                    self._add(GCI(sub.lhs, ax.rhs), n * m, "chain-into-existential")
+                    self._add(GCI(sub.lhs, ax.rhs), n | m, "chain-into-existential")
         if self._rule_on(9):
             # delta is premise 1: (A <= some S, m1)
             s = role
@@ -553,22 +582,22 @@ class _Saturator:
                                         for m5 in self._mons(exq):
                                             self._add(
                                                 GCI(a, exq.rhs),
-                                                m * m2 * m3 * m4 * m5,
+                                                m | m2 | m3 | m4 | m5,
                                                 "existential-composition",
                                             )
         if self._rule_on(10):
             for exq in tuple(self.exq_by_role.get(role, ())):
                 for m3 in self._mons(exq):
                     for m2 in self._mons(GCI(TOP, exq.lhs.filler)):
-                        self._add(GCI(a, exq.rhs), m * m2 * m3, "existential-top-composition")
+                        self._add(GCI(a, exq.rhs), m | m2 | m3, "existential-top-composition")
 
-    def _on_conj(self, ax: GCI, m: Monomial) -> None:
+    def _on_conj(self, ax: GCI, m: int) -> None:
         a1, a2 = ax.lhs.left, ax.lhs.right
         if self._rule_on(6):
             for sub1 in tuple(self.sub_by_rhs.get(a1, ())):
                 for m1 in self._mons(sub1):
                     for m2 in self._mons(GCI(sub1.lhs, a2)):
-                        self._add(GCI(sub1.lhs, ax.rhs), m1 * m2 * m, "conjunction-subsumption")
+                        self._add(GCI(sub1.lhs, ax.rhs), m1 | m2 | m, "conjunction-subsumption")
         if self._rule_on(7):
             # delta is premise 5
             for sub1 in tuple(self.sub_by_rhs.get(a1, ())):
@@ -582,21 +611,21 @@ class _Saturator:
                                     for m4 in self._mons(GCI(Atomic(rr2.filler), a2)):
                                         self._add(
                                             RR(rr1.role, ax.rhs.name),
-                                            m1 * m2 * m3 * m4 * m,
+                                            m1 | m2 | m3 | m4 | m,
                                             "range-conjunction",
                                         )
         if self._rule_on(8):
             for m2 in self._mons(GCI(TOP, a2)):
-                self._add(GCI(a1, ax.rhs), m * m2, "top-conjunct-elim")
+                self._add(GCI(a1, ax.rhs), m | m2, "top-conjunct-elim")
             for m2 in self._mons(GCI(TOP, a1)):
-                self._add(GCI(a2, ax.rhs), m * m2, "top-conjunct-elim")
+                self._add(GCI(a2, ax.rhs), m | m2, "top-conjunct-elim")
         if self._rule_on(14):
             for ca1 in tuple(self.ca_by_concept.get(a1, ())):
                 for m1 in self._mons(ca1):
                     for m2 in self._mons(CA(a2, ca1.ind)):
-                        self._add(CA(ax.rhs, ca1.ind), m1 * m2 * m, "instance-conjunction")
+                        self._add(CA(ax.rhs, ca1.ind), m1 | m2 | m, "instance-conjunction")
 
-    def _on_exq(self, ax: GCI, m: Monomial) -> None:
+    def _on_exq(self, ax: GCI, m: int) -> None:
         role, filler = ax.lhs.role, ax.lhs.filler
         if self._rule_on(9):
             # delta is premise 5: (some(R, C) <= D, m5)
@@ -610,58 +639,58 @@ class _Saturator:
                                     for m3 in self._mons(GCI(Atomic(rr.filler), filler)):
                                         self._add(
                                             GCI(exr.lhs, ax.rhs),
-                                            m1 * m2 * m3 * m4 * m,
+                                            m1 | m2 | m3 | m4 | m,
                                             "existential-composition",
                                         )
         if self._rule_on(10):
             for m2 in self._mons(GCI(TOP, filler)):
                 for exr in tuple(self.exr_by_role.get(role, ())):
                     for m1 in self._mons(exr):
-                        self._add(GCI(exr.lhs, ax.rhs), m1 * m2 * m, "existential-top-composition")
+                        self._add(GCI(exr.lhs, ax.rhs), m1 | m2 | m, "existential-top-composition")
         if self._rule_on(15):
             for ra in tuple(self.ra_by_role.get(role, ())):
                 for m1 in self._mons(ra):
                     for m2 in self._mons(CA(filler, ra.b)):
-                        self._add(CA(ax.rhs, ra.a), m1 * m2 * m, "instance-existential")
+                        self._add(CA(ax.rhs, ra.a), m1 | m2 | m, "instance-existential")
 
-    def _on_ca(self, ax: CA, m: Monomial) -> None:
+    def _on_ca(self, ax: CA, m: int) -> None:
         a, ind = ax.concept, ax.ind
         if self._rule_on(13):
             for sub in tuple(self.sub_by_lhs.get(a, ())):
                 for n in self._mons(sub):
-                    self._add(CA(sub.rhs, ind), m * n, "instance-chain")
+                    self._add(CA(sub.rhs, ind), m | n, "instance-chain")
         if self._rule_on(14):
             for conj in tuple(self.conj_by_c1.get(a, ())):
                 for m3 in self._mons(conj):
                     for m2 in self._mons(CA(conj.lhs.right, ind)):
-                        self._add(CA(conj.rhs, ind), m * m2 * m3, "instance-conjunction")
+                        self._add(CA(conj.rhs, ind), m | m2 | m3, "instance-conjunction")
             for conj in tuple(self.conj_by_c2.get(a, ())):
                 for m3 in self._mons(conj):
                     for m1 in self._mons(CA(conj.lhs.left, ind)):
-                        self._add(CA(conj.rhs, ind), m1 * m * m3, "instance-conjunction")
+                        self._add(CA(conj.rhs, ind), m1 | m | m3, "instance-conjunction")
         if self._rule_on(15):
             # delta is premise 2: (A(b), m2)
             for ra in tuple(self.ra_by_target.get(ind, ())):
                 for m1 in self._mons(ra):
                     for exq in tuple(self.exq_by_rolefiller.get((ra.role, a), ())):
                         for m3 in self._mons(exq):
-                            self._add(CA(exq.rhs, ra.a), m1 * m * m3, "instance-existential")
+                            self._add(CA(exq.rhs, ra.a), m1 | m | m3, "instance-existential")
 
-    def _on_ra(self, ax: RA, m: Monomial) -> None:
+    def _on_ra(self, ax: RA, m: int) -> None:
         role, a, b = ax.role, ax.a, ax.b
         if self._rule_on(12):
             for ri in tuple(self.ri_by_sub.get(role, ())):
                 for n in self._mons(ri):
-                    self._add(RA(ri.sup, a, b), m * n, "role-fact-hierarchy")
+                    self._add(RA(ri.sup, a, b), m | n, "role-fact-hierarchy")
         if self._rule_on(15):
             for exq in tuple(self.exq_by_role.get(role, ())):
                 for m3 in self._mons(exq):
                     for m2 in self._mons(CA(exq.lhs.filler, b)):
-                        self._add(CA(exq.rhs, a), m * m2 * m3, "instance-existential")
+                        self._add(CA(exq.rhs, a), m | m2 | m3, "instance-existential")
         if self._rule_on(16):
             for rr in tuple(self.rr_by_role.get(role, ())):
                 for n in self._mons(rr):
-                    self._add(CA(Atomic(rr.filler), b), m * n, "instance-range")
+                    self._add(CA(Atomic(rr.filler), b), m | n, "instance-range")
 
 
 # --- public saturation API --------------------------------------------------
@@ -670,15 +699,18 @@ class _Saturator:
 class SaturatedSet:
     """The closure of a normalized ontology under the completion rules."""
 
-    def __init__(self, store: _SetStore, k: int | None, stats: SaturationStats, derivations):
+    def __init__(
+        self, store: _SetStore, table: _VarTable, k: int | None, stats: SaturationStats, derivations
+    ):
         self._store = store
+        self._table = table
         self.k = k
         self.stats = stats
         self._derivations = derivations
         members = [
-            AnnotatedAxiom(axiom, mon)
-            for axiom, mons in store.by_axiom.items()
-            for mon in mons
+            AnnotatedAxiom(axiom, table.monomial(mask))
+            for axiom, masks in store.by_axiom.items()
+            for mask in masks
         ]
         members.sort(key=lambda ann: (render_axiom(ann.axiom), ann.annotation))
         self.axioms: tuple[AnnotatedAxiom, ...] = tuple(members)
@@ -690,10 +722,11 @@ class SaturatedSet:
         return iter(self.axioms)
 
     def contains(self, axiom: Axiom, mon: Monomial) -> bool:
-        return self._store.contains(axiom, mon)
+        mask = self._table.mask(mon)
+        return mask is not None and self._store.contains(axiom, mask)
 
     def monomials(self, axiom: Axiom) -> tuple[Monomial, ...]:
-        return self._store.monomials(axiom)
+        return tuple(map(self._table.monomial, self._store.monomials(axiom)))
 
     def assertions(self) -> tuple[AnnotatedAxiom, ...]:
         return tuple(ann for ann in self.axioms if isinstance(ann.axiom, (CA, RA)))
@@ -706,7 +739,8 @@ class SaturatedSet:
         for ann in self.axioms:
             row = {"axiom": render_axiom(ann.axiom), "annotation": str(ann.annotation)}
             if self._derivations is not None:
-                counts = self._derivations.get((ann.axiom, ann.annotation), {})
+                key = (ann.axiom, self._table.mask(ann.annotation))
+                counts = self._derivations.get(key, {})
                 row["derivations"] = {rule: counts[rule] for rule in sorted(counts)}
             rows.append(row)
         return {
@@ -737,7 +771,7 @@ def saturate(
     store = _SetStore(k)
     sat = _Saturator(ontology, store, disabled_rules, limits, track_derivations)
     stats = sat.run()
-    return SaturatedSet(store, k, stats, sat.derivations if track_derivations else None)
+    return SaturatedSet(store, sat.table, k, stats, sat.derivations if track_derivations else None)
 
 
 def merged_saturation_store(
@@ -757,7 +791,7 @@ def merged_saturation_store(
     store = _MergeStore()
     sat = _Saturator(seeds, store, disabled_rules, limits, track=False)
     stats = sat.run()
-    return dict(store.by_axiom), stats
+    return {ax: sat.table.monomial(mask) for ax, mask in store.by_axiom.items()}, stats
 
 
 # --- entailment ------------------------------------------------------------

@@ -442,7 +442,8 @@ def enumerate_matches(
             if not fork_ok():
                 return
             key = tuple(_binding_sort_key(binding))
-            assert key not in results, "duplicate match enumerated"
+            if key in results:
+                raise RuntimeError(f"duplicate match enumerated: {key}")
             items = tuple(sorted(binding.items(), key=lambda kv: term_key(kv[0])))
             results[key] = Match(items)
             return

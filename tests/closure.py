@@ -67,30 +67,37 @@ def missing_conclusions(sat: SaturatedSet) -> list[str]:
     for (x, m1), (y, m2), (z, m3) in product(subs, subs, conjs):
         if x.lhs == y.lhs and z.lhs.left == x.rhs and z.lhs.right == y.rhs:
             expect("conjunction-subsumption", GCI(x.lhs, z.rhs), m1 * m2 * m3)
-    for (p1, m1), (p2, m2), (p3, m3), (p4, m4), (p5, m5) in product(rrs, rrs, subs, subs, conjs):
-        if (
-            p1.role == p2.role
-            and p3.lhs == Atomic(p1.filler)
-            and p4.lhs == Atomic(p2.filler)
-            and p5.lhs.left == p3.rhs
-            and p5.lhs.right == p4.rhs
-        ):
-            expect("range-conjunction", RR(p1.role, p5.rhs.name), m1 * m2 * m3 * m4 * m5)
+    # the five-premise rules test each premise as soon as it is chosen, so
+    # the scan stays feasible on sets of a few hundred facts
+    for (p1, m1), (p2, m2) in product(rrs, rrs):
+        if p1.role != p2.role:
+            continue
+        for p3, m3 in subs:
+            if p3.lhs != Atomic(p1.filler):
+                continue
+            for p4, m4 in subs:
+                if p4.lhs != Atomic(p2.filler):
+                    continue
+                for p5, m5 in conjs:
+                    if p5.lhs.left == p3.rhs and p5.lhs.right == p4.rhs:
+                        conclusion = RR(p1.role, p5.rhs.name)
+                        expect("range-conjunction", conclusion, m1 * m2 * m3 * m4 * m5)
     for (x, m1), (y, m2) in product(conjs, subs):
         if isinstance(y.lhs, Top):
             if x.lhs.right == y.rhs:
                 expect("top-conjunct-elim", GCI(x.lhs.left, x.rhs), m1 * m2)
             if x.lhs.left == y.rhs:
                 expect("top-conjunct-elim", GCI(x.lhs.right, x.rhs), m1 * m2)
-    for (p1, m1), (p2, m2), (p3, m3), (p4, m4), (p5, m5) in product(exrs, rrs, subs, ris, exqs):
-        if (
-            p1.rhs.role == p2.role
-            and p1.rhs.role == p4.sub
-            and p3.lhs == Atomic(p2.filler)
-            and p5.lhs.role == p4.sup
-            and p5.lhs.filler == p3.rhs
-        ):
-            expect("existential-composition", GCI(p1.lhs, p5.rhs), m1 * m2 * m3 * m4 * m5)
+    for (p1, m1), (p2, m2), (p4, m4) in product(exrs, rrs, ris):
+        if p1.rhs.role != p2.role or p1.rhs.role != p4.sub:
+            continue
+        for p3, m3 in subs:
+            if p3.lhs != Atomic(p2.filler):
+                continue
+            for p5, m5 in exqs:
+                if p5.lhs.role == p4.sup and p5.lhs.filler == p3.rhs:
+                    conclusion = GCI(p1.lhs, p5.rhs)
+                    expect("existential-composition", conclusion, m1 * m2 * m3 * m4 * m5)
     for (p1, m1), (p2, m2), (p3, m3) in product(exrs, subs, exqs):
         if isinstance(p2.lhs, Top) and p1.rhs.role == p3.lhs.role and p3.lhs.filler == p2.rhs:
             expect("existential-top-composition", GCI(p1.lhs, p3.rhs), m1 * m2 * m3)

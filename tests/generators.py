@@ -26,46 +26,64 @@ INDS = ("a", "b", "c")
 VARS = tuple(Variable(f"v{i}") for i in range(1, 5))
 
 
-def _annotation(rng: random.Random) -> Monomial:
+def _annotation(rng: random.Random, pool: tuple[Variable, ...] = VARS) -> Monomial:
     if rng.random() < 0.15:
         return ONE
-    return Monomial((rng.choice(VARS),))
+    return Monomial((rng.choice(pool),))
 
 
-def _atomic_or_top(rng: random.Random, top_prob: float = 0.12):
+def _atomic_or_top(rng: random.Random, top_prob: float = 0.12, concepts=CONCEPTS):
     if rng.random() < top_prob:
         return TOP
-    return Atomic(rng.choice(CONCEPTS))
+    return Atomic(rng.choice(concepts))
 
 
-def random_normalized_ontology(rng: random.Random, max_axioms: int = 6) -> AnnotatedOntology:
+def random_normalized_ontology(
+    rng: random.Random,
+    max_axioms: int = 6,
+    *,
+    min_axioms: int = 2,
+    n_vars: int | None = None,
+    n_names: int | None = None,
+) -> AnnotatedOntology:
+    """Normal-form ontology over the fixed small signature by default.
+
+    ``n_vars`` draws annotations from the pool v1..v<n_vars> instead of
+    ``VARS``; ``n_names`` uses n_names concepts, n_names // 4 roles and
+    n_names // 2 individuals instead of the fixed names, which keeps larger
+    ontologies sparse enough for full saturation.
+    """
+    pool = VARS if n_vars is None else tuple(Variable(f"v{i}") for i in range(1, n_vars + 1))
+    concepts, roles, inds = CONCEPTS, ROLES, INDS
+    if n_names is not None:
+        concepts = tuple(f"C{i}" for i in range(n_names))
+        roles = tuple(f"R{i}" for i in range(n_names // 4))
+        inds = tuple(f"i{i}" for i in range(n_names // 2))
+
+    def atomic_or_top():
+        return _atomic_or_top(rng, concepts=concepts)
+
     axioms = []
-    n = rng.randint(2, max_axioms)
+    n = rng.randint(min_axioms, max_axioms)
     for _ in range(n):
         shape = rng.randrange(8)
         if shape == 0:
-            ax = CA(Atomic(rng.choice(CONCEPTS)), rng.choice(INDS))
+            ax = CA(Atomic(rng.choice(concepts)), rng.choice(inds))
         elif shape == 1:
-            ax = RA(rng.choice(ROLES), rng.choice(INDS), rng.choice(INDS))
+            ax = RA(rng.choice(roles), rng.choice(inds), rng.choice(inds))
         elif shape == 2:
-            ax = GCI(_atomic_or_top(rng), Atomic(rng.choice(CONCEPTS)))
+            ax = GCI(atomic_or_top(), Atomic(rng.choice(concepts)))
         elif shape == 3:
-            ax = GCI(
-                Conj(_atomic_or_top(rng), _atomic_or_top(rng)),
-                Atomic(rng.choice(CONCEPTS)),
-            )
+            ax = GCI(Conj(atomic_or_top(), atomic_or_top()), Atomic(rng.choice(concepts)))
         elif shape == 4:
-            ax = GCI(_atomic_or_top(rng), Exists(rng.choice(ROLES)))
+            ax = GCI(atomic_or_top(), Exists(rng.choice(roles)))
         elif shape == 5:
-            ax = GCI(
-                ExistsQ(rng.choice(ROLES), _atomic_or_top(rng)),
-                Atomic(rng.choice(CONCEPTS)),
-            )
+            ax = GCI(ExistsQ(rng.choice(roles), atomic_or_top()), Atomic(rng.choice(concepts)))
         elif shape == 6:
-            ax = RI(rng.choice(ROLES), rng.choice(ROLES))
+            ax = RI(rng.choice(roles), rng.choice(roles))
         else:
-            ax = RR(rng.choice(ROLES), rng.choice(CONCEPTS))
-        axioms.append(AnnotatedAxiom(ax, _annotation(rng)))
+            ax = RR(rng.choice(roles), rng.choice(concepts))
+        axioms.append(AnnotatedAxiom(ax, _annotation(rng, pool)))
     return AnnotatedOntology(axioms)
 
 

@@ -226,6 +226,14 @@ class TestErrorPaths:
         monkeypatch.setenv("ELPROV_MAX_AXIOMS", "10")
         assert main(["saturate", "-i", str(path)]) == 3
 
+    @pytest.mark.parametrize("cap", ["-1", "0", "abc"])
+    def test_invalid_axiom_cap_is_usage_error(self, mayor_file, capsys, monkeypatch, cap):
+        monkeypatch.setenv("ELPROV_MAX_AXIOMS", cap)
+        assert main(["saturate", "-i", mayor_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"ELPROV_MAX_AXIOMS must be a positive integer, got {cap!r}" in captured.err
+
     def test_missing_file(self, capsys):
         assert main(["saturate", "-i", "/nonexistent/x.elp"]) == 2
 

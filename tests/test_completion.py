@@ -122,6 +122,17 @@ class TestSaturate:
             sat = saturate(random_normalized_ontology(rng, max_axioms=5), k=2)
             assert missing_conclusions(sat) == []
 
+    @pytest.mark.parametrize("k", [1, 2, None])
+    def test_closure_rescan_wide_variable_pool(self, k):
+        # 20-40 axioms annotated from 12 variables; the wider signature keeps
+        # full saturation, whose size is exponential in the variables, small
+        rng = random.Random(13)
+        for _ in range(8):
+            o = random_normalized_ontology(
+                rng, max_axioms=40, min_axioms=20, n_vars=12, n_names=16
+            )
+            assert missing_conclusions(saturate(o, k=k)) == []
+
     def test_axiom_cap(self):
         with pytest.raises(ResourceCapExceeded) as exc:
             saturate(normalize(blowup_ontology(3)), limits=Limits(max_axioms=10))
@@ -143,6 +154,41 @@ class TestSaturate:
         # every route to B(a) chains an instance through an inclusion
         # (possibly padded by reflexive axioms)
         assert set(derivations) == {"instance-chain"} and derivations["instance-chain"] >= 1
+
+
+class TestMonomialBoundary:
+    def test_input_annotation_above_k_survives(self):
+        o = AnnotatedOntology(
+            [
+                AnnotatedAxiom(CA(Atomic("A"), "a"), mono("v1*v2*v3")),
+                AnnotatedAxiom(GCI(Atomic("A"), Atomic("B")), mono("u")),
+            ]
+        )
+        sat = saturate(o, k=1)
+        assert sat.contains(CA(Atomic("A"), "a"), mono("v1*v2*v3"))
+        assert sat.monomials(CA(Atomic("A"), "a")) == (mono("v1*v2*v3"),)
+        assert sat.monomials(CA(Atomic("B"), "a")) == ()
+        assert saturate(o, k=4).contains(CA(Atomic("B"), "a"), mono("u*v1*v2*v3"))
+        parsed = saturate(parse_ontology("ca A(a) @ v\ngci A <= B @ u"), k=0)
+        assert parsed.contains(CA(Atomic("A"), "a"), mono("v"))
+        assert parsed.monomials(CA(Atomic("B"), "a")) == ()
+
+    def test_contains_variable_outside_ontology(self):
+        sat = saturate(parse_ontology("ca A(a) @ v\ngci A <= B @ u"))
+        assert sat.contains(CA(Atomic("A"), "a"), mono("v"))
+        assert not sat.contains(CA(Atomic("A"), "a"), mono("w"))
+        assert not sat.contains(CA(Atomic("B"), "a"), mono("u*v*w"))
+        assert not sat.contains(CA(TOP, "a"), mono("w"))
+
+    def test_monomials_keep_name_order_past_one_word(self):
+        names = [f"v{i}" for i in range(70)]
+        o = parse_ontology(
+            "\n".join(f"gci A{i} <= A{i + 1} @ {v}" for i, v in enumerate(names))
+            + "\nca A0(a) @ 1"
+        )
+        full = Monomial(tuple(Variable(v) for v in names))
+        sat = saturate(o)
+        assert sat.monomials(CA(Atomic("A70"), "a")) == (full,)
 
 
 class TestEntailsAssertion:

@@ -64,6 +64,22 @@ class TestMergedSaturate:
             assert isinstance(ax, GCI)
             assert mon == m, f"{ax} carries {mon}"
 
+    def test_more_than_64_variables(self):
+        # 70 routes into B(a), two variables each, then one step on to C(a):
+        # the merged masks span several machine words
+        lines = ["gci B <= C @ z"]
+        for i in range(70):
+            lines += [f"ca A{i}(a) @ x{i}", f"gci A{i} <= B @ y{i}"]
+        merged = merged_saturate(parse_ontology("\n".join(lines)))
+        routes = {f"x{i}" for i in range(70)} | {f"y{i}" for i in range(70)}
+        assert merged.monomial(CA(Atomic("B"), "a")).variables() == vset(*routes)
+        assert merged.monomial(CA(Atomic("C"), "a")).variables() == vset(*routes, "z")
+        assert merged.monomial(CA(Atomic("A7"), "a")) == parse_monomial("x7")
+        assert merged.merge_updates > 0
+        assert relevant_variables(
+            parse_ontology("\n".join(lines)), CA(Atomic("C"), "a")
+        ) == vset(*routes, "z")
+
     def test_update_counter_bound(self):
         rng = random.Random(3)
         for _ in range(40):
