@@ -17,13 +17,8 @@ from .provenance import (
     SemiringSpec,
     Variable,
     evaluate,
-    monomial_product,
     parse_monomial,
     parse_polynomial,
-    poly_add,
-    poly_contains,
-    poly_mul,
-    representative,
 )
 from .ontology import (
     CA,
@@ -57,25 +52,14 @@ from .completion import (
     ResourceCapExceeded,
     SaturatedSet,
     UnknownNameWarning,
+    entails,
     entails_assertion,
-    entails_ca_via_gci,
-    entails_gci,
-    entails_iq,
-    entails_ra_via_ri,
-    entails_ri,
-    entails_rr,
-    reduce_ca_to_gci,
-    reduce_ra_to_ri,
     saturate,
 )
 from .relevance import (
     MergedSet,
     merged_saturate,
-    relevant_for_axiom,
-    relevant_for_iq,
-    relevant_variables,
-    relevant_variables_for_axiom,
-    relevant_variables_for_iq,
+    relevant_monomial,
 )
 from .interpretation import (
     BCQ,
@@ -97,10 +81,11 @@ from .interpretation import (
 )
 from .canonical import (
     Fork,
+    QueryAnswer,
     RewritingConditions,
+    answer_query,
     build_canonical_model,
     compute_rewriting,
-    entails_query,
     render_rewriting,
 )
 

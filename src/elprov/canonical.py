@@ -30,6 +30,7 @@ from .interpretation import (
     AuxElement,
     BCQ,
     DomainElement,
+    Match,
     Named,
     Term,
     UnknownIndividualError,
@@ -52,14 +53,15 @@ from .ontology import (
     normalize,
     render_axiom,
 )
-from .provenance import Monomial, Polynomial, poly_contains
+from .provenance import Monomial, Polynomial
 
 __all__ = [
     "Fork",
     "RewritingConditions",
     "compute_rewriting",
     "build_canonical_model",
-    "entails_query",
+    "QueryAnswer",
+    "answer_query",
     "render_rewriting",
 ]
 
@@ -290,17 +292,28 @@ def build_canonical_model(
     )
 
 
-def entails_query(
+@dataclass(frozen=True)
+class QueryAnswer:
+    """Whether the annotated query is entailed, with the evidence behind it."""
+
+    entailed: bool
+    matches: tuple[Match, ...]
+    provenance: Polynomial
+
+
+def answer_query(
     ontology: AnnotatedOntology,
     query: BCQ,
     prov: Polynomial,
     limits: Limits | None = None,
-) -> bool:
-    """Decide annotated query entailment over the canonical model.
+) -> QueryAnswer:
+    """Answer an annotated query over the canonical model.
 
-    The query must mention only individuals of the ontology. A provenance
-    polynomial over foreign variables is never entailed; the zero
-    polynomial is entailed whenever the query itself matches.
+    The query must mention only individuals of the ontology; that is
+    checked before the model is built. ``prov`` is entailed when the
+    query matches and ``prov`` is contained in the query provenance; a
+    polynomial over variables foreign to the ontology never is, and the
+    zero polynomial is whenever the query matches.
     """
     known = set(ontology.individuals)
     for name in query.individuals():
@@ -308,12 +321,10 @@ def entails_query(
             raise UnknownIndividualError(
                 f"individual {name!r} does not occur in the ontology"
             )
-    ontology_vars = set(ontology.variables)
-    if any(v not in ontology_vars for v in prov.variables()):
-        return False
     interp = build_canonical_model(ontology, limits)
     conditions = compute_rewriting(query)
     matches = enumerate_matches(interp, query, conditions)
-    if not matches:
-        return False
-    return poly_contains(prov, provenance_of_matches(query, matches))
+    provenance = provenance_of_matches(query, matches)
+    foreign = not prov.variables() <= set(ontology.variables)
+    entailed = bool(matches) and not foreign and prov.contained_in(provenance)
+    return QueryAnswer(entailed, matches, provenance)

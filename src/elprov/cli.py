@@ -5,7 +5,13 @@ rewrite. Exit codes: 0 entailed/success, 1 not entailed, 2 usage or
 parse error, 3 resource cap exceeded. ``--json`` switches every
 subcommand to machine-readable output validating against the schemas
 shipped in ``elprov/schemas``. The environment variable
-``ELPROV_MAX_AXIOMS`` overrides the derived-axiom cap.
+``ELPROV_MAX_AXIOMS`` overrides the derived-axiom cap of every
+subcommand that saturates or builds a model.
+
+Each question is one library call: ``entail`` calls
+``completion.entails``, ``relevant`` calls ``relevance.relevant_monomial``
+and ``query`` calls ``canonical.answer_query``; this module only parses
+arguments and prints answers.
 """
 
 from __future__ import annotations
@@ -15,25 +21,11 @@ import json
 import os
 import sys
 
-from .canonical import build_canonical_model, compute_rewriting, render_rewriting
-from .completion import (
-    CA,
-    Limits,
-    ResourceCapExceeded,
-    entails_assertion,
-    entails_gci,
-    entails_iq,
-    entails_ri,
-    entails_rr,
-    saturate,
-)
-from .interpretation import (
-    QueryError,
-    enumerate_matches,
-    parse_query,
-    provenance_of_matches,
-)
+from .canonical import answer_query, build_canonical_model, compute_rewriting, render_rewriting
+from .completion import Limits, ResourceCapExceeded, entails, saturate
+from .interpretation import QueryError, parse_query
 from .ontology import (
+    CA,
     GCI,
     RA,
     RI,
@@ -46,12 +38,8 @@ from .ontology import (
     parse_ontology,
     render_annotated,
 )
-from .provenance import parse_monomial, parse_polynomial, poly_contains
-from .relevance import (
-    merged_saturate,
-    relevant_variables_for_axiom,
-    relevant_variables_for_iq,
-)
+from .provenance import parse_monomial, parse_polynomial
+from .relevance import relevant_monomial
 
 EXIT_ENTAILED = 0
 EXIT_NOT_ENTAILED = 1
@@ -111,38 +99,34 @@ def _cmd_saturate(args) -> int:
     return EXIT_ENTAILED
 
 
+# --kind -> (accepted axiom types, how the diagnostic names them)
+_KINDS = {
+    "assertion": ((CA, RA), "a 'ca' or 'ra' axiom"),
+    "gci": ((GCI,), "a 'gci' axiom"),
+    "ri": ((RI,), "an 'ri' axiom"),
+    "rr": ((RR,), "an 'rr' axiom"),
+}
+
+
+def _entail_target(kind: str, text: str):
+    if kind == "iq":
+        return parse_iq_target(text)
+    axiom = parse_axiom(text)
+    types, expected = _KINDS[kind]
+    if not isinstance(axiom, types):
+        raise ValueError(f"--kind {kind} expects {expected}")
+    return axiom
+
+
 def _cmd_entail(args) -> int:
     ontology = _load_ontology(args.input)
     mon = parse_monomial(args.prov)
     limits = _limits(args)
-    kind = args.kind
-    if kind == "assertion":
-        axiom = parse_axiom(args.axiom)
-        if not isinstance(axiom, (CA, RA)):
-            raise ValueError("--kind assertion expects a 'ca' or 'ra' axiom")
-        entailed = entails_assertion(ontology, axiom, mon, limits)
-    elif kind == "gci":
-        axiom = parse_axiom(args.axiom)
-        if not isinstance(axiom, GCI):
-            raise ValueError("--kind gci expects a 'gci' axiom")
-        entailed = entails_gci(ontology, axiom.lhs, axiom.rhs, mon, limits)
-    elif kind == "ri":
-        axiom = parse_axiom(args.axiom)
-        if not isinstance(axiom, RI):
-            raise ValueError("--kind ri expects an 'ri' axiom")
-        entailed = entails_ri(ontology, axiom.sub, axiom.sup, mon, limits)
-    elif kind == "rr":
-        axiom = parse_axiom(args.axiom)
-        if not isinstance(axiom, RR):
-            raise ValueError("--kind rr expects an 'rr' axiom")
-        entailed = entails_rr(ontology, axiom.role, axiom.filler, mon, limits)
-    else:  # iq
-        concept, ind = parse_iq_target(args.axiom)
-        entailed = entails_iq(ontology, concept, ind, mon, limits)
+    entailed = entails(ontology, _entail_target(args.kind, args.axiom), mon, limits)
     if args.json:
         _emit_json(
             args,
-            {"kind": kind, "axiom": args.axiom, "prov": str(mon), "entailed": entailed},
+            {"kind": args.kind, "axiom": args.axiom, "prov": str(mon), "entailed": entailed},
         )
     else:
         _emit(args, ("entailed" if entailed else "not entailed") + "\n")
@@ -152,24 +136,13 @@ def _cmd_entail(args) -> int:
 def _cmd_relevant(args) -> int:
     ontology = _load_ontology(args.input)
     text = args.axiom.strip()
-    merged_annotation = None
-    if text.startswith("iq"):
-        concept, ind = parse_iq_target(text)
-        variables = relevant_variables_for_iq(ontology, concept, ind)
-    else:
-        axiom = parse_axiom(text)
-        if isinstance(axiom, (CA, RA)):
-            merged = merged_saturate(normalize(ontology)).monomial(axiom)
-            variables = merged.variables() if merged is not None else frozenset()
-            merged_annotation = str(merged) if merged is not None else None
-        else:
-            variables = relevant_variables_for_axiom(ontology, axiom)
-    names = sorted(v.name for v in variables)
+    target = parse_iq_target(text) if text.startswith("iq") else parse_axiom(text)
+    merged = relevant_monomial(ontology, target, _limits(args))
+    names = [v.name for v in merged.vars] if merged is not None else []
     if args.json:
-        _emit_json(
-            args,
-            {"axiom": text, "relevant": names, "merged_annotation": merged_annotation},
-        )
+        # the merged annotation is reported for atomic assertions only
+        annotation = str(merged) if merged is not None and isinstance(target, (CA, RA)) else None
+        _emit_json(args, {"axiom": text, "relevant": names, "merged_annotation": annotation})
     else:
         _emit(args, "\n".join(names) + ("\n" if names else ""))
     return EXIT_ENTAILED
@@ -179,28 +152,21 @@ def _cmd_query(args) -> int:
     ontology = _load_ontology(args.input)
     query = _load_query(args.query)
     prov = parse_polynomial(args.prov)
-    limits = _limits(args)
-    interp = build_canonical_model(ontology, limits)
-    conditions = compute_rewriting(query)
-    ontology_vars = set(ontology.variables)
-    foreign = any(v not in ontology_vars for v in prov.variables())
-    matches = enumerate_matches(interp, query, conditions)
-    provenance = provenance_of_matches(query, matches)
-    entailed = bool(matches) and not foreign and poly_contains(prov, provenance)
+    answer = answer_query(ontology, query, prov, _limits(args))
     if args.json:
         _emit_json(
             args,
             {
                 "query": str(query),
                 "prov": str(prov),
-                "entailed": entailed,
-                "matches": len(matches),
-                "query_provenance": str(provenance),
+                "entailed": answer.entailed,
+                "matches": len(answer.matches),
+                "query_provenance": str(answer.provenance),
             },
         )
     else:
-        _emit(args, ("entailed" if entailed else "not entailed") + "\n")
-    return EXIT_ENTAILED if entailed else EXIT_NOT_ENTAILED
+        _emit(args, ("entailed" if answer.entailed else "not entailed") + "\n")
+    return EXIT_ENTAILED if answer.entailed else EXIT_NOT_ENTAILED
 
 
 def _cmd_model(args) -> int:

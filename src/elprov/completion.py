@@ -15,14 +15,17 @@ that keeps one monomial per axiom and unions variables on update.
 Inside a run monomials are int bitmasks over the run's seed variables,
 numbered in name order, so a product is ``|`` and a degree is
 ``bit_count()``. ``Monomial`` is the boundary type: seeding maps
-annotations to masks; ``SaturatedSet`` and ``merged_saturation_store``
+annotations to masks; ``SaturatedSet`` and ``relevance.merged_saturate``
 map masks back.
 
 Entailment of annotated assertions is membership in the k-saturation
-for k the number of variables of the queried monomial. GCI, role
-inclusion, range restriction and instance query entailment reduce to
-assertion entailment by adding small probe ontologies with reserved
-(``__``-prefixed) helper names.
+for k the number of variables of the queried monomial
+(``entails_assertion``, the only place that normalizes, saturates and
+tests membership). ``probe`` reduces every other target (GCI, role
+inclusion, range restriction, instance query) to an assertion over the
+ontology extended by a small probe with reserved (``__``-prefixed) helper
+names; ``entails`` decides any target through it, and the relevance
+algorithm reuses the same probe.
 """
 
 from __future__ import annotations
@@ -65,15 +68,8 @@ __all__ = [
     "RULE_NAMES",
     "saturate",
     "entails_assertion",
-    "entails_gci",
-    "entails_ri",
-    "entails_rr",
-    "entails_iq",
-    "reduce_ca_to_gci",
-    "reduce_ra_to_ri",
-    "entails_ca_via_gci",
-    "entails_ra_via_ri",
-    "build_concept_probe",
+    "probe",
+    "entails",
 ]
 
 RULE_NAMES = (
@@ -774,35 +770,7 @@ def saturate(
     return SaturatedSet(store, sat.table, k, stats, sat.derivations if track_derivations else None)
 
 
-def merged_saturation_store(
-    ontology: AnnotatedOntology,
-    *,
-    disabled_rules=(),
-    limits: Limits | None = None,
-) -> tuple[dict[Axiom, Monomial], SaturationStats]:
-    """Run the engine with the merge-update policy (one monomial per axiom)."""
-    merged: dict[Axiom, Monomial] = {}
-    for ann in ontology.axioms:
-        current = merged.get(ann.axiom)
-        merged[ann.axiom] = ann.annotation if current is None else current * ann.annotation
-    seeds = AnnotatedOntology(
-        [AnnotatedAxiom(ax, mon) for ax, mon in merged.items()]
-    )
-    store = _MergeStore()
-    sat = _Saturator(seeds, store, disabled_rules, limits, track=False)
-    stats = sat.run()
-    return {ax: sat.table.monomial(mask) for ax, mask in store.by_axiom.items()}, stats
-
-
 # --- entailment ------------------------------------------------------------
-
-
-def _warn_unknown(names: list[str], what: str) -> None:
-    warnings.warn(
-        f"{what} mentions names unknown to the ontology: {', '.join(sorted(names))}",
-        UnknownNameWarning,
-        stacklevel=3,
-    )
 
 
 def _assertion_signature_gap(ontology: AnnotatedOntology, assertion: Axiom) -> list[str]:
@@ -841,130 +809,106 @@ def entails_assertion(
     """
     gaps = _assertion_signature_gap(ontology, assertion)
     if gaps:
-        _warn_unknown(gaps, "queried assertion")
+        warnings.warn(
+            f"queried assertion mentions names unknown to the ontology: {', '.join(sorted(gaps))}",
+            UnknownNameWarning,
+            stacklevel=2,
+        )
         return False
     normalized = normalize(ontology)
     sat = saturate(normalized, k=mon.degree, limits=limits, disabled_rules=disabled_rules)
     return sat.contains(assertion, mon)
 
 
-def build_concept_probe(
-    concept: Concept, root: str, fresh_var: "FreshVarSupply"
-) -> list[AnnotatedAxiom]:
-    """Assertions making ``root`` an instance of ``concept``, each fact
-    carrying its own fresh marker variable (one per structural position)."""
-    out: list[AnnotatedAxiom] = []
+def probe(
+    ontology: AnnotatedOntology, target
+) -> tuple[AnnotatedOntology, Axiom, Monomial, bool]:
+    """Reduce a target to an assertion over the ontology extended by a probe.
 
-    def walk(c: Concept, ind: str, i: int) -> int:
+    ``target`` is a ``CA``/``RA``/``GCI``/``RI``/``RR`` axiom or a
+    ``(concept, ind)`` instance query. Returns the extended ontology, the
+    assertion to decide, the product of the probe's marker variables (an
+    entailed monomial carries them) and whether a derivation has to
+    mention the markers to count for relevance.
+
+    - GCI: the right-hand side is funneled into a fresh target concept
+      ``__e``; the left-hand side is instantiated at a fresh root ``__a``
+      with one fresh marker variable ``__q<i>_...`` per structural position.
+    - RI: a fresh edge of the subrole, decided on the superrole.
+    - RR: a fresh edge of the role carrying a fresh marker, so memberships
+      the target endpoint would have anyway (e.g. from inclusions out of
+      Top) cannot fake a range entailment; relevance requires the marker.
+    - Instance query: the concept is funneled into a fresh name ``__iq``.
+    """
+    if isinstance(target, (CA, RA)):
+        return ontology, target, ONE, False
+    fresh = FreshNames(ontology.all_names())
+    if isinstance(target, tuple):
+        concept, ind = target
+        name = Atomic(fresh.named("__iq"))
+        extended = ontology.extended([AnnotatedAxiom(GCI(concept, name), ONE)])
+        return extended, CA(name, ind), ONE, False
+    if isinstance(target, RI):
+        a, b = fresh.individual(), fresh.individual()
+        extended = ontology.extended([AnnotatedAxiom(RA(target.sub, a, b), ONE)])
+        return extended, RA(target.sup, a, b), ONE, False
+    if isinstance(target, RR):
+        a, b = fresh.individual(), fresh.individual()
+        marker = Monomial((fresh.variable(),))
+        extended = ontology.extended([AnnotatedAxiom(RA(target.role, a, b), marker)])
+        return extended, CA(Atomic(target.filler), b), marker, True
+    if not isinstance(target, GCI):
+        raise TypeError(f"expected an axiom or an instance query, got {target!r}")
+    rhs = target.rhs
+    if not isinstance(rhs, (Atomic, Exists)):
+        raise ValueError(f"right-hand side must be a concept name or some(R): {rhs}")
+    name = Atomic(fresh.named("__e"))
+    root = fresh.named("__a")
+    facts: list[AnnotatedAxiom] = []
+
+    def instantiate(c: Concept, ind: str, i: int) -> int:
         if isinstance(c, Top):
             return i
         if isinstance(c, Atomic):
-            out.append(AnnotatedAxiom(CA(c, ind), fresh_var.marker(i, f"{c.name}_{ind}")))
+            marker = Variable(f"__q{i}_{c.name}_{ind}")
+            facts.append(AnnotatedAxiom(CA(c, ind), Monomial((marker,))))
             return i
         if isinstance(c, ExistsQ):
-            child = fresh_var.individual()
-            out.append(
-                AnnotatedAxiom(RA(c.role, ind, child), fresh_var.marker(i, f"{c.role}_{ind}_{child}"))
-            )
-            return walk(c.filler, child, i + 1)
+            child = fresh.individual()
+            marker = Variable(f"__q{i}_{c.role}_{ind}_{child}")
+            facts.append(AnnotatedAxiom(RA(c.role, ind, child), Monomial((marker,))))
+            return instantiate(c.filler, child, i + 1)
         if isinstance(c, Conj):
-            i = walk(c.left, ind, i)
-            return walk(c.right, ind, i + 1)
+            i = instantiate(c.left, ind, i)
+            return instantiate(c.right, ind, i + 1)
         raise ValueError(f"concept outside the lhs grammar: {c}")
 
-    walk(concept, root, 0)
-    return out
-
-
-class FreshVarSupply:
-    """Reserved helper variables/individuals for the probe constructions."""
-
-    def __init__(self, used_names: set[str]):
-        self._fresh = FreshNames(used_names)
-
-    def marker(self, i: int, tag: str) -> Monomial:
-        return Monomial((Variable(f"__q{i}_{tag}"),))
-
-    def individual(self) -> str:
-        return self._fresh.individual()
-
-
-def entails_gci(
-    ontology: AnnotatedOntology,
-    lhs: Concept,
-    rhs: Concept,
-    mon: Monomial,
-    limits: Limits | None = None,
-    *,
-    disabled_rules=(),
-) -> bool:
-    """Reduce annotated GCI entailment to assertion entailment.
-
-    The right-hand side is funneled into a fresh target concept; the
-    left-hand side is instantiated at a fresh root individual with one
-    fresh marker variable per structural position, and the queried
-    monomial is multiplied by all markers.
-    """
-    if not isinstance(rhs, (Atomic, Exists)):
-        raise ValueError(f"right-hand side must be a concept name or some(R): {rhs}")
-    fresh = FreshNames(ontology.all_names())
-    target = Atomic(fresh.named("__e"))
+    instantiate(target.lhs, root, 0)
+    markers = Monomial(tuple(v for ann in facts for v in ann.annotation.vars))
+    # a Top left-hand side leaves no facts; the root still has to exist
+    facts = facts or [AnnotatedAxiom(CA(TOP, root), ONE)]
     rhs_probe = ExistsQ(rhs.role, TOP) if isinstance(rhs, Exists) else rhs
-    probe: list[AnnotatedAxiom] = [AnnotatedAxiom(GCI(rhs_probe, target), ONE)]
-    supply = FreshVarSupply(ontology.all_names() | {target.name})
-    root = fresh.named("__a")
-    facts = build_concept_probe(lhs, root, supply)
-    if not facts:
-        # lhs is (equivalent to) Top; the root still has to exist
-        facts = [AnnotatedAxiom(CA(TOP, root), ONE)]
-    probe.extend(facts)
-    markers = ONE
-    for ann in facts:
-        markers = markers * ann.annotation
-    extended = ontology.extended(probe)
-    return entails_assertion(
-        extended, CA(target, root), mon * markers, limits, disabled_rules=disabled_rules
-    )
+    extended = ontology.extended([AnnotatedAxiom(GCI(rhs_probe, name), ONE), *facts])
+    return extended, CA(name, root), markers, False
 
 
-def entails_ri(
+def entails(
     ontology: AnnotatedOntology,
-    sub: str,
-    sup: str,
+    target,
     mon: Monomial,
     limits: Limits | None = None,
     *,
     disabled_rules=(),
 ) -> bool:
-    """Role inclusion sub <= sup: probe with a fresh edge of the subrole."""
-    fresh = FreshNames(ontology.all_names())
-    a, b = fresh.individual(), fresh.individual()
-    extended = ontology.extended([AnnotatedAxiom(RA(sub, a, b), ONE)])
-    return entails_assertion(extended, RA(sup, a, b), mon, limits, disabled_rules=disabled_rules)
+    """Decide entailment of ``target`` annotated with ``mon``.
 
-
-def entails_rr(
-    ontology: AnnotatedOntology,
-    role: str,
-    filler: str,
-    mon: Monomial,
-    limits: Limits | None = None,
-    *,
-    disabled_rules=(),
-) -> bool:
-    """Range restriction ran(role) <= filler.
-
-    The probe edge carries a fresh marker variable so only derivations
-    that actually flow through the edge count; memberships the target
-    endpoint would have anyway (e.g. from inclusions out of Top) cannot
-    fake a range entailment.
+    ``target`` is any axiom or a ``(concept, ind)`` instance query; the
+    probe reduces it to one assertion, decided with the queried monomial
+    times the probe's markers.
     """
-    fresh = FreshNames(ontology.all_names())
-    a, b = fresh.individual(), fresh.individual()
-    w = fresh.variable()
-    extended = ontology.extended([AnnotatedAxiom(RA(role, a, b), Monomial((w,)))])
+    extended, assertion, markers, _ = probe(ontology, target)
     return entails_assertion(
-        extended, CA(Atomic(filler), b), mon * Monomial((w,)), limits, disabled_rules=disabled_rules
+        extended, assertion, mon * markers, limits, disabled_rules=disabled_rules
     )
 
 
@@ -1003,119 +947,3 @@ def entailed_range_restrictions(
                 stripped = Monomial(tuple(v for v in ann.annotation.vars if v != w))
                 out.append(AnnotatedAxiom(RR(role, ax.concept.name), stripped))
     return out
-
-
-def entails_iq(
-    ontology: AnnotatedOntology,
-    concept: Concept,
-    ind: str,
-    mon: Monomial,
-    limits: Limits | None = None,
-    *,
-    disabled_rules=(),
-) -> bool:
-    """Instance query concept(ind): funnel the concept into a fresh name."""
-    if ind not in ontology.individuals:
-        _warn_unknown([ind], "instance query")
-        return False
-    fresh = FreshNames(ontology.all_names())
-    target = Atomic(fresh.named("__iq"))
-    extended = ontology.extended([AnnotatedAxiom(GCI(concept, target), ONE)])
-    return entails_assertion(extended, CA(target, ind), mon, limits, disabled_rules=disabled_rules)
-
-
-# --- cross-check reductions (assertion -> inclusion) ------------------------
-
-
-def reduce_ca_to_gci(
-    ontology: AnnotatedOntology, ind: str
-) -> tuple[AnnotatedOntology, str]:
-    """Encode the assertional part as inclusions over per-individual concepts.
-
-    Returns the encoding ontology together with the concept name standing
-    for ``ind``: a concept assertion B(ind) is entailed with monomial m
-    iff the encoding entails C_ind <= B or Top <= B with m.
-    """
-    if not ontology.is_normal_form():
-        raise ValueError("reduction requires a normal-form ontology")
-
-    def c_of(a: str) -> str:
-        return f"__c_{a}"
-
-    def cran_of(r: str) -> str:
-        return f"__cran_{r}"
-
-    out: list[AnnotatedAxiom] = []
-    for ann in ontology.axioms:
-        ax = ann.axiom
-        if isinstance(ax, CA):
-            if isinstance(ax.concept, Atomic):
-                out.append(AnnotatedAxiom(GCI(Atomic(c_of(ax.ind)), ax.concept), ann.annotation))
-        elif isinstance(ax, RA):
-            r_ab = f"__r_{ax.a}_{ax.b}"
-            out.append(AnnotatedAxiom(GCI(Atomic(c_of(ax.a)), Exists(r_ab)), ONE))
-            out.append(AnnotatedAxiom(RI(r_ab, ax.role), ann.annotation))
-            out.append(AnnotatedAxiom(RR(r_ab, c_of(ax.b)), ONE))
-            out.append(
-                AnnotatedAxiom(GCI(Atomic(c_of(ax.b)), Atomic(cran_of(ax.role))), ann.annotation)
-            )
-        else:
-            out.append(ann)
-            if isinstance(ax, RI):
-                out.append(
-                    AnnotatedAxiom(
-                        GCI(Atomic(cran_of(ax.sub)), Atomic(cran_of(ax.sup))), ann.annotation
-                    )
-                )
-            elif isinstance(ax, RR):
-                out.append(
-                    AnnotatedAxiom(GCI(Atomic(cran_of(ax.role)), Atomic(ax.filler)), ann.annotation)
-                )
-    return AnnotatedOntology(out), c_of(ind)
-
-
-def entails_ca_via_gci(
-    ontology: AnnotatedOntology,
-    concept_name: str,
-    ind: str,
-    mon: Monomial,
-    limits: Limits | None = None,
-) -> bool:
-    """Cross-check route for entails_assertion on concept assertions."""
-    encoding, c_ind = reduce_ca_to_gci(ontology, ind)
-    target = Atomic(concept_name)
-    return entails_gci(encoding, Atomic(c_ind), target, mon, limits) or entails_gci(
-        encoding, TOP, target, mon, limits
-    )
-
-
-def reduce_ra_to_ri(
-    ontology: AnnotatedOntology, a: str, b: str
-) -> tuple[AnnotatedOntology, str]:
-    """Encode the role assertions on (a, b) as inclusions of a fresh role."""
-    s = "__s_probe"
-    out: list[AnnotatedAxiom] = []
-    for ann in ontology.axioms:
-        ax = ann.axiom
-        if isinstance(ax, RA) and ax.a == a and ax.b == b:
-            out.append(AnnotatedAxiom(RI(s, ax.role), ann.annotation))
-        elif isinstance(ax, RI):
-            out.append(ann)
-    return AnnotatedOntology(out), s
-
-
-def entails_ra_via_ri(
-    ontology: AnnotatedOntology,
-    role: str,
-    a: str,
-    b: str,
-    mon: Monomial,
-    limits: Limits | None = None,
-) -> bool:
-    """Cross-check route for entails_assertion on role assertions."""
-    encoding, s = reduce_ra_to_ri(ontology, a, b)
-    if s not in encoding.role_names or role not in encoding.role_names:
-        # no edge on (a, b) at all, or the queried role occurs in no
-        # inclusion: nothing can derive it
-        return False
-    return entails_ri(encoding, s, role, mon, limits)

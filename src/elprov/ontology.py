@@ -59,7 +59,6 @@ __all__ = [
     "normalize",
     "translate_general_gci",
     "signature",
-    "render_concept",
     "render_axiom",
     "render_annotated",
     "is_atomic_or_top",
@@ -205,10 +204,6 @@ class AnnotatedAxiom:
 
     def __str__(self) -> str:
         return render_annotated(self)
-
-
-def render_concept(c: Concept) -> str:
-    return str(c)
 
 
 def render_axiom(ax: Axiom) -> str:
@@ -438,10 +433,6 @@ class FreshNames:
         self._used = set(used)
         self._counters: dict[str, int] = {}
 
-    @classmethod
-    def for_ontology(cls, ontology: AnnotatedOntology) -> "FreshNames":
-        return cls(ontology.all_names())
-
     def _next(self, prefix: str) -> str:
         n = self._counters.get(prefix, 0)
         while True:
@@ -483,7 +474,7 @@ def normalize(ontology: AnnotatedOntology, fresh: FreshNames | None = None) -> A
     memoized per concept structure so repeated subconcepts share one
     definition, and already-normal ontologies pass through unchanged.
     """
-    fresh = fresh or FreshNames.for_ontology(ontology)
+    fresh = fresh or FreshNames(ontology.all_names())
     memo: dict[Concept, Atomic] = {}
     out: list[AnnotatedAxiom] = []
     work: deque[AnnotatedAxiom] = deque(ontology.axioms)
@@ -603,6 +594,12 @@ _LINE_TOKEN = re.compile(r"[ \t]*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<one>1)|
 
 _CONCEPT_KEYWORDS = {"Top", "and", "some", "ran"}
 
+# Deepest and/some nesting the parser accepts. The walks over concepts
+# (grammar checks, name collection, hashing, printing, probes) recurse
+# once per level, so a bound well under the interpreter's recursion
+# limit keeps them all safe, in-process callers' frames included.
+MAX_CONCEPT_DEPTH = 200
+
 
 class _LineParser:
     def __init__(self, line: str, lineno: int):
@@ -654,7 +651,7 @@ class _LineParser:
         self.i += 1
         return tok[1]
 
-    def concept(self) -> Concept:
+    def concept(self, depth: int = 0) -> Concept:
         tok = self.peek()
         if tok is None:
             raise self.error("expected a concept")
@@ -664,12 +661,14 @@ class _LineParser:
         if value == "Top":
             self.i += 1
             return TOP
+        if depth == MAX_CONCEPT_DEPTH and value in ("and", "some"):
+            raise self.error(f"concept nesting deeper than {MAX_CONCEPT_DEPTH} levels")
         if value == "and":
             self.i += 1
             self.take("punct", "(")
-            left = self.concept()
+            left = self.concept(depth + 1)
             self.take("punct", ",")
-            right = self.concept()
+            right = self.concept(depth + 1)
             self.take("punct", ")")
             return Conj(left, right)
         if value == "some":
@@ -679,7 +678,7 @@ class _LineParser:
             nxt = self.peek()
             if nxt == ("punct", ","):
                 self.i += 1
-                filler = self.concept()
+                filler = self.concept(depth + 1)
                 self.take("punct", ")")
                 return ExistsQ(role, filler)
             self.take("punct", ")")

@@ -27,11 +27,6 @@ __all__ = [
     "BOOLEAN",
     "FUZZY",
     "MissingAssignmentError",
-    "representative",
-    "monomial_product",
-    "poly_add",
-    "poly_mul",
-    "poly_contains",
     "evaluate",
     "parse_monomial",
     "parse_polynomial",
@@ -106,15 +101,6 @@ class Monomial:
 
 
 ONE = Monomial()
-
-
-def representative(variables: Iterable[Variable]) -> Monomial:
-    """Canonical monomial for an arbitrary sequence of variables."""
-    return Monomial(tuple(variables))
-
-
-def monomial_product(m: Monomial, n: Monomial) -> Monomial:
-    return m * n
 
 
 class Polynomial:
@@ -202,18 +188,6 @@ class Polynomial:
 ZERO = Polynomial()
 
 
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def poly_contains(p: Polynomial, big: Polynomial) -> bool:
-    return p.contained_in(big)
-
-
 @dataclass(frozen=True)
 class SemiringSpec:
     """A commutative semiring the caller asserts to be x-idempotent."""
@@ -297,7 +271,7 @@ def _parse_monomial_tokens(tokens: list[tuple[str, str]]) -> tuple[Monomial, lis
             raise ValueError(f"expected a variable name after '*', got {value!r}")
         names.append(value)
         rest = rest[2:]
-    return representative(Variable(n) for n in names), rest
+    return Monomial(tuple(Variable(n) for n in names)), rest
 
 
 def parse_polynomial(text: str) -> Polynomial:

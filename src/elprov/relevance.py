@@ -7,49 +7,23 @@ when it occurs in that assertion's merged monomial, and the merged set
 is computed in polynomial time because each axiom's monomial can only
 grow towards the full variable set of the ontology.
 
-Relevance for inclusion axioms and instance queries goes through the
-same probe reductions as the entailment operations; the probes' reserved
-helper variables are stripped from the reported sets.
+``relevant_monomial`` serves every target: inclusion axioms and instance
+queries go through the same probe as entailment (``completion.probe``),
+and the probe's reserved helper variables are stripped from the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .completion import (
-    FreshVarSupply,
-    Limits,
-    build_concept_probe,
-    merged_saturation_store,
-)
-from .ontology import (
-    CA,
-    GCI,
-    RA,
-    RI,
-    RR,
-    AnnotatedAxiom,
-    AnnotatedOntology,
-    Atomic,
-    Axiom,
-    Concept,
-    Exists,
-    ExistsQ,
-    FreshNames,
-    TOP,
-    normalize,
-    render_axiom,
-)
-from .provenance import ONE, Monomial, Variable
+from .completion import Limits, _MergeStore, _Saturator, probe
+from .ontology import AnnotatedAxiom, AnnotatedOntology, Axiom, normalize, render_axiom
+from .provenance import Monomial
 
 __all__ = [
     "MergedSet",
     "merged_saturate",
-    "relevant_variables",
-    "relevant_for_axiom",
-    "relevant_variables_for_axiom",
-    "relevant_for_iq",
-    "relevant_variables_for_iq",
+    "relevant_monomial",
 ]
 
 
@@ -86,88 +60,29 @@ def merged_saturate(
     a single monomial; every rule application then either inserts a new
     axiom or grows an existing axiom's monomial.
     """
-    entries, stats = merged_saturation_store(
-        ontology, disabled_rules=disabled_rules, limits=limits
-    )
+    merged: dict[Axiom, Monomial] = {}
+    for ann in ontology.axioms:
+        current = merged.get(ann.axiom)
+        merged[ann.axiom] = ann.annotation if current is None else current * ann.annotation
+    seeds = AnnotatedOntology([AnnotatedAxiom(ax, mon) for ax, mon in merged.items()])
+    store = _MergeStore()
+    sat = _Saturator(seeds, store, disabled_rules, limits, track=False)
+    stats = sat.run()
+    entries = {ax: sat.table.monomial(mask) for ax, mask in store.by_axiom.items()}
     return MergedSet(entries=entries, merge_updates=stats.merge_updates)
 
 
-def _strip_helpers(variables) -> frozenset[Variable]:
-    return frozenset(v for v in variables if not v.name.startswith("__"))
+def relevant_monomial(
+    ontology: AnnotatedOntology, target, limits: Limits | None = None
+) -> Monomial | None:
+    """Merged annotation of ``target``: the product of its relevant variables.
 
-
-def relevant_variables(ontology: AnnotatedOntology, assertion: Axiom) -> frozenset[Variable]:
-    """Variables relevant for an atomic assertion (empty if underivable)."""
-    if not isinstance(assertion, (CA, RA)):
-        raise TypeError(f"expected an atomic assertion, got {assertion!r}")
-    merged = merged_saturate(normalize(ontology))
-    mon = merged.monomial(assertion)
-    return frozenset(mon.vars) if mon is not None else frozenset()
-
-
-def _merged_entry_vars(
-    ontology: AnnotatedOntology,
-    extra: list[AnnotatedAxiom],
-    target: Axiom,
-    required: Variable | None = None,
-) -> frozenset[Variable]:
-    merged = merged_saturate(normalize(ontology.extended(extra)))
-    mon = merged.monomial(target)
-    if mon is None:
-        return frozenset()
-    if required is not None and not mon.mentions(required):
-        return frozenset()
-    return _strip_helpers(mon.vars)
-
-
-def relevant_variables_for_axiom(
-    ontology: AnnotatedOntology, axiom: Axiom
-) -> frozenset[Variable]:
-    """Relevant variables for a GCI, role inclusion or range restriction."""
-    fresh = FreshNames(ontology.all_names())
-    if isinstance(axiom, GCI):
-        target = Atomic(fresh.named("__e"))
-        rhs = axiom.rhs
-        rhs_probe: Concept = ExistsQ(rhs.role, TOP) if isinstance(rhs, Exists) else rhs
-        extra = [AnnotatedAxiom(GCI(rhs_probe, target), ONE)]
-        supply = FreshVarSupply(ontology.all_names() | {target.name})
-        root = fresh.named("__a")
-        facts = build_concept_probe(axiom.lhs, root, supply)
-        if not facts:
-            facts = [AnnotatedAxiom(CA(TOP, root), ONE)]
-        extra.extend(facts)
-        return _merged_entry_vars(ontology, extra, CA(target, root))
-    if isinstance(axiom, RI):
-        a, b = fresh.individual(), fresh.individual()
-        extra = [AnnotatedAxiom(RA(axiom.sub, a, b), ONE)]
-        return _merged_entry_vars(ontology, extra, RA(axiom.sup, a, b))
-    if isinstance(axiom, RR):
-        a, b = fresh.individual(), fresh.individual()
-        w = fresh.variable()
-        extra = [AnnotatedAxiom(RA(axiom.role, a, b), Monomial((w,)))]
-        return _merged_entry_vars(
-            ontology, extra, CA(Atomic(axiom.filler), b), required=w
-        )
-    raise TypeError(f"expected a GCI, RI or RR, got {axiom!r}")
-
-
-def relevant_for_axiom(ontology: AnnotatedOntology, axiom: Axiom, v: Variable) -> bool:
-    return v in relevant_variables_for_axiom(ontology, axiom)
-
-
-def relevant_variables_for_iq(
-    ontology: AnnotatedOntology, concept: Concept, ind: str
-) -> frozenset[Variable]:
-    """Relevant variables for an instance query concept(ind)."""
-    if ind not in ontology.individuals:
-        return frozenset()
-    fresh = FreshNames(ontology.all_names())
-    target = Atomic(fresh.named("__iq"))
-    extra = [AnnotatedAxiom(GCI(concept, target), ONE)]
-    return _merged_entry_vars(ontology, extra, CA(target, ind))
-
-
-def relevant_for_iq(
-    ontology: AnnotatedOntology, concept: Concept, ind: str, v: Variable
-) -> bool:
-    return v in relevant_variables_for_iq(ontology, concept, ind)
+    ``target`` is any axiom or a ``(concept, ind)`` instance query. None
+    when no derivation exists (for a range restriction: none through the
+    probe edge); ``1`` when derivations use no variables of the ontology.
+    """
+    extended, assertion, markers, required = probe(ontology, target)
+    mon = merged_saturate(normalize(extended), limits=limits).monomial(assertion)
+    if mon is None or (required and not markers.variables() <= mon.variables()):
+        return None
+    return Monomial(tuple(v for v in mon.vars if not v.name.startswith("__")))

@@ -1,0 +1,118 @@
+"""Cross-check reductions from assertion entailment to inclusion entailment.
+
+Assertion entailment is decided directly by saturation; these encodings
+decide the same questions through the GCI and role-inclusion probes
+instead, so the two routes can be compared (acceptance criterion 10).
+They serve the tests only.
+"""
+
+from __future__ import annotations
+
+from elprov.completion import Limits, entails
+from elprov.ontology import (
+    CA,
+    GCI,
+    RA,
+    RI,
+    RR,
+    AnnotatedAxiom,
+    AnnotatedOntology,
+    Atomic,
+    Exists,
+    TOP,
+)
+from elprov.provenance import ONE, Monomial
+
+
+def reduce_ca_to_gci(
+    ontology: AnnotatedOntology, ind: str
+) -> tuple[AnnotatedOntology, str]:
+    """Encode the assertional part as inclusions over per-individual concepts.
+
+    Returns the encoding ontology together with the concept name standing
+    for ``ind``: a concept assertion B(ind) is entailed with monomial m
+    iff the encoding entails C_ind <= B or Top <= B with m.
+    """
+    if not ontology.is_normal_form():
+        raise ValueError("reduction requires a normal-form ontology")
+
+    def c_of(a: str) -> str:
+        return f"__c_{a}"
+
+    def cran_of(r: str) -> str:
+        return f"__cran_{r}"
+
+    out: list[AnnotatedAxiom] = []
+    for ann in ontology.axioms:
+        ax = ann.axiom
+        if isinstance(ax, CA):
+            if isinstance(ax.concept, Atomic):
+                out.append(AnnotatedAxiom(GCI(Atomic(c_of(ax.ind)), ax.concept), ann.annotation))
+        elif isinstance(ax, RA):
+            r_ab = f"__r_{ax.a}_{ax.b}"
+            out.append(AnnotatedAxiom(GCI(Atomic(c_of(ax.a)), Exists(r_ab)), ONE))
+            out.append(AnnotatedAxiom(RI(r_ab, ax.role), ann.annotation))
+            out.append(AnnotatedAxiom(RR(r_ab, c_of(ax.b)), ONE))
+            out.append(
+                AnnotatedAxiom(GCI(Atomic(c_of(ax.b)), Atomic(cran_of(ax.role))), ann.annotation)
+            )
+        else:
+            out.append(ann)
+            if isinstance(ax, RI):
+                out.append(
+                    AnnotatedAxiom(
+                        GCI(Atomic(cran_of(ax.sub)), Atomic(cran_of(ax.sup))), ann.annotation
+                    )
+                )
+            elif isinstance(ax, RR):
+                out.append(
+                    AnnotatedAxiom(GCI(Atomic(cran_of(ax.role)), Atomic(ax.filler)), ann.annotation)
+                )
+    return AnnotatedOntology(out), c_of(ind)
+
+
+def entails_ca_via_gci(
+    ontology: AnnotatedOntology,
+    concept_name: str,
+    ind: str,
+    mon: Monomial,
+    limits: Limits | None = None,
+) -> bool:
+    """Cross-check route for entails_assertion on concept assertions."""
+    encoding, c_ind = reduce_ca_to_gci(ontology, ind)
+    target = Atomic(concept_name)
+    return entails(encoding, GCI(Atomic(c_ind), target), mon, limits) or entails(
+        encoding, GCI(TOP, target), mon, limits
+    )
+
+
+def reduce_ra_to_ri(
+    ontology: AnnotatedOntology, a: str, b: str
+) -> tuple[AnnotatedOntology, str]:
+    """Encode the role assertions on (a, b) as inclusions of a fresh role."""
+    s = "__s_probe"
+    out: list[AnnotatedAxiom] = []
+    for ann in ontology.axioms:
+        ax = ann.axiom
+        if isinstance(ax, RA) and ax.a == a and ax.b == b:
+            out.append(AnnotatedAxiom(RI(s, ax.role), ann.annotation))
+        elif isinstance(ax, RI):
+            out.append(ann)
+    return AnnotatedOntology(out), s
+
+
+def entails_ra_via_ri(
+    ontology: AnnotatedOntology,
+    role: str,
+    a: str,
+    b: str,
+    mon: Monomial,
+    limits: Limits | None = None,
+) -> bool:
+    """Cross-check route for entails_assertion on role assertions."""
+    encoding, s = reduce_ra_to_ri(ontology, a, b)
+    if s not in encoding.role_names or role not in encoding.role_names:
+        # no edge on (a, b) at all, or the queried role occurs in no
+        # inclusion: nothing can derive it
+        return False
+    return entails(encoding, RI(s, role), mon, limits)

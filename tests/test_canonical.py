@@ -4,8 +4,8 @@ import pytest
 
 from elprov.canonical import (
     build_canonical_model,
+    answer_query,
     compute_rewriting,
-    entails_query,
     render_rewriting,
 )
 from elprov.completion import Limits, ResourceCapExceeded, entails_assertion, saturate
@@ -173,8 +173,8 @@ class TestEntailsQuery:
     def test_loop_true_and_false(self):
         o = parse_ontology(LOOP)
         q = parse_query(LOOP_QUERY)
-        assert entails_query(o, q, poly("u1"))
-        assert not entails_query(o, q, poly("u2*v1*v2"))
+        assert answer_query(o, q, poly("u1")).entailed
+        assert not answer_query(o, q, poly("u2*v1*v2")).entailed
 
     def test_side_conditions_block_anonymous_cycles(self):
         o = parse_ontology(LOOP)
@@ -200,28 +200,28 @@ class TestEntailsQuery:
         rc = compute_rewriting(q)
         assert query_provenance(interp, q, rc) == Polynomial({mono("u*v"): 2})
         assert query_provenance(interp, q, None) == Polynomial({mono("u*v"): 4})
-        assert entails_query(o, q, poly("2 u*v"))
-        assert not entails_query(o, q, poly("3 u*v"))
+        assert answer_query(o, q, poly("2 u*v")).entailed
+        assert not answer_query(o, q, poly("3 u*v")).entailed
 
     def test_two_fact_cycle_multiplicity(self):
         o = parse_ontology("ra R(a, b) @ v1\nra R(b, a) @ v2")
         q = parse_query("R(?x, ?y, ?t) & R(?y, ?x, ?t2)")
-        assert entails_query(o, q, poly("v1*v2 + v1*v2"))
-        assert not entails_query(o, q, poly("3 v1*v2"))
+        assert answer_query(o, q, poly("v1*v2 + v1*v2")).entailed
+        assert not answer_query(o, q, poly("3 v1*v2")).entailed
 
     def test_zero_polynomial(self):
         o = parse_ontology("ca A(a) @ v")
-        assert entails_query(o, parse_query("A(?x, ?t)"), Polynomial())
-        assert not entails_query(o, parse_query("B(?x, ?t)"), Polynomial())
+        assert answer_query(o, parse_query("A(?x, ?t)"), Polynomial()).entailed
+        assert not answer_query(o, parse_query("B(?x, ?t)"), Polynomial()).entailed
 
     def test_foreign_variables_fail(self):
         o = parse_ontology("ca A(a) @ v")
-        assert not entails_query(o, parse_query("A(?x, ?t)"), poly("zz"))
+        assert not answer_query(o, parse_query("A(?x, ?t)"), poly("zz")).entailed
 
     def test_unknown_individual_raises(self):
         o = parse_ontology("ca A(a) @ v")
         with pytest.raises(UnknownIndividualError):
-            entails_query(o, parse_query("A(nobody, ?t)"), poly("v"))
+            answer_query(o, parse_query("A(nobody, ?t)"), poly("v"))
 
     def test_city_mayor_polynomial(self):
         o = parse_ontology(
@@ -234,7 +234,7 @@ class TestEntailsQuery:
         assert query_provenance(interp, q, compute_rewriting(q)) == poly("v1*v3 + v2*v3")
 
     def test_existential_tree_query_agrees_with_instance_query(self):
-        from elprov.completion import entails_iq
+        from elprov.completion import entails
         from elprov.ontology import ExistsQ
         from elprov.provenance import Monomial
         from generators import VARS
@@ -251,8 +251,8 @@ class TestEntailsQuery:
             q = parse_query(f"{role}({ind}, ?y, ?t) & {concept}(?y, ?t2)")
             for k in range(3):
                 m = Monomial(tuple(rng.sample(VARS, k)))
-                via_query = entails_query(o, q, Polynomial.of(m))
-                via_iq = entails_iq(o, ExistsQ(role, Atomic(concept)), ind, m)
+                via_query = answer_query(o, q, Polynomial.of(m)).entailed
+                via_iq = entails(o, (ExistsQ(role, Atomic(concept)), ind), m)
                 assert via_query == via_iq, (o.render(), role, concept, ind, str(m))
                 checked += 1
         assert checked > 30
@@ -272,7 +272,7 @@ class TestEntailsQuery:
             q = parse_query(f"{role}({a}, {b}, ?t)")
             for k in range(3):
                 m = Monomial(tuple(rng.sample(VARS, k)))
-                assert entails_query(o, q, Polynomial.of(m)) == entails_assertion(
+                assert answer_query(o, q, Polynomial.of(m)).entailed == entails_assertion(
                     o, RA(role, a, b), m
                 )
                 checked += 1
@@ -293,7 +293,7 @@ class TestEntailsQuery:
                     continue
                 q = parse_query(f"{concept}({ind}, ?t)")
                 expected = entails_assertion(o, CA(Atomic(concept), ind), m)
-                got = entails_query(o, q, Polynomial.of(m))
+                got = answer_query(o, q, Polynomial.of(m)).entailed
                 assert got == expected, (o.render(), concept, ind, str(m))
                 checked += 1
         assert checked > 10

@@ -7,15 +7,9 @@ from elprov.completion import (
     Limits,
     ResourceCapExceeded,
     UnknownNameWarning,
+    entails,
     entails_assertion,
-    entails_ca_via_gci,
-    entails_gci,
-    entails_iq,
-    entails_ra_via_ri,
-    entails_ri,
-    entails_rr,
-    reduce_ca_to_gci,
-    reduce_ra_to_ri,
+    probe,
     saturate,
 )
 from elprov.ontology import (
@@ -37,6 +31,7 @@ from elprov.ontology import (
 from elprov.provenance import ONE, Monomial, Variable, parse_monomial
 
 from closure import missing_conclusions
+from crosscheck import entails_ca_via_gci, entails_ra_via_ri, reduce_ca_to_gci, reduce_ra_to_ri
 from generators import VARS, random_monomial, random_normalized_ontology
 from oracle import chase
 
@@ -219,95 +214,130 @@ class TestEntailsAssertion:
 class TestEntailsGci:
     def test_conjunction_under_idempotency(self):
         o = parse_ontology("gci A <= B1 @ v1\ngci A <= B2 @ v2\ngci and(B1, B2) <= C @ v3")
-        assert entails_gci(o, Atomic("A"), Atomic("C"), mono("v1*v2*v3"))
+        assert entails(o, GCI(Atomic("A"), Atomic("C")), mono("v1*v2*v3"))
 
     def test_reflexive(self):
         o = parse_ontology("ca A(a) @ u")
-        assert entails_gci(o, Atomic("A"), Atomic("A"), ONE)
+        assert entails(o, GCI(Atomic("A"), Atomic("A")), ONE)
 
     def test_two_step_cycle_collapses(self):
         o = parse_ontology("gci A <= B @ v1\ngci B <= A @ v2")
-        assert entails_gci(o, Atomic("A"), Atomic("B"), mono("v1*v2"))
-        assert entails_gci(o, Atomic("A"), Atomic("B"), mono("v1"))
-        assert not entails_gci(o, Atomic("A"), Atomic("B"), mono("v2"))
+        assert entails(o, GCI(Atomic("A"), Atomic("B")), mono("v1*v2"))
+        assert entails(o, GCI(Atomic("A"), Atomic("B")), mono("v1"))
+        assert not entails(o, GCI(Atomic("A"), Atomic("B")), mono("v2"))
 
     def test_top_lhs(self):
         o = parse_ontology("gci Top <= B @ v")
-        assert entails_gci(o, TOP, Atomic("B"), mono("v"))
-        assert not entails_gci(o, TOP, Atomic("B"), ONE)
+        assert entails(o, GCI(TOP, Atomic("B")), mono("v"))
+        assert not entails(o, GCI(TOP, Atomic("B")), ONE)
 
     def test_exists_rhs(self):
         o = parse_ontology("gci A <= some(R) @ v1\nri R <= S @ v2")
-        assert entails_gci(o, Atomic("A"), Exists("S"), mono("v1*v2"))
+        assert entails(o, GCI(Atomic("A"), Exists("S")), mono("v1*v2"))
 
     def test_complex_lhs(self):
         o = parse_ontology("gci some(R, B) <= C @ v")
-        assert entails_gci(o, ExistsQ("R", Atomic("B")), Atomic("C"), mono("v"))
+        assert entails(o, GCI(ExistsQ("R", Atomic("B")), Atomic("C")), mono("v"))
 
     def test_repeated_conjunct_occurrences_stay_distinct(self):
         # and(B, B) on the left needs two independent B memberships; an
         # inclusion usable only once cannot cover three occurrences
         o = parse_ontology("gci and(B, B) <= D @ u")
         lhs = Conj(Conj(Atomic("B"), Atomic("B")), Atomic("B"))
-        assert entails_gci(o, Conj(Atomic("B"), Atomic("B")), Atomic("D"), mono("u"))
-        assert not entails_gci(o, lhs, Atomic("D"), mono("u"))
+        assert entails(o, GCI(Conj(Atomic("B"), Atomic("B")), Atomic("D")), mono("u"))
+        assert not entails(o, GCI(lhs, Atomic("D")), mono("u"))
 
 
 class TestEntailsRiRr:
     def test_ri_chain(self):
         o = parse_ontology("ri R <= S @ v1\nri S <= T @ v2")
-        assert entails_ri(o, "R", "T", mono("v1*v2"))
+        assert entails(o, RI("R", "T"), mono("v1*v2"))
 
     def test_ri_reflexive(self):
         o = parse_ontology("ri R <= S @ v1")
-        assert entails_ri(o, "R", "R", ONE)
+        assert entails(o, RI("R", "R"), ONE)
 
     def test_ri_converse_fails(self):
         o = parse_ontology("ri R <= S @ v1")
-        assert not entails_ri(o, "S", "R", mono("v1"))
+        assert not entails(o, RI("S", "R"), mono("v1"))
 
     def test_rr_through_subrole(self):
         o = parse_ontology("ri R <= S @ v1\nrr ran(S) <= A @ v2")
-        assert entails_rr(o, "R", "A", mono("v1*v2"))
+        assert entails(o, RR("R", "A"), mono("v1*v2"))
 
     def test_rr_direct(self):
         o = parse_ontology("rr ran(R) <= A @ v")
-        assert entails_rr(o, "R", "A", mono("v"))
+        assert entails(o, RR("R", "A"), mono("v"))
 
     def test_rr_empty_ontology(self):
         o = parse_ontology("ra R(a, b) @ u")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UnknownNameWarning)
-            assert not entails_rr(o, "R", "A", ONE)
+            assert not entails(o, RR("R", "A"), ONE)
 
     def test_rr_not_faked_by_top_inclusion(self):
         # membership every element has anyway must not count as a range bound
         o = parse_ontology("gci Top <= A @ v\nra R(a, b) @ u")
-        assert not entails_rr(o, "R", "A", mono("v"))
-        assert not entails_rr(o, "R", "A", ONE)
+        assert not entails(o, RR("R", "A"), mono("v"))
+        assert not entails(o, RR("R", "A"), ONE)
 
 
 class TestEntailsIq:
     def test_qualified_existential_instance(self):
         o = parse_ontology(MAYOR)
-        assert entails_iq(
-            o, ExistsQ("predecessor", Atomic("Mayor")), "Brugnaro", mono("v1*v2*v4")
+        assert entails(
+            o, (ExistsQ("predecessor", Atomic("Mayor")), "Brugnaro"), mono("v1*v2*v4")
         )
 
     def test_top_instance(self):
         o = parse_ontology(MAYOR)
-        assert entails_iq(o, TOP, "Brugnaro", ONE)
+        assert entails(o, (TOP, "Brugnaro"), ONE)
 
     def test_membership(self):
         o = parse_ontology("ca A(a) @ v")
-        assert entails_iq(o, Atomic("A"), "a", mono("v"))
+        assert entails(o, (Atomic("A"), "a"), mono("v"))
 
     def test_unknown_individual_warns(self):
         o = parse_ontology("ca A(a) @ v")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert not entails_iq(o, Atomic("A"), "zz", mono("v"))
+            assert not entails(o, (Atomic("A"), "zz"), mono("v"))
         assert any(issubclass(w.category, UnknownNameWarning) for w in caught)
+
+
+class TestProbe:
+    def test_assertion_passes_through(self):
+        o = parse_ontology("ca A(a) @ v")
+        assert probe(o, CA(Atomic("A"), "a")) == (o, CA(Atomic("A"), "a"), ONE, False)
+
+    def test_instance_query_is_not_folded_into_an_assertion(self):
+        o = parse_ontology("ca A(a) @ v")
+        extended, assertion, markers, required = probe(o, (Atomic("A"), "a"))
+        assert assertion == CA(Atomic("__iq0"), "a")
+        assert AnnotatedAxiom(GCI(Atomic("A"), Atomic("__iq0")), ONE) in extended
+        assert (markers, required) == (ONE, False)
+
+    def test_gci_marks_every_lhs_position(self):
+        o = parse_ontology("gci A <= B @ v")
+        lhs = Conj(Atomic("A"), ExistsQ("R", Atomic("A")))
+        extended, assertion, markers, required = probe(o, GCI(lhs, Exists("S")))
+        assert assertion == CA(Atomic("__e0"), "__a0")
+        assert str(markers) == "__q0_A___a0*__q1_R___a0___ind0*__q2_A___ind0"
+        assert not required  # the queried monomial is multiplied by them instead
+        assert AnnotatedAxiom(GCI(ExistsQ("S", TOP), Atomic("__e0")), ONE) in extended
+        assert AnnotatedAxiom(RA("R", "__a0", "__ind0"), mono("__q1_R___a0___ind0")) in extended
+
+    def test_top_lhs_still_has_a_root(self):
+        extended, assertion, markers, _ = probe(parse_ontology("gci A <= B @ v"), GCI(TOP, Atomic("B")))
+        assert AnnotatedAxiom(CA(TOP, "__a0"), ONE) in extended
+        assert assertion == CA(Atomic("__e0"), "__a0") and markers == ONE
+
+    def test_range_restriction_requires_its_edge_marker(self):
+        o = parse_ontology("gci A <= B @ v")
+        extended, assertion, markers, required = probe(o, RR("R", "B"))
+        assert AnnotatedAxiom(RA("R", "__ind0", "__ind1"), markers) in extended
+        assert assertion == CA(Atomic("B"), "__ind1")
+        assert str(markers) == "__var0" and required
 
 
 class TestReductions:
@@ -402,10 +432,10 @@ class TestStability:
 class TestDisabledRules:
     def test_conjunction_rules_off_blocks_merge(self):
         o = parse_ontology("gci A <= B1 @ v1\ngci A <= B2 @ v2\ngci and(B1, B2) <= C @ v3")
-        assert not entails_gci(
-            o, Atomic("A"), Atomic("C"), mono("v1*v2*v3"), disabled_rules=(6, 7, 14)
+        assert not entails(
+            o, GCI(Atomic("A"), Atomic("C")), mono("v1*v2*v3"), disabled_rules=(6, 7, 14)
         )
 
     def test_other_rules_unaffected(self):
         o = parse_ontology("gci A <= B @ v1\ngci B <= C @ v2")
-        assert entails_gci(o, Atomic("A"), Atomic("C"), mono("v1*v2"), disabled_rules=(6, 7, 14))
+        assert entails(o, GCI(Atomic("A"), Atomic("C")), mono("v1*v2"), disabled_rules=(6, 7, 14))

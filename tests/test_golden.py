@@ -2,11 +2,12 @@
 
 ``tests/golden/*.elp`` are seeded ontologies: the paper's mayor example,
 a normal-form and a general ontology from ``generators.py``, and a
-layered knowledge base with a planted component like the benchmark's.
-Each case's expected stdout is ``tests/golden/<case>.out`` and its exit
-code is listed below; they were produced by an earlier release and pin
-saturation (including derivation counts and fired/added statistics) and
-relevance output across changes to the engine's internals.
+layered knowledge base with a planted component like the benchmark's;
+``tests/golden/*.cq`` are queries over them. Each case's expected stdout
+is ``tests/golden/<case>.out`` and its exit code is listed below; they
+were produced by an earlier release and pin saturation (including
+derivation counts and fired/added statistics), relevance, entailment of
+every kind and query answering across changes to the internals.
 """
 
 from pathlib import Path
@@ -44,13 +45,100 @@ CASES = {
     "layered-relevant-iq": [
         "relevant", "-i", "layered.elp", "--json", "--axiom", "iq some(q1, P4)(pa)"
     ],
+    "entail-assertion-ca": [
+        "entail", "-i", "mayor.elp", "--json", "--kind", "assertion",
+        "--axiom", "ca Mayor(Brugnaro)", "--prov", "v1*v2*v3*v4",
+    ],
+    "entail-assertion-ca-no": [
+        "entail", "-i", "mayor.elp", "--kind", "assertion",
+        "--axiom", "ca Mayor(Brugnaro)", "--prov", "v1*v3*v4",
+    ],
+    "entail-assertion-ra": [
+        "entail", "-i", "mayor.elp", "--json", "--kind", "assertion",
+        "--axiom", "ra mayor(Venice, Orsoni)", "--prov", "v1",
+    ],
+    "entail-gci": [
+        "entail", "-i", "layered.elp", "--json", "--kind", "gci",
+        "--axiom", "gci P0 <= P3", "--prov", "x2*x4",
+    ],
+    "entail-gci-no": [
+        "entail", "-i", "layered.elp", "--json", "--kind", "gci",
+        "--axiom", "gci P0 <= P3", "--prov", "x4",
+    ],
+    "entail-ri": [
+        "entail", "-i", "layered.elp", "--json", "--kind", "ri",
+        "--axiom", "ri q0 <= q2", "--prov", "y2*y3",
+    ],
+    "entail-ri-no": [
+        "entail", "-i", "layered.elp", "--json", "--kind", "ri",
+        "--axiom", "ri q0 <= q2", "--prov", "y2",
+    ],
+    "entail-rr": [
+        "entail", "-i", "layered.elp", "--json", "--kind", "rr",
+        "--axiom", "rr ran(q0) <= P6", "--prov", "y2*z3",
+    ],
+    "entail-rr-no": [
+        "entail", "-i", "layered.elp", "--json", "--kind", "rr",
+        "--axiom", "rr ran(q0) <= P6", "--prov", "z3",
+    ],
+    "entail-iq": [
+        "entail", "-i", "mayor.elp", "--json", "--kind", "iq",
+        "--axiom", "iq some(predecessor, Mayor)(Brugnaro)", "--prov", "v1*v2*v4",
+    ],
+    "entail-iq-no": [
+        "entail", "-i", "mayor.elp", "--json", "--kind", "iq",
+        "--axiom", "iq some(predecessor, Mayor)(Brugnaro)", "--prov", "v1*v2",
+    ],
+    "entail-kind-mismatch": [
+        "entail", "-i", "mayor.elp", "--kind", "gci",
+        "--axiom", "ca Mayor(Brugnaro)", "--prov", "v1",
+    ],
+    "query-polynomial": [
+        "query", "-i", "mayor.elp", "-q", "mayor-all.cq", "--json",
+        "--prov", "v1*v4 + v1*v2*v3*v4",
+    ],
+    "query-multiplicity-no": [
+        "query", "-i", "mayor.elp", "-q", "mayor-all.cq", "--json", "--prov", "2 v1*v4",
+    ],
+    "query-foreign-variable": [
+        "query", "-i", "mayor.elp", "-q", "mayor-all.cq", "--json", "--prov", "v1*zz",
+    ],
+    "query-zero": [
+        "query", "-i", "mayor.elp", "-q", "mayor-predecessor.cq", "--json", "--prov", "0",
+    ],
+    "query-zero-no-match": [
+        "query", "-i", "mayor.elp", "-q", "mayor-venice.cq", "--json", "--prov", "0",
+    ],
+    "query-unknown-individual": [
+        "query", "-i", "mayor.elp", "-q", "mayor-nobody.cq", "--json", "--prov", "v1",
+    ],
+    "query-anonymous-matches": [
+        "query", "-i", "layered.elp", "-q", "layered-anonymous.cq", "--json",
+        "--prov", "v10 + 3 v10*v11",
+    ],
+    "query-planted": [
+        "query", "-i", "layered.elp", "-q", "layered-planted.cq", "--json",
+        "--prov", "y1*y2*y3*z3",
+    ],
 }
 
-EXIT_CODES = {}  # every case exits 0 unless listed here
+# every case exits 0 unless listed here
+EXIT_CODES = {
+    "entail-assertion-ca-no": 1,
+    "entail-gci-no": 1,
+    "entail-ri-no": 1,
+    "entail-rr-no": 1,
+    "entail-iq-no": 1,
+    "entail-kind-mismatch": 2,
+    "query-multiplicity-no": 1,
+    "query-foreign-variable": 1,
+    "query-zero-no-match": 1,
+    "query-unknown-individual": 2,
+}
 
 
 def resolve(argv):
-    return [str(GOLDEN / arg) if arg.endswith(".elp") else arg for arg in argv]
+    return [str(GOLDEN / arg) if arg.endswith((".elp", ".cq")) else arg for arg in argv]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from elprov.completion import saturate
+from elprov.completion import Limits, ResourceCapExceeded, saturate
 from elprov.ontology import (
     CA,
     GCI,
@@ -16,14 +16,7 @@ from elprov.ontology import (
     parse_ontology,
 )
 from elprov.provenance import Monomial, Variable, parse_monomial
-from elprov.relevance import (
-    merged_saturate,
-    relevant_for_axiom,
-    relevant_for_iq,
-    relevant_variables,
-    relevant_variables_for_axiom,
-    relevant_variables_for_iq,
-)
+from elprov.relevance import merged_saturate, relevant_monomial
 
 from generators import random_normalized_ontology
 
@@ -76,9 +69,8 @@ class TestMergedSaturate:
         assert merged.monomial(CA(Atomic("C"), "a")).variables() == vset(*routes, "z")
         assert merged.monomial(CA(Atomic("A7"), "a")) == parse_monomial("x7")
         assert merged.merge_updates > 0
-        assert relevant_variables(
-            parse_ontology("\n".join(lines)), CA(Atomic("C"), "a")
-        ) == vset(*routes, "z")
+        relevant = relevant_monomial(parse_ontology("\n".join(lines)), CA(Atomic("C"), "a"))
+        assert relevant.variables() == vset(*routes, "z")
 
     def test_update_counter_bound(self):
         rng = random.Random(3)
@@ -92,21 +84,21 @@ class TestMergedSaturate:
 class TestRelevantVariables:
     def test_single_derivation(self):
         o = parse_ontology("ca A(a) @ u\ngci A <= B @ v")
-        assert relevant_variables(o, CA(Atomic("B"), "a")) == vset("u", "v")
+        assert relevant_monomial(o, CA(Atomic("B"), "a")) == parse_monomial("u*v")
 
     def test_underivable_is_empty(self):
         o = parse_ontology("ca A(a) @ u")
-        assert relevant_variables(o, CA(Atomic("B"), "a")) == frozenset()
+        assert relevant_monomial(o, CA(Atomic("B"), "a")) is None
 
     def test_mayor(self):
         o = parse_ontology(MAYOR)
-        assert relevant_variables(o, CA(Atomic("Mayor"), "Brugnaro")) == vset(
-            "v1", "v2", "v3", "v4"
+        assert relevant_monomial(o, CA(Atomic("Mayor"), "Brugnaro")) == parse_monomial(
+            "v1*v2*v3*v4"
         )
 
     def test_role_assertion_target(self):
         o = parse_ontology("ra R(a, b) @ v1\nri R <= S @ v2")
-        assert relevant_variables(o, RA("S", "a", "b")) == vset("v1", "v2")
+        assert relevant_monomial(o, RA("S", "a", "b")) == parse_monomial("v1*v2")
 
     def test_equals_union_over_full_saturation(self):
         rng = random.Random(9)
@@ -140,43 +132,53 @@ class TestRelevantForAxiom:
     def test_cycle_members_are_relevant(self):
         o = parse_ontology("gci A <= B @ v1\ngci B <= C @ v2\ngci C <= B @ v3")
         target = GCI(Atomic("A"), Atomic("B"))
-        assert relevant_for_axiom(o, target, Variable("v2"))
-        assert relevant_for_axiom(o, target, Variable("v3"))
-        assert relevant_for_axiom(o, target, Variable("v1"))
-        assert relevant_variables_for_axiom(o, target) == vset("v1", "v2", "v3")
+        relevant = relevant_monomial(o, target)
+        assert relevant.mentions(Variable("v2"))
+        assert relevant.mentions(Variable("v3"))
+        assert relevant.mentions(Variable("v1"))
+        assert relevant == parse_monomial("v1*v2*v3")
 
     def test_disconnected_axiom_irrelevant(self):
         o = parse_ontology("gci A <= B @ v1\ngci C <= D @ v2")
-        assert not relevant_for_axiom(o, GCI(Atomic("A"), Atomic("B")), Variable("v2"))
+        assert not relevant_monomial(o, GCI(Atomic("A"), Atomic("B"))).mentions(Variable("v2"))
 
     def test_ri_relevance(self):
         o = parse_ontology("ri R <= S @ v1\nri S <= T @ v2")
-        assert relevant_variables_for_axiom(o, RI("R", "T")) == vset("v1", "v2")
-        assert relevant_variables_for_axiom(o, RI("T", "R")) == frozenset()
+        assert relevant_monomial(o, RI("R", "T")) == parse_monomial("v1*v2")
+        assert relevant_monomial(o, RI("T", "R")) is None
 
     def test_rr_relevance(self):
         o = parse_ontology("ri R <= S @ v1\nrr ran(S) <= A @ v2")
-        assert relevant_variables_for_axiom(o, RR("R", "A")) == vset("v1", "v2")
+        assert relevant_monomial(o, RR("R", "A")) == parse_monomial("v1*v2")
 
     def test_rr_relevance_requires_range_route(self):
         o = parse_ontology("gci Top <= A @ v\nra R(a, b) @ u")
-        assert relevant_variables_for_axiom(o, RR("R", "A")) == frozenset()
+        assert relevant_monomial(o, RR("R", "A")) is None
 
     def test_helper_variables_stripped(self):
         o = parse_ontology("gci A <= B @ v1")
-        got = relevant_variables_for_axiom(o, GCI(Atomic("A"), Atomic("B")))
-        assert got == vset("v1")
+        assert relevant_monomial(o, GCI(Atomic("A"), Atomic("B"))) == parse_monomial("v1")
 
 
 class TestRelevantForIq:
     def test_instance_query(self):
         o = parse_ontology(MAYOR)
-        got = relevant_variables_for_iq(
-            normalize(o), ExistsQ("predecessor", Atomic("Mayor")), "Brugnaro"
-        )
-        assert got == vset("v1", "v2", "v4")
-        assert relevant_for_iq(normalize(o), ExistsQ("predecessor", Atomic("Mayor")), "Brugnaro", Variable("v2"))
+        got = relevant_monomial(normalize(o), (ExistsQ("predecessor", Atomic("Mayor")), "Brugnaro"))
+        assert got == parse_monomial("v1*v2*v4")
+        assert got.mentions(Variable("v2"))
 
     def test_unknown_individual(self):
         o = parse_ontology("ca A(a) @ v")
-        assert relevant_variables_for_iq(o, Atomic("A"), "zz") == frozenset()
+        assert relevant_monomial(o, (Atomic("A"), "zz")) is None
+
+
+class TestLimits:
+    @pytest.mark.parametrize(
+        "target",
+        [CA(Atomic("Mayor"), "Brugnaro"), GCI(Atomic("Mayor"), Atomic("Mayor")), RR("mayor", "Mayor")],
+    )
+    def test_axiom_cap_applies(self, target):
+        o = parse_ontology(MAYOR)
+        assert relevant_monomial(o, target, Limits(max_axioms=1000)) is not None
+        with pytest.raises(ResourceCapExceeded):
+            relevant_monomial(o, target, Limits(max_axioms=3))
