@@ -108,10 +108,19 @@ _KINDS = {
 }
 
 
+def _parse_axiom_arg(text: str, iq: bool):
+    """``--axiom`` as an ``iq`` target or an axiom; a parse error names ``--axiom``."""
+    try:
+        return parse_iq_target(text) if iq else parse_axiom(text)
+    except ParseError as exc:
+        exc.source = "--axiom"
+        raise
+
+
 def _entail_target(kind: str, text: str):
     if kind == "iq":
-        return parse_iq_target(text)
-    axiom = parse_axiom(text)
+        return _parse_axiom_arg(text, iq=True)
+    axiom = _parse_axiom_arg(text, iq=False)
     types, expected = _KINDS[kind]
     if not isinstance(axiom, types):
         raise ValueError(f"--kind {kind} expects {expected}")
@@ -136,7 +145,7 @@ def _cmd_entail(args) -> int:
 def _cmd_relevant(args) -> int:
     ontology = _load_ontology(args.input)
     text = args.axiom.strip()
-    target = parse_iq_target(text) if text.startswith("iq") else parse_axiom(text)
+    target = _parse_axiom_arg(text, iq=text.startswith("iq"))
     merged = relevant_monomial(ontology, target, _limits(args))
     names = [v.name for v in merged.vars] if merged is not None else []
     if args.json:
@@ -263,7 +272,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ParseError as exc:
-        source = getattr(args, "input", None) or "<input>"
+        source = exc.source or getattr(args, "input", None) or "<input>"
         print(f"{source}:{exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceCapExceeded as exc:

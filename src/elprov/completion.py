@@ -1,11 +1,21 @@
 """Saturation of normalized annotated ontologies and entailment decisions.
 
 The saturation engine closes an ontology under seventeen completion
-rules. Besides the two seeding rules (reflexive inclusions for every
-name, and a Top membership for every individual) the rules join two to
-five premises; the engine runs a semi-naive worklist where every stored
-axiom is indexed by shape so a newly derived fact only joins against
-matching partners.
+rules. Two only seed (reflexive inclusions for every name, and a Top
+membership for every individual); the others are rows of one table,
+``_RULES``: two to five premise patterns over the eight normal-form
+shapes and a conclusion pattern, e.g. ``sub A B, sub B C -> sub A C``,
+whose monomial is the product of the premises' monomials. At import each
+row becomes one join plan per premise taken as the delta: which premise
+to visit next, the index that finds it from the variables bound so far
+and the variables it binds. One generic ``_join`` runs the plans from a
+semi-naive worklist, so a newly derived fact only meets matching
+partners. A fact added in the middle of a join is seen by the loops
+after it, so the fired, added and derivation counts and the merged
+store's updates depend on how the joins loop; the table writes that
+down instead of deriving it: the order in which each delta visits its
+partners, which partner loops the joins of one delta share (``|``), and
+which partners' monomials are read before the join starts (``*``).
 
 The same engine serves two stores: a set store that keeps every derived
 (axiom, monomial) pair separately (optionally bounded to monomials of at
@@ -32,8 +42,10 @@ from __future__ import annotations
 
 import time
 import warnings
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .ontology import (
     CA,
@@ -206,33 +218,168 @@ class _MergeStore:
 # --- engine ----------------------------------------------------------------
 
 
-def _normal_shape(ax: Axiom) -> str:
+def _fields(ax: Axiom) -> tuple[str, tuple]:
+    """The normal-form shape of ``ax`` and its fields in pattern order.
+
+    Field 0 is always Top, so a join plan can name the constant like any
+    bound value.
+    """
     if isinstance(ax, RI):
-        return "ri"
+        return "ri", (TOP, ax.sub, ax.sup)
     if isinstance(ax, RR):
-        return "rr"
+        return "rr", (TOP, ax.role, Atomic(ax.filler))
     if isinstance(ax, CA):
-        return "ca"
+        return "ca", (TOP, ax.concept, ax.ind)
     if isinstance(ax, RA):
-        return "ra"
+        return "ra", (TOP, ax.role, ax.a, ax.b)
     if isinstance(ax, GCI):
         lhs, rhs = ax.lhs, ax.rhs
         if isinstance(rhs, (Atomic, Top)):
             if is_atomic_or_top(lhs):
-                return "sub"
+                return "sub", (TOP, lhs, rhs)
             if isinstance(lhs, Conj) and is_atomic_or_top(lhs.left) and is_atomic_or_top(lhs.right):
-                return "conj"
+                return "conj", (TOP, lhs.left, lhs.right, rhs)
             if isinstance(lhs, ExistsQ) and is_atomic_or_top(lhs.filler):
-                return "exq"
+                return "exq", (TOP, lhs.role, lhs.filler, rhs)
         elif isinstance(rhs, Exists) and is_atomic_or_top(lhs):
-            return "exr"
+            return "exr", (TOP, lhs, rhs.role)
     raise ValueError(f"axiom is not in normal form: {render_axiom(ax)}")
+
+
+# The inverse of ``_fields`` for the shapes a rule concludes.
+_BUILD = {
+    "ri": RI,
+    "rr": lambda role, filler: RR(role, filler.name),
+    "sub": GCI,
+    "exr": lambda lhs, role: GCI(lhs, Exists(role)),
+    "ca": CA,
+    "ra": RA,
+}
+
+# Rows: a name from RULE_NAMES, premises -> conclusion and, for three or more
+# premises, for each premise taken as the delta the order in which the join
+# visits the others (with two premises there is one order). ``Top`` is the
+# constant, every other word a variable. Shapes: ri R S = R <= S, rr R B =
+# ran(R) <= B, sub A B = A <= B, exr A R = A <= some(R), conj A B C =
+# and(A, B) <= C, exq R A B = some(R, A) <= B, ca A a, ra R a b. In an order,
+# the steps before ``|`` are shared by the row's plans that start from the
+# same delta shape and carry a ``|``: one snapshot of each shared partner
+# list, and per partial product the plans' remaining steps one after the
+# other. ``*`` after the first premise of an order reads the monomials of all
+# its partners before the join goes on; otherwise the join reads a partner's
+# monomials when it reaches the partner.
+_RULES = (
+    ("role-chain", "ri R S, ri S T -> ri R T"),
+    ("range-of-subrole", "ri R S, rr S B -> rr R B"),
+    ("existential-subrole", "exr A R, ri R S -> exr A S"),
+    ("concept-chain", "sub A B, sub B C -> sub A C"),
+    ("chain-into-existential", "sub A B, exr B R -> exr A R"),
+    ("conjunction-subsumption", "sub A B1, sub A B2, conj B1 B2 C -> sub A C", "1|2 0|2 01"),
+    (
+        "range-conjunction",
+        "rr R B1, rr R B2, sub B1 C1, sub B2 C2, conj C1 C2 D -> rr R D",
+        "1*234 0*234 01|34 10|24 2013",
+    ),
+    ("top-conjunct-elim", "sub Top B, conj A B C -> sub A C"),
+    ("top-conjunct-elim", "sub Top B, conj B A C -> sub A C"),
+    (
+        "existential-composition",
+        "exr A S, rr S B, sub B C, ri S R, exq R C D -> sub A D",
+        "1234 0234 1034 0124 3012",
+    ),
+    ("existential-top-composition", "exr A R, sub Top B, exq R B C -> sub A C", "21 20 10"),
+    ("role-fact-hierarchy", "ra R a b, ri R S -> ra S a b"),
+    ("instance-chain", "ca A a, sub A B -> ca B a"),
+    ("instance-conjunction", "ca A1 a, ca A2 a, conj A1 A2 B -> ca B a", "21 20 01"),
+    ("instance-existential", "ra R a b, ca A b, exq R A B -> ca B a", "21 02 01"),
+    ("instance-range", "ra R a b, rr R B -> ca B b"),
+)
+
+
+class _Step(NamedTuple):
+    index: int  # which index holds the partners
+    key: Callable  # slots -> index key
+    binds: tuple[tuple[int, int], ...]  # (partner field, slot) pairs it fills
+    next: tuple["_Step", ...]  # run per partial product; none after the last step
+    conclusion: tuple[Callable, Callable] | None  # last step: (constructor, slots -> arguments)
+
+
+class _Plan(NamedTuple):
+    """A join for one premise taken as the delta (or for several, sharing steps).
+
+    The slots start as the delta's fields (Top first); the steps fill the
+    rest.
+    """
+
+    rule: int
+    top: int  # the delta field that must be Top; 0, which always is, if none
+    pad: tuple[None, ...]  # the slots the steps fill
+    eager: bool  # read the first step's monomials before joining
+    first: _Step
+
+
+def _chain(steps, after=(), conclusion=None) -> tuple[_Step, ...]:
+    """Link ``steps``; the last one runs the steps ``after`` or concludes."""
+    for index, key, binds in reversed(steps):
+        after, conclusion = (_Step(index, itemgetter(*key), binds, after, conclusion),), None
+    return after
+
+
+def _compile_rules():
+    """Join plans per delta shape, and per shape the indexes its facts enter."""
+    plans: dict[str, list[_Plan]] = defaultdict(list)
+    indexes: dict[tuple[str, tuple[int, ...]], int] = {}
+    for name, text, *orders in _RULES:
+        lhs, rhs = text.split(" -> ")
+        premises = [p.split() for p in lhs.split(", ")]
+        cshape, *cterms = rhs.split()
+        groups: dict = {}  # a delta, or shared steps -> [delta shape, shared steps, head, *branches]
+        for delta, order in enumerate(orders[0].split() if orders else "10"):
+            shape, *terms = premises[delta]
+            # slot 0 is Top, slot f the delta's field f (field 0 of every fact is Top)
+            slot = {t: f for f, t in enumerate(terms, 1)} | {"Top": 0}
+            width = 1 + len(terms)
+            steps = []
+            for q in [int(q) for q in order if q.isdigit()]:
+                pshape, *pterms = premises[q]
+                bound = tuple(f for f, t in enumerate(pterms, 1) if t in slot)
+                index = indexes.setdefault((pshape, bound), len(indexes))
+                binds = []
+                for f, t in enumerate(pterms, 1):
+                    if f not in bound:
+                        binds.append((f, width))
+                        slot[t], width = width, width + 1
+                steps.append((index, tuple(slot[pterms[f - 1]] for f in bound), tuple(binds)))
+            conclusion = _BUILD[cshape], itemgetter(*(slot[t] for t in cterms))
+            shared, bar, rest = order.partition("|")
+            n = sum(map(str.isdigit, shared)) if bar else 0
+            # a branch's first partners are looked up once per shared partner
+            # (see ``_join``), so no branch may start from the conclusion's shape
+            assert not bar or premises[int(rest[0])][0] != cshape
+            top = terms.index("Top") + 1 if "Top" in terms else 0
+            assert order.find("*") in (-1, 1)
+            head = (RULE_NAMES.index(name), top, (None,) * (width - 1 - len(terms)), "*" in order)
+            group = groups.setdefault(tuple(steps[:n]) if n else delta, [shape, steps[:n], head])
+            assert group[:3] == [shape, steps[:n], head]
+            group += _chain(steps[n:], (), conclusion)
+        for shape, shared, head, *branches in groups.values():
+            plans[shape].append(_Plan(*head, *_chain(shared, tuple(branches))))
+    indexed: dict[str, list[tuple[int, Callable]]] = defaultdict(list)
+    for (shape, positions), index in indexes.items():
+        indexed[shape].append((index, itemgetter(*positions)))
+    return plans, indexed
+
+
+_PLANS, _INDEXED = _compile_rules()
 
 
 class _Saturator:
     def __init__(self, ontology, store, disabled, limits, track):
         self.store = store
         self.disabled = frozenset(disabled)
+        self.plans = {
+            shape: [p for p in plans if p.rule not in self.disabled] for shape, plans in _PLANS.items()
+        }
         self.limits = limits or Limits()
         self.track = track
         self.stats = SaturationStats()
@@ -243,60 +390,15 @@ class _Saturator:
             time.monotonic() + self.limits.max_seconds if self.limits.max_seconds else None
         )
         self._ticks = 0
-
-        # shape indices (axiom structure only; monomials live in the store)
-        self.ri_by_sub: dict[str, list[RI]] = {}
-        self.ri_by_sup: dict[str, list[RI]] = {}
-        self.rr_by_role: dict[str, list[RR]] = {}
-        self.rr_by_filler: dict[str, list[RR]] = {}
-        self.sub_by_lhs: dict[Concept, list[GCI]] = {}
-        self.sub_by_rhs: dict[Concept, list[GCI]] = {}
-        self.exr_by_lhs: dict[Concept, list[GCI]] = {}
-        self.exr_by_role: dict[str, list[GCI]] = {}
-        self.conj_by_c1: dict[Concept, list[GCI]] = {}
-        self.conj_by_c2: dict[Concept, list[GCI]] = {}
-        self.exq_by_role: dict[str, list[GCI]] = {}
-        self.exq_by_filler: dict[Concept, list[GCI]] = {}
-        self.exq_by_rolefiller: dict[tuple[str, Concept], list[GCI]] = {}
-        self.ca_by_ind: dict[str, list[CA]] = {}
-        self.ca_by_concept: dict[Concept, list[CA]] = {}
-        self.ra_by_role: dict[str, list[RA]] = {}
-        self.ra_by_target: dict[str, list[RA]] = {}
-
+        # axiom structure only; monomials live in the store
+        self.fields: dict[Axiom, tuple[str, tuple]] = {}
+        self.index: list[dict] = [{} for plans in _INDEXED.values() for _ in plans]
         self._seed(ontology)
 
-    # -- bookkeeping --------------------------------------------------------
-
     def _index(self, ax: Axiom) -> None:
-        if isinstance(ax, RI):
-            self.ri_by_sub.setdefault(ax.sub, []).append(ax)
-            self.ri_by_sup.setdefault(ax.sup, []).append(ax)
-        elif isinstance(ax, RR):
-            self.rr_by_role.setdefault(ax.role, []).append(ax)
-            self.rr_by_filler.setdefault(ax.filler, []).append(ax)
-        elif isinstance(ax, CA):
-            self.ca_by_ind.setdefault(ax.ind, []).append(ax)
-            self.ca_by_concept.setdefault(ax.concept, []).append(ax)
-        elif isinstance(ax, RA):
-            self.ra_by_role.setdefault(ax.role, []).append(ax)
-            self.ra_by_target.setdefault(ax.b, []).append(ax)
-        elif isinstance(ax, GCI):
-            shape = _normal_shape(ax)
-            if shape == "sub":
-                self.sub_by_lhs.setdefault(ax.lhs, []).append(ax)
-                self.sub_by_rhs.setdefault(ax.rhs, []).append(ax)
-            elif shape == "exr":
-                role = ax.rhs.role
-                self.exr_by_lhs.setdefault(ax.lhs, []).append(ax)
-                self.exr_by_role.setdefault(role, []).append(ax)
-            elif shape == "conj":
-                self.conj_by_c1.setdefault(ax.lhs.left, []).append(ax)
-                self.conj_by_c2.setdefault(ax.lhs.right, []).append(ax)
-            elif shape == "exq":
-                role, filler = ax.lhs.role, ax.lhs.filler
-                self.exq_by_role.setdefault(role, []).append(ax)
-                self.exq_by_filler.setdefault(filler, []).append(ax)
-                self.exq_by_rolefiller.setdefault((role, filler), []).append(ax)
+        shape, fields = self.fields[ax] = _fields(ax)
+        for index, key in _INDEXED[shape]:
+            self.index[index].setdefault(key(fields), []).append((ax, fields))
 
     def _tick(self) -> None:
         self._ticks += 1
@@ -324,12 +426,9 @@ class _Saturator:
             self._index(axiom)
         self.queue.extend(deltas)
 
-    def _mons(self, axiom: Axiom) -> tuple[int, ...]:
-        return self.store.monomials(axiom)
-
     def _seed(self, ontology: AnnotatedOntology) -> None:
         for ann in ontology.axioms:
-            _normal_shape(ann.axiom)  # raises if not normal form
+            _fields(ann.axiom)  # raises if not normal form
             self._add(ann.axiom, self.table.mask(ann.annotation), "input", seed=True)
         if 0 not in self.disabled:
             for name in ontology.concept_names:
@@ -343,350 +442,60 @@ class _Saturator:
                 self._add(CA(TOP, ind), 0, "top-instance", seed=True)
 
     def run(self) -> SaturationStats:
-        while self.queue:
-            axiom, mon = self.queue.popleft()
-            kind = _normal_shape(axiom)
-            getattr(self, f"_on_{kind}")(axiom, mon)
+        queue, index, join, monomials = self.queue, self.index, self._join, self.store.monomials
+        while queue:
+            axiom, mon = queue.popleft()
+            shape, fields = self.fields[axiom]
+            for rule, top, pad, eager, first in self.plans[shape]:
+                if not isinstance(fields[top], Top):
+                    continue
+                # the first step reads only the delta's fields
+                partners = index[first.index].get(first.key(fields))
+                if partners:
+                    read = monomials
+                    if eager:
+                        read = {ax: monomials(ax) for ax, _ in partners}.__getitem__
+                    join(RULE_NAMES[rule], first, [*fields, *pad], mon, partners, read)
         self.stats.facts = self.store.size
         if isinstance(self.store, _MergeStore):
             self.stats.merge_updates = self.store.growths
         return self.stats
 
-    def _rule_on(self, i: int) -> bool:
-        return i not in self.disabled
+    def _join(self, rule: str, step: _Step, slots: list, mon: int, partners: list, read) -> None:
+        """Extend the partial match ``slots`` (product ``mon``) by ``step``.
 
-    # -- rule joins, one handler per delta shape -----------------------------
-
-    def _on_ri(self, ax: RI, m: int) -> None:
-        r1, r2 = ax.sub, ax.sup
-        if self._rule_on(1):
-            for other in tuple(self.ri_by_sub.get(r2, ())):
-                for n in self._mons(other):
-                    self._add(RI(r1, other.sup), m | n, "role-chain")
-            for other in tuple(self.ri_by_sup.get(r1, ())):
-                for n in self._mons(other):
-                    self._add(RI(other.sub, r2), n | m, "role-chain")
-        if self._rule_on(2):
-            for rr in tuple(self.rr_by_role.get(r2, ())):
-                for n in self._mons(rr):
-                    self._add(RR(r1, rr.filler), m | n, "range-of-subrole")
-        if self._rule_on(3):
-            for exr in tuple(self.exr_by_role.get(r1, ())):
-                for n in self._mons(exr):
-                    self._add(GCI(exr.lhs, Exists(r2)), n | m, "existential-subrole")
-        if self._rule_on(9):
-            # delta is premise 4: (S <= R, m4)
-            s, r = r1, r2
-            self._cr9(s, r, m4_choices=((ax, m),))
-        if self._rule_on(12):
-            for ra in tuple(self.ra_by_role.get(r1, ())):
-                for n in self._mons(ra):
-                    self._add(RA(r2, ra.a, ra.b), n | m, "role-fact-hierarchy")
-
-    def _on_rr(self, ax: RR, m: int) -> None:
-        s, b = ax.role, Atomic(ax.filler)
-        if self._rule_on(2):
-            for ri in tuple(self.ri_by_sup.get(s, ())):
-                for n in self._mons(ri):
-                    self._add(RR(ri.sub, ax.filler), n | m, "range-of-subrole")
-        if self._rule_on(7):
-            self._cr7(s, p1_choices=((ax, m),), p2_choices=None)
-            self._cr7(s, p1_choices=None, p2_choices=((ax, m),))
-        if self._rule_on(9):
-            # delta is premise 2: (ran(S) <= B, m2)
-            for exr in tuple(self.exr_by_role.get(s, ())):
-                for m1 in self._mons(exr):
-                    for sub in tuple(self.sub_by_lhs.get(b, ())):
-                        for m3 in self._mons(sub):
-                            for ri in tuple(self.ri_by_sub.get(s, ())):
-                                for m4 in self._mons(ri):
-                                    for exq in tuple(
-                                        self.exq_by_rolefiller.get((ri.sup, sub.rhs), ())
-                                    ):
-                                        for m5 in self._mons(exq):
-                                            self._add(
-                                                GCI(exr.lhs, exq.rhs),
-                                                m1 | m | m3 | m4 | m5,
-                                                "existential-composition",
-                                            )
-        if self._rule_on(16):
-            for ra in tuple(self.ra_by_role.get(s, ())):
-                for n in self._mons(ra):
-                    self._add(CA(b, ra.b), n | m, "instance-range")
-
-    def _cr7(self, role: str, p1_choices, p2_choices) -> None:
-        p1s = p1_choices or [
-            (rr, n) for rr in tuple(self.rr_by_role.get(role, ())) for n in self._mons(rr)
-        ]
-        for rr1, m1 in p1s:
-            p2s = p2_choices or [
-                (rr, n) for rr in tuple(self.rr_by_role.get(role, ())) for n in self._mons(rr)
-            ]
-            for rr2, m2 in p2s:
-                b1, b2 = Atomic(rr1.filler), Atomic(rr2.filler)
-                for sub1 in tuple(self.sub_by_lhs.get(b1, ())):
-                    for m3 in self._mons(sub1):
-                        for sub2 in tuple(self.sub_by_lhs.get(b2, ())):
-                            for m4 in self._mons(sub2):
-                                for conj in tuple(self.conj_by_c1.get(sub1.rhs, ())):
-                                    if conj.lhs.right != sub2.rhs:
-                                        continue
-                                    for m5 in self._mons(conj):
-                                        self._add(
-                                            RR(role, conj.rhs.name),
-                                            m1 | m2 | m3 | m4 | m5,
-                                            "range-conjunction",
-                                        )
-
-    def _cr9(self, s: str, r: str, m4_choices) -> None:
-        for exr in tuple(self.exr_by_role.get(s, ())):
-            for m1 in self._mons(exr):
-                for rr in tuple(self.rr_by_role.get(s, ())):
-                    for m2 in self._mons(rr):
-                        for sub in tuple(self.sub_by_lhs.get(Atomic(rr.filler), ())):
-                            for m3 in self._mons(sub):
-                                for ri, m4 in m4_choices:
-                                    for exq in tuple(
-                                        self.exq_by_rolefiller.get((r, sub.rhs), ())
-                                    ):
-                                        for m5 in self._mons(exq):
-                                            self._add(
-                                                GCI(exr.lhs, exq.rhs),
-                                                m1 | m2 | m3 | m4 | m5,
-                                                "existential-composition",
-                                            )
-
-    def _on_sub(self, ax: GCI, m: int) -> None:
-        a, b = ax.lhs, ax.rhs
-        if self._rule_on(4):
-            for sub in tuple(self.sub_by_lhs.get(b, ())):
-                for n in self._mons(sub):
-                    self._add(GCI(a, sub.rhs), m | n, "concept-chain")
-            for sub in tuple(self.sub_by_rhs.get(a, ())):
-                for n in self._mons(sub):
-                    self._add(GCI(sub.lhs, b), n | m, "concept-chain")
-        if self._rule_on(5):
-            for exr in tuple(self.exr_by_lhs.get(b, ())):
-                for n in self._mons(exr):
-                    self._add(GCI(a, exr.rhs), m | n, "chain-into-existential")
-        if self._rule_on(6):
-            # delta as (A <= B1) and as (A <= B2)
-            for sub in tuple(self.sub_by_lhs.get(a, ())):
-                for n in self._mons(sub):
-                    for conj in tuple(self.conj_by_c1.get(b, ())):
-                        if conj.lhs.right != sub.rhs:
-                            continue
-                        for c in self._mons(conj):
-                            self._add(GCI(a, conj.rhs), m | n | c, "conjunction-subsumption")
-                    for conj in tuple(self.conj_by_c2.get(b, ())):
-                        if conj.lhs.left != sub.rhs:
-                            continue
-                        for c in self._mons(conj):
-                            self._add(GCI(a, conj.rhs), n | m | c, "conjunction-subsumption")
-        if self._rule_on(7) and isinstance(a, Atomic):
-            # delta as premise 3 and as premise 4
-            for rr1 in tuple(self.rr_by_filler.get(a.name, ())):
-                for m1 in self._mons(rr1):
-                    role = rr1.role
-                    for rr2 in tuple(self.rr_by_role.get(role, ())):
-                        for m2 in self._mons(rr2):
-                            b2 = Atomic(rr2.filler)
-                            # delta as (B1 <= C1): partner (B2 <= C2) free
-                            for sub2 in tuple(self.sub_by_lhs.get(b2, ())):
-                                for m4 in self._mons(sub2):
-                                    for conj in tuple(self.conj_by_c1.get(b, ())):
-                                        if conj.lhs.right != sub2.rhs:
-                                            continue
-                                        for m5 in self._mons(conj):
-                                            self._add(
-                                                RR(role, conj.rhs.name),
-                                                m1 | m2 | m | m4 | m5,
-                                                "range-conjunction",
-                                            )
-                            # delta as (B2 <= C2): partner (B1 <= C1) free
-                            for sub1 in tuple(self.sub_by_lhs.get(b2, ())):
-                                for m3 in self._mons(sub1):
-                                    for conj in tuple(self.conj_by_c2.get(b, ())):
-                                        if conj.lhs.left != sub1.rhs:
-                                            continue
-                                        for m5 in self._mons(conj):
-                                            self._add(
-                                                RR(role, conj.rhs.name),
-                                                m2 | m1 | m3 | m | m5,
-                                                "range-conjunction",
-                                            )
-        if self._rule_on(8) and isinstance(a, Top):
-            # delta is (Top <= B); eliminate B from either conjunct position
-            for conj in tuple(self.conj_by_c2.get(b, ())):
-                for n in self._mons(conj):
-                    self._add(GCI(conj.lhs.left, conj.rhs), n | m, "top-conjunct-elim")
-            for conj in tuple(self.conj_by_c1.get(b, ())):
-                for n in self._mons(conj):
-                    self._add(GCI(conj.lhs.right, conj.rhs), n | m, "top-conjunct-elim")
-        if self._rule_on(9) and isinstance(a, Atomic):
-            # delta is premise 3: (B <= C, m3)
-            for rr in tuple(self.rr_by_filler.get(a.name, ())):
-                for m2 in self._mons(rr):
-                    s = rr.role
-                    for exr in tuple(self.exr_by_role.get(s, ())):
-                        for m1 in self._mons(exr):
-                            for ri in tuple(self.ri_by_sub.get(s, ())):
-                                for m4 in self._mons(ri):
-                                    for exq in tuple(
-                                        self.exq_by_rolefiller.get((ri.sup, b), ())
-                                    ):
-                                        for m5 in self._mons(exq):
-                                            self._add(
-                                                GCI(exr.lhs, exq.rhs),
-                                                m1 | m2 | m | m4 | m5,
-                                                "existential-composition",
-                                            )
-        if self._rule_on(10) and isinstance(a, Top):
-            # delta is premise 2: (Top <= B, m2)
-            for exq in tuple(self.exq_by_filler.get(b, ())):
-                for m3 in self._mons(exq):
-                    for exr in tuple(self.exr_by_role.get(exq.lhs.role, ())):
-                        for m1 in self._mons(exr):
-                            self._add(GCI(exr.lhs, exq.rhs), m1 | m | m3, "existential-top-composition")
-        if self._rule_on(13):
-            for ca in tuple(self.ca_by_concept.get(a, ())):
-                for n in self._mons(ca):
-                    self._add(CA(b, ca.ind), n | m, "instance-chain")
-
-    def _on_exr(self, ax: GCI, m: int) -> None:
-        a, role = ax.lhs, ax.rhs.role
-        if self._rule_on(3):
-            for ri in tuple(self.ri_by_sub.get(role, ())):
-                for n in self._mons(ri):
-                    self._add(GCI(a, Exists(ri.sup)), m | n, "existential-subrole")
-        if self._rule_on(5):
-            for sub in tuple(self.sub_by_rhs.get(a, ())):
-                for n in self._mons(sub):
-                    self._add(GCI(sub.lhs, ax.rhs), n | m, "chain-into-existential")
-        if self._rule_on(9):
-            # delta is premise 1: (A <= some S, m1)
-            s = role
-            for rr in tuple(self.rr_by_role.get(s, ())):
-                for m2 in self._mons(rr):
-                    for sub in tuple(self.sub_by_lhs.get(Atomic(rr.filler), ())):
-                        for m3 in self._mons(sub):
-                            for ri in tuple(self.ri_by_sub.get(s, ())):
-                                for m4 in self._mons(ri):
-                                    for exq in tuple(
-                                        self.exq_by_rolefiller.get((ri.sup, sub.rhs), ())
-                                    ):
-                                        for m5 in self._mons(exq):
-                                            self._add(
-                                                GCI(a, exq.rhs),
-                                                m | m2 | m3 | m4 | m5,
-                                                "existential-composition",
-                                            )
-        if self._rule_on(10):
-            for exq in tuple(self.exq_by_role.get(role, ())):
-                for m3 in self._mons(exq):
-                    for m2 in self._mons(GCI(TOP, exq.lhs.filler)):
-                        self._add(GCI(a, exq.rhs), m | m2 | m3, "existential-top-composition")
-
-    def _on_conj(self, ax: GCI, m: int) -> None:
-        a1, a2 = ax.lhs.left, ax.lhs.right
-        if self._rule_on(6):
-            for sub1 in tuple(self.sub_by_rhs.get(a1, ())):
-                for m1 in self._mons(sub1):
-                    for m2 in self._mons(GCI(sub1.lhs, a2)):
-                        self._add(GCI(sub1.lhs, ax.rhs), m1 | m2 | m, "conjunction-subsumption")
-        if self._rule_on(7):
-            # delta is premise 5
-            for sub1 in tuple(self.sub_by_rhs.get(a1, ())):
-                if not isinstance(sub1.lhs, Atomic):
-                    continue
-                for m3 in self._mons(sub1):
-                    for rr1 in tuple(self.rr_by_filler.get(sub1.lhs.name, ())):
-                        for m1 in self._mons(rr1):
-                            for rr2 in tuple(self.rr_by_role.get(rr1.role, ())):
-                                for m2 in self._mons(rr2):
-                                    for m4 in self._mons(GCI(Atomic(rr2.filler), a2)):
-                                        self._add(
-                                            RR(rr1.role, ax.rhs.name),
-                                            m1 | m2 | m3 | m4 | m,
-                                            "range-conjunction",
-                                        )
-        if self._rule_on(8):
-            for m2 in self._mons(GCI(TOP, a2)):
-                self._add(GCI(a1, ax.rhs), m | m2, "top-conjunct-elim")
-            for m2 in self._mons(GCI(TOP, a1)):
-                self._add(GCI(a2, ax.rhs), m | m2, "top-conjunct-elim")
-        if self._rule_on(14):
-            for ca1 in tuple(self.ca_by_concept.get(a1, ())):
-                for m1 in self._mons(ca1):
-                    for m2 in self._mons(CA(a2, ca1.ind)):
-                        self._add(CA(ax.rhs, ca1.ind), m1 | m2 | m, "instance-conjunction")
-
-    def _on_exq(self, ax: GCI, m: int) -> None:
-        role, filler = ax.lhs.role, ax.lhs.filler
-        if self._rule_on(9):
-            # delta is premise 5: (some(R, C) <= D, m5)
-            for ri in tuple(self.ri_by_sup.get(role, ())):
-                for m4 in self._mons(ri):
-                    s = ri.sub
-                    for exr in tuple(self.exr_by_role.get(s, ())):
-                        for m1 in self._mons(exr):
-                            for rr in tuple(self.rr_by_role.get(s, ())):
-                                for m2 in self._mons(rr):
-                                    for m3 in self._mons(GCI(Atomic(rr.filler), filler)):
-                                        self._add(
-                                            GCI(exr.lhs, ax.rhs),
-                                            m1 | m2 | m3 | m4 | m,
-                                            "existential-composition",
-                                        )
-        if self._rule_on(10):
-            for m2 in self._mons(GCI(TOP, filler)):
-                for exr in tuple(self.exr_by_role.get(role, ())):
-                    for m1 in self._mons(exr):
-                        self._add(GCI(exr.lhs, ax.rhs), m1 | m2 | m, "existential-top-composition")
-        if self._rule_on(15):
-            for ra in tuple(self.ra_by_role.get(role, ())):
-                for m1 in self._mons(ra):
-                    for m2 in self._mons(CA(filler, ra.b)):
-                        self._add(CA(ax.rhs, ra.a), m1 | m2 | m, "instance-existential")
-
-    def _on_ca(self, ax: CA, m: int) -> None:
-        a, ind = ax.concept, ax.ind
-        if self._rule_on(13):
-            for sub in tuple(self.sub_by_lhs.get(a, ())):
-                for n in self._mons(sub):
-                    self._add(CA(sub.rhs, ind), m | n, "instance-chain")
-        if self._rule_on(14):
-            for conj in tuple(self.conj_by_c1.get(a, ())):
-                for m3 in self._mons(conj):
-                    for m2 in self._mons(CA(conj.lhs.right, ind)):
-                        self._add(CA(conj.rhs, ind), m | m2 | m3, "instance-conjunction")
-            for conj in tuple(self.conj_by_c2.get(a, ())):
-                for m3 in self._mons(conj):
-                    for m1 in self._mons(CA(conj.lhs.left, ind)):
-                        self._add(CA(conj.rhs, ind), m1 | m | m3, "instance-conjunction")
-        if self._rule_on(15):
-            # delta is premise 2: (A(b), m2)
-            for ra in tuple(self.ra_by_target.get(ind, ())):
-                for m1 in self._mons(ra):
-                    for exq in tuple(self.exq_by_rolefiller.get((ra.role, a), ())):
-                        for m3 in self._mons(exq):
-                            self._add(CA(exq.rhs, ra.a), m1 | m | m3, "instance-existential")
-
-    def _on_ra(self, ax: RA, m: int) -> None:
-        role, a, b = ax.role, ax.a, ax.b
-        if self._rule_on(12):
-            for ri in tuple(self.ri_by_sub.get(role, ())):
-                for n in self._mons(ri):
-                    self._add(RA(ri.sup, a, b), m | n, "role-fact-hierarchy")
-        if self._rule_on(15):
-            for exq in tuple(self.exq_by_role.get(role, ())):
-                for m3 in self._mons(exq):
-                    for m2 in self._mons(CA(exq.lhs.filler, b)):
-                        self._add(CA(exq.rhs, a), m | m2 | m3, "instance-existential")
-        if self._rule_on(16):
-            for rr in tuple(self.rr_by_role.get(role, ())):
-                for n in self._mons(rr):
-                    self._add(CA(Atomic(rr.filler), b), m | n, "instance-range")
+        Loops over a snapshot of the live list ``partners`` and reads a
+        partner's monomials through ``read`` when it reaches the partner,
+        like the nested loops the rules denote. The next steps' partner
+        lists are looked up once per partner: one found empty stays empty
+        over the partner's monomials, as only the joins below the other
+        next steps add facts, and none to its index.
+        """
+        binds = step.binds
+        if step.conclusion:
+            add, (make, args) = self._add, step.conclusion
+            for axiom, fields in tuple(partners):
+                for f, s in binds:
+                    slots[s] = fields[f]
+                mons = read(axiom)
+                if mons:
+                    conclusion = make(*args(slots))
+                    for n in mons:
+                        add(conclusion, mon | n, rule)
+            return
+        index, live, nexts = self.index, self.store.monomials, step.next
+        for axiom, fields in tuple(partners):
+            for f, s in binds:
+                slots[s] = fields[f]
+            found = []
+            for n in nexts:
+                later = index[n.index].get(n.key(slots))
+                if later:
+                    found.append((n, later))
+            if found:
+                for m in read(axiom):
+                    for n, later in found:
+                        self._join(rule, n, slots, mon | m, later, live)
 
 
 # --- public saturation API --------------------------------------------------
@@ -762,8 +571,11 @@ def saturate(
 
     ``k`` bounds derived monomials to at most k variables (input axioms
     are kept regardless); ``None`` means full saturation, which suffices
-    for every entailment over the ontology's variables.
+    for every entailment over the ontology's variables. A negative ``k``
+    is a ValueError.
     """
+    if k is not None and k < 0:
+        raise ValueError(f"k must be a non-negative integer, got {k}")
     store = _SetStore(k)
     sat = _Saturator(ontology, store, disabled_rules, limits, track_derivations)
     stats = sat.run()

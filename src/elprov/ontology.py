@@ -68,13 +68,18 @@ RESERVED_PREFIX = "__"
 
 
 class ParseError(ValueError):
-    """Syntax or well-formedness error with source position."""
+    """Syntax or well-formedness error with source position.
+
+    ``source`` names where the text came from when the caller knows better
+    than the parser (the CLI sets it for ``--axiom``).
+    """
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
         self.message = message
         self.line = line
         self.column = column
+        self.source: str | None = None
 
 
 class NamespaceError(ValueError):

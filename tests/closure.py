@@ -7,8 +7,6 @@ reports any in-bound conclusion that is missing.
 
 from __future__ import annotations
 
-from itertools import product
-
 from elprov.completion import SaturatedSet
 from elprov.ontology import CA, GCI, RA, RI, RR, Atomic, Conj, Exists, ExistsQ, TOP, Top
 from elprov.provenance import ONE
@@ -49,73 +47,109 @@ def missing_conclusions(sat: SaturatedSet) -> list[str]:
         if not sat.contains(axiom, mon):
             missing.append(f"{rule}: {axiom} @ {mon}")
 
-    for (x, m1), (y, m2) in product(ris, ris):
-        if x.sup == y.sub:
-            expect("role-chain", RI(x.sub, y.sup), m1 * m2)
-    for (x, m1), (y, m2) in product(ris, rrs):
-        if x.sup == y.role:
-            expect("range-of-subrole", RR(x.sub, y.filler), m1 * m2)
-    for (x, m1), (y, m2) in product(exrs, ris):
-        if x.rhs.role == y.sub:
-            expect("existential-subrole", GCI(x.lhs, Exists(y.sup)), m1 * m2)
-    for (x, m1), (y, m2) in product(subs, subs):
-        if x.rhs == y.lhs:
-            expect("concept-chain", GCI(x.lhs, y.rhs), m1 * m2)
-    for (x, m1), (y, m2) in product(subs, exrs):
-        if x.rhs == y.lhs:
-            expect("chain-into-existential", GCI(x.lhs, y.rhs), m1 * m2)
-    for (x, m1), (y, m2), (z, m3) in product(subs, subs, conjs):
-        if x.lhs == y.lhs and z.lhs.left == x.rhs and z.lhs.right == y.rhs:
-            expect("conjunction-subsumption", GCI(x.lhs, z.rhs), m1 * m2 * m3)
-    # the five-premise rules test each premise as soon as it is chosen, so
-    # the scan stays feasible on sets of a few hundred facts
-    for (p1, m1), (p2, m2) in product(rrs, rrs):
-        if p1.role != p2.role:
-            continue
-        for p3, m3 in subs:
-            if p3.lhs != Atomic(p1.filler):
+    # every rule tests each premise as soon as it is chosen, so the scan
+    # stays feasible on sets of a few hundred facts
+    for x, m1 in ris:
+        for y, m2 in ris:
+            if x.sup == y.sub:
+                expect("role-chain", RI(x.sub, y.sup), m1 * m2)
+    for x, m1 in ris:
+        for y, m2 in rrs:
+            if x.sup == y.role:
+                expect("range-of-subrole", RR(x.sub, y.filler), m1 * m2)
+    for x, m1 in exrs:
+        for y, m2 in ris:
+            if x.rhs.role == y.sub:
+                expect("existential-subrole", GCI(x.lhs, Exists(y.sup)), m1 * m2)
+    for x, m1 in subs:
+        for y, m2 in subs:
+            if x.rhs == y.lhs:
+                expect("concept-chain", GCI(x.lhs, y.rhs), m1 * m2)
+    for x, m1 in subs:
+        for y, m2 in exrs:
+            if x.rhs == y.lhs:
+                expect("chain-into-existential", GCI(x.lhs, y.rhs), m1 * m2)
+    for x, m1 in subs:
+        for y, m2 in subs:
+            if x.lhs != y.lhs:
                 continue
-            for p4, m4 in subs:
-                if p4.lhs != Atomic(p2.filler):
+            for z, m3 in conjs:
+                if z.lhs.left == x.rhs and z.lhs.right == y.rhs:
+                    expect("conjunction-subsumption", GCI(x.lhs, z.rhs), m1 * m2 * m3)
+    for p1, m1 in rrs:
+        b1 = Atomic(p1.filler)
+        for p2, m2 in rrs:
+            if p1.role != p2.role:
+                continue
+            b2 = Atomic(p2.filler)
+            for p3, m3 in subs:
+                if p3.lhs != b1:
                     continue
-                for p5, m5 in conjs:
-                    if p5.lhs.left == p3.rhs and p5.lhs.right == p4.rhs:
-                        conclusion = RR(p1.role, p5.rhs.name)
-                        expect("range-conjunction", conclusion, m1 * m2 * m3 * m4 * m5)
-    for (x, m1), (y, m2) in product(conjs, subs):
-        if isinstance(y.lhs, Top):
+                for p4, m4 in subs:
+                    if p4.lhs != b2:
+                        continue
+                    for p5, m5 in conjs:
+                        if p5.lhs.left == p3.rhs and p5.lhs.right == p4.rhs:
+                            conclusion = RR(p1.role, p5.rhs.name)
+                            expect("range-conjunction", conclusion, m1 * m2 * m3 * m4 * m5)
+    for y, m2 in subs:
+        if not isinstance(y.lhs, Top):
+            continue
+        for x, m1 in conjs:
             if x.lhs.right == y.rhs:
                 expect("top-conjunct-elim", GCI(x.lhs.left, x.rhs), m1 * m2)
             if x.lhs.left == y.rhs:
                 expect("top-conjunct-elim", GCI(x.lhs.right, x.rhs), m1 * m2)
-    for (p1, m1), (p2, m2), (p4, m4) in product(exrs, rrs, ris):
-        if p1.rhs.role != p2.role or p1.rhs.role != p4.sub:
-            continue
-        for p3, m3 in subs:
-            if p3.lhs != Atomic(p2.filler):
+    for p1, m1 in exrs:
+        for p2, m2 in rrs:
+            if p1.rhs.role != p2.role:
                 continue
-            for p5, m5 in exqs:
-                if p5.lhs.role == p4.sup and p5.lhs.filler == p3.rhs:
-                    conclusion = GCI(p1.lhs, p5.rhs)
-                    expect("existential-composition", conclusion, m1 * m2 * m3 * m4 * m5)
-    for (p1, m1), (p2, m2), (p3, m3) in product(exrs, subs, exqs):
-        if isinstance(p2.lhs, Top) and p1.rhs.role == p3.lhs.role and p3.lhs.filler == p2.rhs:
-            expect("existential-top-composition", GCI(p1.lhs, p3.rhs), m1 * m2 * m3)
-    for (x, m1), (y, m2) in product(ras, ris):
-        if x.role == y.sub:
-            expect("role-fact-hierarchy", RA(y.sup, x.a, x.b), m1 * m2)
-    for (x, m1), (y, m2) in product(cas, subs):
-        if x.concept == y.lhs:
-            expect("instance-chain", CA(y.rhs, x.ind), m1 * m2)
-    for (x, m1), (y, m2), (z, m3) in product(cas, cas, conjs):
-        if x.ind == y.ind and z.lhs.left == x.concept and z.lhs.right == y.concept:
-            expect("instance-conjunction", CA(z.rhs, x.ind), m1 * m2 * m3)
-    for (x, m1), (y, m2), (z, m3) in product(ras, cas, exqs):
-        if y.ind == x.b and z.lhs.role == x.role and z.lhs.filler == y.concept:
-            expect("instance-existential", CA(z.rhs, x.a), m1 * m2 * m3)
-    for (x, m1), (y, m2) in product(ras, rrs):
-        if x.role == y.role:
-            expect("instance-range", CA(Atomic(y.filler), x.b), m1 * m2)
+            b = Atomic(p2.filler)
+            for p3, m3 in subs:
+                if p3.lhs != b:
+                    continue
+                for p4, m4 in ris:
+                    if p1.rhs.role != p4.sub:
+                        continue
+                    for p5, m5 in exqs:
+                        if p5.lhs.role == p4.sup and p5.lhs.filler == p3.rhs:
+                            conclusion = GCI(p1.lhs, p5.rhs)
+                            expect("existential-composition", conclusion, m1 * m2 * m3 * m4 * m5)
+    for p2, m2 in subs:
+        if not isinstance(p2.lhs, Top):
+            continue
+        for p3, m3 in exqs:
+            if p3.lhs.filler != p2.rhs:
+                continue
+            for p1, m1 in exrs:
+                if p1.rhs.role == p3.lhs.role:
+                    expect("existential-top-composition", GCI(p1.lhs, p3.rhs), m1 * m2 * m3)
+    for x, m1 in ras:
+        for y, m2 in ris:
+            if x.role == y.sub:
+                expect("role-fact-hierarchy", RA(y.sup, x.a, x.b), m1 * m2)
+    for x, m1 in cas:
+        for y, m2 in subs:
+            if x.concept == y.lhs:
+                expect("instance-chain", CA(y.rhs, x.ind), m1 * m2)
+    for x, m1 in cas:
+        for y, m2 in cas:
+            if x.ind != y.ind:
+                continue
+            for z, m3 in conjs:
+                if z.lhs.left == x.concept and z.lhs.right == y.concept:
+                    expect("instance-conjunction", CA(z.rhs, x.ind), m1 * m2 * m3)
+    for x, m1 in ras:
+        for y, m2 in cas:
+            if y.ind != x.b:
+                continue
+            for z, m3 in exqs:
+                if z.lhs.role == x.role and z.lhs.filler == y.concept:
+                    expect("instance-existential", CA(z.rhs, x.a), m1 * m2 * m3)
+    for x, m1 in ras:
+        for y, m2 in rrs:
+            if x.role == y.role:
+                expect("instance-range", CA(Atomic(y.filler), x.b), m1 * m2)
     # seeding rules
     for ax, _ in cas:
         expect("top-instance", CA(TOP, ax.ind), ONE)

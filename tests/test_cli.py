@@ -256,6 +256,31 @@ class TestErrorPaths:
         assert captured.out == ""
         assert f"ELPROV_MAX_AXIOMS must be a positive integer, got {cap!r}" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (
+                ["entail", "--kind", "gci", "--axiom", "gci A <= ", "--prov", "v1"],
+                "--axiom:1:9: expected a concept",
+            ),
+            (
+                ["relevant", "--axiom", "ca Mayor("],
+                "--axiom:1:10: expected an individual name, got 'end of line'",
+            ),
+        ],
+    )
+    def test_axiom_parse_error_names_the_argument(self, capsys, argv, err):
+        assert main([argv[0], "-i", str(GOLDEN / "mayor.elp"), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(err)
+
+    def test_negative_k_is_usage_error(self, mayor_file, capsys):
+        assert main(["saturate", "-i", mayor_file, "--k", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k must be a non-negative integer, got -1" in captured.err
+
     def test_missing_file(self, capsys):
         assert main(["saturate", "-i", "/nonexistent/x.elp"]) == 2
 

@@ -85,6 +85,11 @@ class TestSaturate:
         for small, big in zip(sats, sats[1:]):
             assert set(small.axioms) <= set(big.axioms)
 
+    def test_negative_k_is_rejected(self):
+        o = parse_ontology("ca A(a) @ v")
+        with pytest.raises(ValueError, match="k must be a non-negative integer, got -1"):
+            saturate(o, k=-1)
+
     def test_monotone_in_ontology(self):
         rng = random.Random(5)
         for _ in range(30):

@@ -1,8 +1,12 @@
 """Byte-for-byte CLI outputs on fixed inputs.
 
 ``tests/golden/*.elp`` are seeded ontologies: the paper's mayor example,
-a normal-form and a general ontology from ``generators.py``, and a
-layered knowledge base with a planted component like the benchmark's;
+a normal-form and a general ontology from ``generators.py``, a layered
+knowledge base with a planted component like the benchmark's,
+``order.elp``, whose fired counts and derivations depend on the order in
+which a join visits a delta's partners, and ``joins.elp``, whose counts
+depend on which partner loops the joins of one delta share and on when
+they read a partner's monomials;
 ``tests/golden/*.cq`` are queries over them. Each case's expected stdout
 is ``tests/golden/<case>.out`` and its exit code is listed below; they
 were produced by an earlier release and pin saturation (including
@@ -37,6 +41,9 @@ CASES = {
     "general-saturate": ["saturate", "-i", "general.elp", "--json"],
     "general-saturate-k2": ["saturate", "-i", "general.elp", "--json", "--k", "2"],
     "general-relevant-ca": ["relevant", "-i", "general.elp", "--json", "--axiom", "ca A(c)"],
+    "order-saturate-k2": ["saturate", "-i", "order.elp", "--json", "--k", "2"],
+    "order-saturate-k3": ["saturate", "-i", "order.elp", "--json", "--k", "3"],
+    "joins-saturate": ["saturate", "-i", "joins.elp", "--json"],
     "layered-saturate-k2": ["saturate", "-i", "layered.elp", "--json", "--k", "2"],
     "layered-relevant-ca": ["relevant", "-i", "layered.elp", "--json", "--axiom", "ca P3(pa)"],
     "layered-relevant-ra": ["relevant", "-i", "layered.elp", "--json", "--axiom", "ra q2(pa, pb)"],
