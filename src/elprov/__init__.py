@@ -77,7 +77,6 @@ from .interpretation import (
     enumerate_matches,
     parse_query,
     provenance_of_matches,
-    query_provenance,
 )
 from .canonical import (
     Fork,

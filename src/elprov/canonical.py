@@ -1,11 +1,15 @@
 """Canonical model construction and query rewriting for annotated BCQs.
 
-The canonical model of an annotated ontology seeds the named part with
-every entailed assertion and then applies three model-building rules to
-a fixpoint: concept inclusions push memberships forward, unqualified
-existentials attach anonymous elements keyed by role and edge monomial,
-and role inclusions copy edges upward. Anonymous elements are
-materialized only when an edge first targets them.
+The canonical model of an annotated ontology is seeded from one
+saturation of the normalized ontology plus one probe edge per role, each
+marked by its own fresh variable: the entailed assertions on the
+ontology's individuals form the named part, and the marked memberships of
+each probe edge's target are the role's entailed range restrictions. The
+model-building rules then run to a fixpoint: concept inclusions and range
+restrictions push memberships forward, unqualified existentials attach
+anonymous elements keyed by role and edge monomial, and role inclusions
+copy edges upward. Anonymous elements are materialized only when an edge
+first targets them.
 
 A query holds on the ontology exactly when its rewriting holds on the
 canonical model. The rewriting keeps the query atoms and adds side
@@ -17,14 +21,10 @@ whose representative is matched anonymously, those terms must coincide.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
-from .completion import (
-    Limits,
-    ResourceCapExceeded,
-    entailed_range_restrictions,
-    saturate,
-)
+from .completion import Limits, ResourceCapExceeded, saturate
 from .interpretation import (
     AnnotatedInterpretation,
     AuxElement,
@@ -36,24 +36,23 @@ from .interpretation import (
     UnknownIndividualError,
     Var,
     enumerate_matches,
+    evaluate_concept,
     provenance_of_matches,
     term_key,
 )
 from .ontology import (
-    CA,
     GCI,
     RA,
     RI,
     RR,
+    AnnotatedAxiom,
     AnnotatedOntology,
     Atomic,
-    Concept,
-    Exists,
+    FreshNames,
     Ran,
     normalize,
-    render_axiom,
 )
-from .provenance import Monomial, Polynomial
+from .provenance import Monomial, Polynomial, Variable
 
 __all__ = [
     "Fork",
@@ -82,15 +81,6 @@ class RewritingConditions:
     cyc: frozenset[Var]
     forks: tuple[Fork, ...]
     merge_count: int
-
-    def same_class(self, a: Term, b: Term) -> bool:
-        return any(a in cls and b in cls for cls in self.classes)
-
-    def class_of(self, t: Term) -> frozenset[Term]:
-        for cls in self.classes:
-            if t in cls:
-                return cls
-        return frozenset((t,))
 
 
 def compute_rewriting(query: BCQ) -> RewritingConditions:
@@ -190,105 +180,96 @@ def build_canonical_model(
 ) -> AnnotatedInterpretation:
     """Universal annotated model of the ontology.
 
-    The ontology is normalized, closed under its entailed range
-    restrictions, and fully saturated to seed the named part; the
-    model-building rules then run round-robin over the axioms until no
-    rule adds a pair, materializing anonymous elements on demand.
+    The ontology is normalized and saturated once, together with one probe
+    edge per role between fresh individuals, each edge annotated with its
+    own fresh marker variable. That one saturation seeds the model: its
+    assertions on the ontology's individuals form the named part, and a
+    membership of a probe edge's target whose monomial mentions the marker
+    is an entailed range restriction of the role (the marker stripped).
+    The normalized inclusions and range restrictions, those entailed ones
+    included, then run as model-building rules until none adds a pair,
+    materializing anonymous elements on demand. ``limits`` applies to the
+    saturation as in ``saturate``; it also caps the number of model tuples,
+    and its time budget, counted from this call, is checked before every
+    model rule application. Exceeding either raises ``ResourceCapExceeded``.
     """
     limits = limits or Limits()
+    deadline = time.monotonic() + limits.max_seconds if limits.max_seconds else None
     base = normalize(ontology)
-    star = base.extended(entailed_range_restrictions(base, limits))
-    sat = saturate(star, limits=limits)
+    fresh = FreshNames(base.all_names())
+    probes: list[AnnotatedAxiom] = []
+    markers: dict[str, tuple[str, Variable]] = {}  # probe target -> (role, marker)
+    for role in base.role_names:
+        a, b = fresh.individual(), fresh.individual()
+        w = fresh.variable()
+        probes.append(AnnotatedAxiom(RA(role, a, b), Monomial((w,))))
+        markers[b] = (role, w)
+    sat = saturate(base.extended(probes), limits=limits)
 
-    concept_ext: dict[str, dict] = {}
-    role_ext: dict[str, dict] = {}
-    domain: dict[DomainElement, None] = {Named(i): None for i in star.individuals}
+    concept_ext: dict[str, set] = {}
+    role_ext: dict[str, set] = {}
+    domain: dict[DomainElement, None] = {Named(i): None for i in base.individuals}
     size = 0
 
-    def cap_check() -> None:
+    def add(ext: dict[str, set], name: str, fact: tuple) -> bool:
+        nonlocal size
+        bucket = ext.setdefault(name, set())
+        if fact in bucket:
+            return False
+        bucket.add(fact)
+        domain.setdefault(fact[-2], None)  # an edge's target; a member is in already
+        size += 1
         if size > limits.max_axioms:
             raise ResourceCapExceeded(
                 f"canonical model exceeded the cap of {limits.max_axioms} tuples"
             )
-
-    def add_concept(name: str, el: DomainElement, mon: Monomial) -> bool:
-        nonlocal size
-        bucket = concept_ext.setdefault(name, {})
-        if (el, mon) in bucket:
-            return False
-        bucket[(el, mon)] = None
-        size += 1
-        cap_check()
         return True
 
-    def add_role(name: str, d: DomainElement, e: DomainElement, mon: Monomial) -> bool:
-        nonlocal size
-        bucket = role_ext.setdefault(name, {})
-        if (d, e, mon) in bucket:
-            return False
-        bucket[(d, e, mon)] = None
-        domain.setdefault(e, None)
-        size += 1
-        cap_check()
-        return True
-
+    rules = [ann for ann in base.axioms if isinstance(ann.axiom, (GCI, RI, RR))]
+    individuals = set(base.individuals)
     for ann in sat.assertions():
-        ax = ann.axiom
-        if isinstance(ax, CA) and isinstance(ax.concept, Atomic):
-            add_concept(ax.concept.name, Named(ax.ind), ann.annotation)
-        elif isinstance(ax, RA):
-            add_role(ax.role, Named(ax.a), Named(ax.b), ann.annotation)
-
-    def eval_lhs(concept: Concept) -> list[tuple[DomainElement, Monomial]]:
-        # normal-form left-hand sides over the current partial structure
-        view = AnnotatedInterpretation.__new__(AnnotatedInterpretation)
-        view.domain = tuple(domain)
-        view._domain_set = frozenset(domain)
-        view.concept_ext = {n: frozenset(b) for n, b in concept_ext.items()}
-        view.role_ext = {n: frozenset(b) for n, b in role_ext.items()}
-        view.individuals = {}
-        return sorted(view.extend_concept(concept), key=lambda p: (str(p[0]), p[1]))
-
-    rules = sorted(
-        (
-            ann
-            for ann in star.axioms
-            if isinstance(ann.axiom, (GCI, RI, RR))
-        ),
-        key=lambda ann: (render_axiom(ann.axiom), ann.annotation),
-    )
+        ax, m = ann.axiom, ann.annotation
+        if isinstance(ax, RA):
+            if ax.a in individuals:  # a probe edge joins fresh individuals only
+                add(role_ext, ax.role, (Named(ax.a), Named(ax.b), m))
+        elif isinstance(ax.concept, Atomic):
+            name = ax.concept.name
+            if ax.ind in individuals:
+                add(concept_ext, name, (Named(ax.ind), m))
+            elif ax.ind in markers and not name.startswith("__"):
+                role, w = markers[ax.ind]
+                if m.mentions(w):
+                    stripped = Monomial(tuple(v for v in m.vars if v != w))
+                    rules.append(AnnotatedAxiom(RR(role, name), stripped))
 
     changed = True
     while changed:
         changed = False
         for ann in rules:
+            if deadline is not None and time.monotonic() > deadline:
+                raise ResourceCapExceeded("canonical model wall-clock budget exceeded")
             ax, m = ann.axiom, ann.annotation
-            if isinstance(ax, GCI) and isinstance(ax.rhs, Atomic):
-                for d, n in eval_lhs(ax.lhs):
-                    if add_concept(ax.rhs.name, d, m * n):
-                        changed = True
-            elif isinstance(ax, GCI) and isinstance(ax.rhs, Exists):
-                role = ax.rhs.role
-                for d, n in eval_lhs(ax.lhs):
-                    mn = m * n
-                    if add_role(role, d, AuxElement(role, mn), mn):
-                        changed = True
-            elif isinstance(ax, RR):
-                for d, n in eval_lhs(Ran(ax.role)):
-                    if add_concept(ax.filler, d, m * n):
-                        changed = True
-            elif isinstance(ax, RI):
-                for d, e, n in sorted(
-                    role_ext.get(ax.sub, {}), key=lambda t: (str(t[0]), str(t[1]), t[2])
-                ):
-                    if add_role(ax.sup, d, e, m * n):
-                        changed = True
+            if isinstance(ax, RI):
+                # snapshot: ri R <= R writes the extension it reads
+                for d, e, n in tuple(role_ext.get(ax.sub, ())):
+                    changed |= add(role_ext, ax.sup, (d, e, m * n))
+                continue
+            lhs = Ran(ax.role) if isinstance(ax, RR) else ax.lhs
+            for d, n in evaluate_concept(lhs, domain, concept_ext, role_ext):
+                mn = m * n
+                if isinstance(ax, RR):
+                    changed |= add(concept_ext, ax.filler, (d, mn))
+                elif isinstance(ax.rhs, Atomic):
+                    changed |= add(concept_ext, ax.rhs.name, (d, mn))
+                else:
+                    role = ax.rhs.role
+                    changed |= add(role_ext, role, (d, AuxElement(role, mn), mn))
 
     return AnnotatedInterpretation(
         domain=domain,
-        concept_ext={n: tuple(b) for n, b in concept_ext.items()},
-        role_ext={n: tuple(b) for n, b in role_ext.items()},
-        individuals=star.individuals,
+        concept_ext=concept_ext,
+        role_ext=role_ext,
+        individuals=base.individuals,
     )
 
 

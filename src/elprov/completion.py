@@ -722,40 +722,3 @@ def entails(
     return entails_assertion(
         extended, assertion, mon * markers, limits, disabled_rules=disabled_rules
     )
-
-
-def entailed_range_restrictions(
-    ontology: AnnotatedOntology, limits: Limits | None = None
-) -> list[AnnotatedAxiom]:
-    """All entailed annotated range restrictions of a normal-form ontology.
-
-    One probe edge per role, each carrying its own marker variable, is
-    added and the combined ontology saturated once; the marker keeps the
-    per-role consequences apart and filters derivations that do not use
-    the probe edge.
-    """
-    fresh = FreshNames(ontology.all_names())
-    probes: list[AnnotatedAxiom] = []
-    probe_info: list[tuple[str, str, Variable]] = []
-    for role in ontology.role_names:
-        a, b = fresh.individual(), fresh.individual()
-        w = fresh.variable()
-        probes.append(AnnotatedAxiom(RA(role, a, b), Monomial((w,))))
-        probe_info.append((role, b, w))
-    if not probes:
-        return []
-    sat = saturate(ontology.extended(probes), limits=limits)
-    out: list[AnnotatedAxiom] = []
-    for role, b, w in probe_info:
-        for ann in sat.axioms:
-            ax = ann.axiom
-            if (
-                isinstance(ax, CA)
-                and ax.ind == b
-                and isinstance(ax.concept, Atomic)
-                and not ax.concept.name.startswith("__")
-                and ann.annotation.mentions(w)
-            ):
-                stripped = Monomial(tuple(v for v in ann.annotation.vars if v != w))
-                out.append(AnnotatedAxiom(RR(role, ax.concept.name), stripped))
-    return out

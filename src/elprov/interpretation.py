@@ -61,8 +61,8 @@ __all__ = [
     "UnknownIndividualError",
     "parse_query",
     "enumerate_matches",
-    "query_provenance",
     "provenance_of_matches",
+    "evaluate_concept",
     "term_key",
 ]
 
@@ -146,34 +146,7 @@ class AnnotatedInterpretation:
 
     def extend_concept(self, concept: Concept) -> frozenset:
         """Evaluate a complex concept to its set of (element, monomial) pairs."""
-        if isinstance(concept, Top):
-            return frozenset((d, ONE) for d in self.domain)
-        if isinstance(concept, Atomic):
-            return self.concept_pairs(concept.name)
-        if isinstance(concept, Exists):
-            return frozenset((d, m) for d, _, m in self.role_triples(concept.role))
-        if isinstance(concept, Ran):
-            return frozenset((e, m) for _, e, m in self.role_triples(concept.role))
-        if isinstance(concept, Conj):
-            left = self.extend_concept(concept.left)
-            right: dict[DomainElement, list[Monomial]] = {}
-            for d, n in self.extend_concept(concept.right):
-                right.setdefault(d, []).append(n)
-            out = set()
-            for d, m in left:
-                for n in right.get(d, ()):
-                    out.add((d, m * n))
-            return frozenset(out)
-        if isinstance(concept, ExistsQ):
-            filler: dict[DomainElement, list[Monomial]] = {}
-            for e, n in self.extend_concept(concept.filler):
-                filler.setdefault(e, []).append(n)
-            out = set()
-            for d, e, m in self.role_triples(concept.role):
-                for n in filler.get(e, ()):
-                    out.add((d, m * n))
-            return frozenset(out)
-        raise TypeError(f"not a concept: {concept!r}")
+        return evaluate_concept(concept, self.domain, self.concept_ext, self.role_ext)
 
     # -- satisfaction -------------------------------------------------------
 
@@ -237,6 +210,46 @@ class AnnotatedInterpretation:
             "concepts": concepts,
             "roles": roles,
         }
+
+
+def evaluate_concept(
+    concept: Concept,
+    domain: Iterable[DomainElement],
+    concept_ext: Mapping[str, Iterable[tuple[DomainElement, Monomial]]],
+    role_ext: Mapping[str, Iterable[tuple[DomainElement, DomainElement, Monomial]]],
+) -> frozenset:
+    """(element, monomial) pairs of a complex concept over the given extensions.
+
+    The result never aliases a mutable extension, so a caller may add to
+    the extensions while it iterates the result.
+    """
+
+    def ev(c: Concept) -> frozenset:
+        if isinstance(c, Top):
+            return frozenset((d, ONE) for d in domain)
+        if isinstance(c, Atomic):
+            return frozenset(concept_ext.get(c.name, ()))
+        if isinstance(c, Exists):
+            return frozenset((d, m) for d, _, m in role_ext.get(c.role, ()))
+        if isinstance(c, Ran):
+            return frozenset((e, m) for _, e, m in role_ext.get(c.role, ()))
+        if isinstance(c, Conj):
+            right = by_element(ev(c.right))
+            return frozenset((d, m * n) for d, m in ev(c.left) for n in right.get(d, ()))
+        if isinstance(c, ExistsQ):
+            filler = by_element(ev(c.filler))
+            return frozenset(
+                (d, m * n) for d, e, m in role_ext.get(c.role, ()) for n in filler.get(e, ())
+            )
+        raise TypeError(f"not a concept: {c!r}")
+
+    def by_element(pairs) -> dict[DomainElement, list[Monomial]]:
+        out: dict[DomainElement, list[Monomial]] = {}
+        for e, n in pairs:
+            out.setdefault(e, []).append(n)
+        return out
+
+    return ev(concept)
 
 
 # --- queries ----------------------------------------------------------------
@@ -363,9 +376,6 @@ class Match:
 
     binding: tuple[tuple[Term, object], ...]
 
-    def as_dict(self) -> dict[Term, object]:
-        return dict(self.binding)
-
     def __getitem__(self, term: Term):
         for t, v in self.binding:
             if t == term:
@@ -399,20 +409,13 @@ def enumerate_matches(
     cyc = conditions.cyc if conditions is not None else frozenset()
     forks = conditions.forks if conditions is not None else ()
 
-    def candidates(atom: Atom):
+    def candidates(atom: Atom) -> frozenset:
         if isinstance(atom, ConceptAtom):
-            return sorted(
-                interp.concept_pairs(atom.concept),
-                key=lambda p: (element_key(p[0]), p[1]),
-            )
-        return sorted(
-            interp.role_triples(atom.role),
-            key=lambda t: (element_key(t[0]), element_key(t[1]), t[2]),
-        )
+            return interp.concept_pairs(atom.concept)
+        return interp.role_triples(atom.role)
 
-    ordered = sorted(
-        query.atoms, key=lambda a: (len(candidates(a)), str(a))
-    )
+    # the matches are sorted at the end, so candidate order reaches no output
+    ordered = sorted(query.atoms, key=lambda a: (len(candidates(a)), str(a)))
     cands = [candidates(a) for a in ordered]
     binding: dict[Term, object] = {
         Ind(name): interp.individuals[name] for name in query.individuals()
@@ -476,6 +479,7 @@ def enumerate_matches(
 
 
 def provenance_of_matches(query: BCQ, matches: Iterable[Match]) -> Polynomial:
+    """Sum over matches of the product of the matched provenance monomials."""
     terms = []
     for match in matches:
         mon = ONE
@@ -483,15 +487,6 @@ def provenance_of_matches(query: BCQ, matches: Iterable[Match]) -> Polynomial:
             mon = mon * match[atom.prov]
         terms.append((mon, 1))
     return Polynomial(terms)
-
-
-def query_provenance(
-    interp: AnnotatedInterpretation,
-    query: BCQ,
-    conditions: "RewritingConditions | None" = None,
-) -> Polynomial:
-    """Sum over matches of the product of the matched provenance monomials."""
-    return provenance_of_matches(query, enumerate_matches(interp, query, conditions))
 
 
 # --- query text format -------------------------------------------------------

@@ -1,14 +1,16 @@
-"""Cross-check reductions from assertion entailment to inclusion entailment.
+"""Cross-check routes to what the library decides another way.
 
 Assertion entailment is decided directly by saturation; these encodings
 decide the same questions through the GCI and role-inclusion probes
 instead, so the two routes can be compared (acceptance criterion 10).
-They serve the tests only.
+``entailed_range_restrictions`` computes a normal-form ontology's
+entailed range restrictions on their own, with a saturation of their
+own, so a model can be checked against them. They serve the tests only.
 """
 
 from __future__ import annotations
 
-from elprov.completion import Limits, entails
+from elprov.completion import Limits, entails, saturate
 from elprov.ontology import (
     CA,
     GCI,
@@ -19,9 +21,10 @@ from elprov.ontology import (
     AnnotatedOntology,
     Atomic,
     Exists,
+    FreshNames,
     TOP,
 )
-from elprov.provenance import ONE, Monomial
+from elprov.provenance import ONE, Monomial, Variable
 
 
 def reduce_ca_to_gci(
@@ -116,3 +119,40 @@ def entails_ra_via_ri(
         # inclusion: nothing can derive it
         return False
     return entails(encoding, RI(s, role), mon, limits)
+
+
+def entailed_range_restrictions(
+    ontology: AnnotatedOntology, limits: Limits | None = None
+) -> list[AnnotatedAxiom]:
+    """All entailed annotated range restrictions of a normal-form ontology.
+
+    One probe edge per role, each carrying its own marker variable, is
+    added and the combined ontology saturated once; the marker keeps the
+    per-role consequences apart and filters derivations that do not use
+    the probe edge.
+    """
+    fresh = FreshNames(ontology.all_names())
+    probes: list[AnnotatedAxiom] = []
+    probe_info: list[tuple[str, str, Variable]] = []
+    for role in ontology.role_names:
+        a, b = fresh.individual(), fresh.individual()
+        w = fresh.variable()
+        probes.append(AnnotatedAxiom(RA(role, a, b), Monomial((w,))))
+        probe_info.append((role, b, w))
+    if not probes:
+        return []
+    sat = saturate(ontology.extended(probes), limits=limits)
+    out: list[AnnotatedAxiom] = []
+    for role, b, w in probe_info:
+        for ann in sat.axioms:
+            ax = ann.axiom
+            if (
+                isinstance(ax, CA)
+                and ax.ind == b
+                and isinstance(ax.concept, Atomic)
+                and not ax.concept.name.startswith("__")
+                and ann.annotation.mentions(w)
+            ):
+                stripped = Monomial(tuple(v for v in ann.annotation.vars if v != w))
+                out.append(AnnotatedAxiom(RR(role, ax.concept.name), stripped))
+    return out

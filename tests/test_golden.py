@@ -4,14 +4,16 @@
 a normal-form and a general ontology from ``generators.py``, a layered
 knowledge base with a planted component like the benchmark's,
 ``order.elp``, whose fired counts and derivations depend on the order in
-which a join visits a delta's partners, and ``joins.elp``, whose counts
+which a join visits a delta's partners, ``joins.elp``, whose counts
 depend on which partner loops the joins of one delta share and on when
-they read a partner's monomials;
+they read a partner's monomials, and ``loop.elp``, a self-loop whose
+canonical model unfolds into anonymous elements;
 ``tests/golden/*.cq`` are queries over them. Each case's expected stdout
 is ``tests/golden/<case>.out`` and its exit code is listed below; they
 were produced by an earlier release and pin saturation (including
 derivation counts and fired/added statistics), relevance, entailment of
-every kind and query answering across changes to the internals.
+every kind, query answering and the canonical model across changes to
+the internals.
 """
 
 from pathlib import Path
@@ -127,6 +129,12 @@ CASES = {
         "query", "-i", "layered.elp", "-q", "layered-planted.cq", "--json",
         "--prov", "y1*y2*y3*z3",
     ],
+    "model-mayor": ["model", "-i", "mayor.elp"],
+    "model-layered": ["model", "-i", "layered.elp"],
+    "model-normal": ["model", "-i", "normal.elp"],
+    "model-general": ["model", "-i", "general.elp"],
+    "model-order": ["model", "-i", "order.elp"],
+    "model-loop": ["model", "-i", "loop.elp"],
 }
 
 # every case exits 0 unless listed here
