@@ -1,15 +1,16 @@
 """Canonical model construction and query rewriting for annotated BCQs.
 
-The canonical model of an annotated ontology is seeded from one
-saturation of the normalized ontology plus one probe edge per role, each
-marked by its own fresh variable: the entailed assertions on the
-ontology's individuals form the named part, and the marked memberships of
-each probe edge's target are the role's entailed range restrictions. The
-model-building rules then run to a fixpoint: concept inclusions and range
-restrictions push memberships forward, unqualified existentials attach
-anonymous elements keyed by role and edge monomial, and role inclusions
-copy edges upward. Anonymous elements are materialized only when an edge
-first targets them.
+The canonical model of an annotated ontology is read off one saturation
+of the normalized ontology plus one probe edge per role, each marked by
+its own fresh variable. The entailed assertions on the ontology's
+individuals form the named part. An anonymous element is keyed by the
+role and monomial of the edge that creates it, and since ELHr has no
+inverse roles, what holds of it depends on that key alone: it is the
+type of the role's probe target, the marker replaced by the edge
+monomial. So each element is unfolded once, with no fixpoint. This is
+the canonical model of the combined approach (Lutz, Toman & Wolter,
+*Conjunctive Query Answering in the Description Logic EL Using a
+Relational Database System*, IJCAI 2009).
 
 A query holds on the ontology exactly when its rewriting holds on the
 canonical model. The rewriting keeps the query atoms and adds side
@@ -36,23 +37,22 @@ from .interpretation import (
     UnknownIndividualError,
     Var,
     enumerate_matches,
-    evaluate_concept,
     provenance_of_matches,
     term_key,
 )
 from .ontology import (
+    CA,
     GCI,
     RA,
     RI,
-    RR,
     AnnotatedAxiom,
     AnnotatedOntology,
     Atomic,
+    Exists,
     FreshNames,
-    Ran,
     normalize,
 )
-from .provenance import Monomial, Polynomial, Variable
+from .provenance import ONE, Monomial, Polynomial, Variable
 
 __all__ = [
     "Fork",
@@ -178,20 +178,21 @@ def render_rewriting(query: BCQ, conditions: RewritingConditions) -> str:
 def build_canonical_model(
     ontology: AnnotatedOntology, limits: Limits | None = None
 ) -> AnnotatedInterpretation:
-    """Universal annotated model of the ontology.
+    """Universal annotated model of the ontology, read off one saturation.
 
-    The ontology is normalized and saturated once, together with one probe
-    edge per role between fresh individuals, each edge annotated with its
-    own fresh marker variable. That one saturation seeds the model: its
-    assertions on the ontology's individuals form the named part, and a
-    membership of a probe edge's target whose monomial mentions the marker
-    is an entailed range restriction of the role (the marker stripped).
-    The normalized inclusions and range restrictions, those entailed ones
-    included, then run as model-building rules until none adds a pair,
-    materializing anonymous elements on demand. ``limits`` applies to the
-    saturation as in ``saturate``; it also caps the number of model tuples,
-    and its time budget, counted from this call, is checked before every
-    model rule application. Exceeding either raises ``ResourceCapExceeded``.
+    The saturation covers the normalized ontology plus, per role S, a
+    probe edge between fresh individuals annotated with a fresh marker
+    ``w_S``. S's *type* is the atomic memberships of its probe target,
+    each noting whether its monomial mentions ``w_S``. Each element is
+    unfolded once: for every normalized ``A <= some(S) @ m`` and every
+    membership ``(A, n)`` of the element (Top at 1 included), it gets an
+    edge to the anonymous element ``(S, m*n)`` annotated ``m*n*y`` in
+    every role T with an entailed ``S <= T @ y``. A new element gets S's
+    type: a marked ``(B, m')`` becomes ``(B, m*n*m')`` without the
+    marker; an unmarked one holds of every element and stays as it is.
+    ``limits`` applies to the saturation as in ``saturate``; it also caps
+    the model's tuples, and its time budget, counted from this call, is
+    checked once per element. Either raises ``ResourceCapExceeded``.
     """
     limits = limits or Limits()
     deadline = time.monotonic() + limits.max_seconds if limits.max_seconds else None
@@ -208,69 +209,65 @@ def build_canonical_model(
 
     concept_ext: dict[str, set] = {}
     role_ext: dict[str, set] = {}
-    domain: dict[DomainElement, None] = {Named(i): None for i in base.individuals}
     size = 0
 
-    def add(ext: dict[str, set], name: str, fact: tuple) -> bool:
+    def add(ext: dict[str, set], name: str, fact: tuple) -> None:
         nonlocal size
         bucket = ext.setdefault(name, set())
-        if fact in bucket:
-            return False
-        bucket.add(fact)
-        domain.setdefault(fact[-2], None)  # an edge's target; a member is in already
-        size += 1
-        if size > limits.max_axioms:
-            raise ResourceCapExceeded(
-                f"canonical model exceeded the cap of {limits.max_axioms} tuples"
-            )
-        return True
+        if fact not in bucket:
+            bucket.add(fact)
+            size += 1
+            if size > limits.max_axioms:
+                raise ResourceCapExceeded(
+                    f"canonical model exceeded the cap of {limits.max_axioms} tuples"
+                )
 
-    rules = [ann for ann in base.axioms if isinstance(ann.axiom, (GCI, RI, RR))]
-    individuals = set(base.individuals)
-    for ann in sat.assertions():
+    # atomic memberships per element; the keys are the domain
+    members: dict[DomainElement, list] = {Named(i): [] for i in base.individuals}
+    types: dict[str, list] = {role: [] for role in base.role_names}  # (name, mon, marked)
+    sups: dict[str, list] = {}  # role -> entailed (super-role, monomial), itself included
+    for ann in sat.axioms:
         ax, m = ann.axiom, ann.annotation
-        if isinstance(ax, RA):
-            if ax.a in individuals:  # a probe edge joins fresh individuals only
+        if isinstance(ax, RI):
+            sups.setdefault(ax.sub, []).append((ax.sup, m))
+        elif isinstance(ax, RA):
+            if Named(ax.a) in members:  # a probe edge joins fresh individuals only
                 add(role_ext, ax.role, (Named(ax.a), Named(ax.b), m))
-        elif isinstance(ax.concept, Atomic):
-            name = ax.concept.name
-            if ax.ind in individuals:
-                add(concept_ext, name, (Named(ax.ind), m))
-            elif ax.ind in markers and not name.startswith("__"):
+        elif isinstance(ax, CA) and isinstance(ax.concept, Atomic):
+            name, x = ax.concept.name, Named(ax.ind)
+            if x in members:
+                members[x].append((name, m))
+                add(concept_ext, name, (x, m))
+            elif ax.ind in markers:
                 role, w = markers[ax.ind]
-                if m.mentions(w):
-                    stripped = Monomial(tuple(v for v in m.vars if v != w))
-                    rules.append(AnnotatedAxiom(RR(role, name), stripped))
+                stripped = Monomial(tuple(v for v in m.vars if v != w))
+                types[role].append((name, stripped, stripped != m))
+    existentials: dict[str | None, list] = {}  # lhs name, None for Top -> (role, monomial)
+    for ann in base.axioms:
+        ax = ann.axiom
+        if isinstance(ax, GCI) and isinstance(ax.rhs, Exists):
+            lhs = ax.lhs.name if isinstance(ax.lhs, Atomic) else None
+            existentials.setdefault(lhs, []).append((ax.rhs.role, ann.annotation))
 
-    changed = True
-    while changed:
-        changed = False
-        for ann in rules:
-            if deadline is not None and time.monotonic() > deadline:
-                raise ResourceCapExceeded("canonical model wall-clock budget exceeded")
-            ax, m = ann.axiom, ann.annotation
-            if isinstance(ax, RI):
-                # snapshot: ri R <= R writes the extension it reads
-                for d, e, n in tuple(role_ext.get(ax.sub, ())):
-                    changed |= add(role_ext, ax.sup, (d, e, m * n))
-                continue
-            lhs = Ran(ax.role) if isinstance(ax, RR) else ax.lhs
-            for d, n in evaluate_concept(lhs, domain, concept_ext, role_ext):
+    # the model is a set of facts, so the order of the worklist reaches no output
+    work = list(members)
+    while work:
+        x = work.pop()
+        if deadline is not None and time.monotonic() > deadline:
+            raise ResourceCapExceeded("canonical model wall-clock budget exceeded")
+        for name, n in [(None, ONE), *members[x]]:
+            for role, m in existentials.get(name, ()):
                 mn = m * n
-                if isinstance(ax, RR):
-                    changed |= add(concept_ext, ax.filler, (d, mn))
-                elif isinstance(ax.rhs, Atomic):
-                    changed |= add(concept_ext, ax.rhs.name, (d, mn))
-                else:
-                    role = ax.rhs.role
-                    changed |= add(role_ext, role, (d, AuxElement(role, mn), mn))
+                e = AuxElement(role, mn)
+                for sup, y in sups[role]:
+                    add(role_ext, sup, (x, e, mn * y))
+                if e not in members:
+                    members[e] = [(b, mn * mb if marked else mb) for b, mb, marked in types[role]]
+                    for b, mb in members[e]:
+                        add(concept_ext, b, (e, mb))
+                    work.append(e)
 
-    return AnnotatedInterpretation(
-        domain=domain,
-        concept_ext=concept_ext,
-        role_ext=role_ext,
-        individuals=base.individuals,
-    )
+    return AnnotatedInterpretation(members, concept_ext, role_ext, base.individuals)
 
 
 @dataclass(frozen=True)

@@ -531,6 +531,8 @@ def parse_query(text: str) -> BCQ:
         args: list[Term] = []
         i += 2
         while True:
+            if i >= len(tokens):
+                raise QueryError("unterminated atom")
             args.append(term(tokens[i]))
             i += 1
             if i >= len(tokens):

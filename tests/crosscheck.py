@@ -5,12 +5,24 @@ decide the same questions through the GCI and role-inclusion probes
 instead, so the two routes can be compared (acceptance criterion 10).
 ``entailed_range_restrictions`` computes a normal-form ontology's
 entailed range restrictions on their own, with a saturation of their
-own, so a model can be checked against them. They serve the tests only.
+own, so a model can be checked against them. ``fixpoint_canonical_model``
+builds the canonical model by another route: the inclusions and range
+restrictions run as model-building rules to a fixpoint, so the library's
+one-pass unfolding can be compared with it. They serve the tests only.
 """
 
 from __future__ import annotations
 
-from elprov.completion import Limits, entails, saturate
+import time
+
+from elprov.completion import Limits, ResourceCapExceeded, entails, saturate
+from elprov.interpretation import (
+    AnnotatedInterpretation,
+    AuxElement,
+    DomainElement,
+    Named,
+    evaluate_concept,
+)
 from elprov.ontology import (
     CA,
     GCI,
@@ -22,7 +34,9 @@ from elprov.ontology import (
     Atomic,
     Exists,
     FreshNames,
+    Ran,
     TOP,
+    normalize,
 )
 from elprov.provenance import ONE, Monomial, Variable
 
@@ -156,3 +170,101 @@ def entailed_range_restrictions(
                 stripped = Monomial(tuple(v for v in ann.annotation.vars if v != w))
                 out.append(AnnotatedAxiom(RR(role, ax.concept.name), stripped))
     return out
+
+
+def fixpoint_canonical_model(
+    ontology: AnnotatedOntology, limits: Limits | None = None
+) -> AnnotatedInterpretation:
+    """Universal annotated model of the ontology.
+
+    The ontology is normalized and saturated once, together with one probe
+    edge per role between fresh individuals, each edge annotated with its
+    own fresh marker variable. That one saturation seeds the model: its
+    assertions on the ontology's individuals form the named part, and a
+    membership of a probe edge's target whose monomial mentions the marker
+    is an entailed range restriction of the role (the marker stripped).
+    The normalized inclusions and range restrictions, those entailed ones
+    included, then run as model-building rules until none adds a pair,
+    materializing anonymous elements on demand. ``limits`` applies to the
+    saturation as in ``saturate``; it also caps the number of model tuples,
+    and its time budget, counted from this call, is checked before every
+    model rule application. Exceeding either raises ``ResourceCapExceeded``.
+    """
+    limits = limits or Limits()
+    deadline = time.monotonic() + limits.max_seconds if limits.max_seconds else None
+    base = normalize(ontology)
+    fresh = FreshNames(base.all_names())
+    probes: list[AnnotatedAxiom] = []
+    markers: dict[str, tuple[str, Variable]] = {}  # probe target -> (role, marker)
+    for role in base.role_names:
+        a, b = fresh.individual(), fresh.individual()
+        w = fresh.variable()
+        probes.append(AnnotatedAxiom(RA(role, a, b), Monomial((w,))))
+        markers[b] = (role, w)
+    sat = saturate(base.extended(probes), limits=limits)
+
+    concept_ext: dict[str, set] = {}
+    role_ext: dict[str, set] = {}
+    domain: dict[DomainElement, None] = {Named(i): None for i in base.individuals}
+    size = 0
+
+    def add(ext: dict[str, set], name: str, fact: tuple) -> bool:
+        nonlocal size
+        bucket = ext.setdefault(name, set())
+        if fact in bucket:
+            return False
+        bucket.add(fact)
+        domain.setdefault(fact[-2], None)  # an edge's target; a member is in already
+        size += 1
+        if size > limits.max_axioms:
+            raise ResourceCapExceeded(
+                f"canonical model exceeded the cap of {limits.max_axioms} tuples"
+            )
+        return True
+
+    rules = [ann for ann in base.axioms if isinstance(ann.axiom, (GCI, RI, RR))]
+    individuals = set(base.individuals)
+    for ann in sat.assertions():
+        ax, m = ann.axiom, ann.annotation
+        if isinstance(ax, RA):
+            if ax.a in individuals:  # a probe edge joins fresh individuals only
+                add(role_ext, ax.role, (Named(ax.a), Named(ax.b), m))
+        elif isinstance(ax.concept, Atomic):
+            name = ax.concept.name
+            if ax.ind in individuals:
+                add(concept_ext, name, (Named(ax.ind), m))
+            elif ax.ind in markers and not name.startswith("__"):
+                role, w = markers[ax.ind]
+                if m.mentions(w):
+                    stripped = Monomial(tuple(v for v in m.vars if v != w))
+                    rules.append(AnnotatedAxiom(RR(role, name), stripped))
+
+    changed = True
+    while changed:
+        changed = False
+        for ann in rules:
+            if deadline is not None and time.monotonic() > deadline:
+                raise ResourceCapExceeded("canonical model wall-clock budget exceeded")
+            ax, m = ann.axiom, ann.annotation
+            if isinstance(ax, RI):
+                # snapshot: ri R <= R writes the extension it reads
+                for d, e, n in tuple(role_ext.get(ax.sub, ())):
+                    changed |= add(role_ext, ax.sup, (d, e, m * n))
+                continue
+            lhs = Ran(ax.role) if isinstance(ax, RR) else ax.lhs
+            for d, n in evaluate_concept(lhs, domain, concept_ext, role_ext):
+                mn = m * n
+                if isinstance(ax, RR):
+                    changed |= add(concept_ext, ax.filler, (d, mn))
+                elif isinstance(ax.rhs, Atomic):
+                    changed |= add(concept_ext, ax.rhs.name, (d, mn))
+                else:
+                    role = ax.rhs.role
+                    changed |= add(role_ext, role, (d, AuxElement(role, mn), mn))
+
+    return AnnotatedInterpretation(
+        domain=domain,
+        concept_ext=concept_ext,
+        role_ext=role_ext,
+        individuals=base.individuals,
+    )

@@ -1,7 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
 
+import elprov.canonical
 from elprov.canonical import (
     build_canonical_model,
     answer_query,
@@ -31,8 +33,8 @@ from elprov.ontology import (
 )
 from elprov.provenance import ONE, Polynomial, parse_monomial, parse_polynomial
 
-from crosscheck import entailed_range_restrictions
-from generators import random_normalized_ontology
+from crosscheck import entailed_range_restrictions, fixpoint_canonical_model
+from generators import random_general_ontology, random_normalized_ontology
 from oracle import chase
 
 LOOP = """
@@ -166,6 +168,67 @@ class TestBuildCanonicalModel:
             }
             assert concept_facts == result.concept_facts, o.render()
             assert role_facts == result.role_facts, o.render()
+
+
+def model_or_cap(build, ontology, limits=None):
+    try:
+        return build(ontology, limits).to_json_obj()
+    except ResourceCapExceeded as exc:
+        return str(exc)
+
+
+class TestUnfoldingAgainstTheFixpoint:
+    """The one-pass unfolding builds the model the rule fixpoint builds."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        golden = sorted((Path(__file__).parent / "golden").glob("*.elp"))
+        rng = random.Random(3)
+        generators = [
+            lambda: random_normalized_ontology(rng, 8),
+            lambda: random_general_ontology(rng, 8),
+            lambda: random_normalized_ontology(rng, 14, min_axioms=8, n_vars=5, n_names=12),
+        ]
+        randoms = [generators[i % 3]() for i in range(300)]
+        return [parse_ontology(p.read_text()) for p in golden], randoms
+
+    def test_same_model(self, corpus):
+        golden, randoms = corpus
+        assert len(golden) == 7
+        for o in golden + randoms:
+            expected = model_or_cap(fixpoint_canonical_model, o)
+            assert model_or_cap(build_canonical_model, o) == expected, o.render()
+
+    def test_same_tuple_cap_outcome(self, corpus):
+        capped = 0
+        for o in corpus[1][:100]:
+            for cap in (10, 25, 60):
+                limits = Limits(max_axioms=cap)
+                expected = model_or_cap(fixpoint_canonical_model, o, limits)
+                assert model_or_cap(build_canonical_model, o, limits) == expected, o.render()
+                capped += isinstance(expected, str)
+        assert capped > 50
+
+
+class TestTracedSurface:
+    """What an outside-in tracer reads of the model builder."""
+
+    def test_one_saturation_per_model_and_per_query(self, monkeypatch):
+        calls = []
+
+        def counting_saturate(*args, **kwargs):
+            calls.append(args)
+            return saturate(*args, **kwargs)
+
+        monkeypatch.setattr(elprov.canonical, "saturate", counting_saturate)
+        o = parse_ontology(LOOP)
+        interp = build_canonical_model(o)
+        assert len(calls) == 1
+        answer_query(o, parse_query(LOOP_QUERY), poly("u1"))
+        assert len(calls) == 2
+        assert sum(map(interp.is_aux, interp.domain)) == 3
+        assert sum(map(len, interp.concept_ext.values())) == 5
+        assert sum(map(len, interp.role_ext.values())) == 6
 
 
 class TestComputeRewriting:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -299,6 +302,19 @@ class TestErrorPaths:
             assert captured.out == ""
             assert f"ELPROV_MAX_AXIOMS must be a positive integer, got {cap!r}" in captured.err
 
+    @pytest.mark.parametrize("text", ["A(", "R(a,"])
+    @pytest.mark.parametrize("command", ["rewrite", "query"])
+    def test_truncated_query_atom_is_a_usage_error(self, tmp_path, capsys, command, text):
+        path = tmp_path / "truncated.cq"
+        path.write_text(text + "\n")
+        argv = [command, "-q", str(path)]
+        if command == "query":
+            argv += ["-i", str(GOLDEN / "mayor.elp"), "--prov", "v1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unterminated atom\n"
+
     def test_query_unknown_individual_checked_before_the_model(self, capsys, monkeypatch):
         # the cap would trip while building the model; the individual is
         # checked first, so this is a usage error, not a resource error
@@ -354,6 +370,30 @@ class TestDeterminism:
         main(["model", "-i", loop_file])
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["model", "-i", "layered.elp"],
+            ["query", "-i", "layered.elp", "-q", "layered-anonymous.cq", "--json",
+             "--prov", "v10 + 3 v10*v11"],
+        ],
+        ids=["model", "query"],
+    )
+    def test_bytes_do_not_depend_on_the_hash_seed(self, argv):
+        # the model unfolds its elements in set order, which varies with
+        # the string hash seed; none of that order may reach stdout
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = set()
+        for seed in ("0", "1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-m", "elprov.cli", *argv],
+                cwd=GOLDEN, env=env, capture_output=True, check=True,
+            )
+            outputs.add(done.stdout)
+        assert len(outputs) == 1 and outputs.pop()
 
     def test_output_file(self, mayor_file, tmp_path):
         out = tmp_path / "out.txt"
