@@ -301,7 +301,7 @@ def answer_query(
             )
     interp = build_canonical_model(ontology, limits)
     conditions = compute_rewriting(query)
-    matches = enumerate_matches(interp, query, conditions)
+    matches = enumerate_matches(interp, query, conditions, limits)
     provenance = provenance_of_matches(query, matches)
     foreign = not prov.variables() <= set(ontology.variables)
     entailed = bool(matches) and not foreign and prov.contained_in(provenance)

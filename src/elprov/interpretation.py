@@ -16,14 +16,25 @@ Match enumeration optionally applies rewriting side conditions: variables
 in the condition's cycle set must be matched by named individuals, and a
 fork whose representative lands on an anonymous element forces all its
 predecessor terms to coincide.
+
+Matching is an indexed join: the next atom is the one with the most terms
+already bound (the classic bound-argument order; Veldhuizen's *Leapfrog
+Triejoin*, ICDT 2014, gives the ideal), its rows are looked up by those
+terms, and a condition is tested once its terms are bound. An explicit
+stack allows any number of atoms; the ``Limits`` time budget applies.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
+import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
+from .completion import Limits, ResourceCapExceeded
 from .ontology import (
     Atomic,
     AnnotatedAxiom,
@@ -319,16 +330,13 @@ class BCQ:
         self._validate()
 
     def _validate(self) -> None:
-        occurrences: dict[Term, int] = {}
-        for atom in self.atoms:
-            for t in self._ordinary_terms(atom):
-                occurrences[t] = occurrences.get(t, 0) + 1
+        ordinary = set(self.ordinary_terms())
+        uses = Counter(atom.prov for atom in self.atoms)
         for atom in self.atoms:
             p = atom.prov
             if not isinstance(p, Var):
                 raise NonStandardQueryError(f"provenance term {p} must be a variable")
-            uses = sum(1 for a in self.atoms if a.prov == p)
-            if uses > 1 or p in occurrences:
+            if uses[p] > 1 or p in ordinary:
                 raise NonStandardQueryError(
                     f"provenance variable {p} must occur exactly once in the query"
                 )
@@ -338,14 +346,6 @@ class BCQ:
         if isinstance(atom, ConceptAtom):
             return (atom.arg,)
         return (atom.arg1, atom.arg2)
-
-    def terms(self) -> tuple[Term, ...]:
-        out: dict[Term, None] = {}
-        for atom in self.atoms:
-            for t in self._ordinary_terms(atom):
-                out.setdefault(t, None)
-            out.setdefault(atom.prov, None)
-        return tuple(out)
 
     def ordinary_terms(self) -> tuple[Term, ...]:
         out: dict[Term, None] = {}
@@ -383,108 +383,130 @@ class Match:
         raise KeyError(term)
 
 
-def _binding_sort_key(pairs: dict):
-    out = []
-    for t in sorted(pairs, key=term_key):
-        v = pairs[t]
-        out.append((term_key(t), element_key(v) if isinstance(v, (Named, AuxElement)) else (2, v)))
-    return out
+def _join_plan(interp, atoms, bound, conditions) -> list[tuple]:
+    """One step per atom, the atom with the most ordinary terms bound first.
+
+    Ties go to the smaller extension, then to the atom's text. A step is
+    (terms bound before it, (position, term) for the terms it binds, its
+    rows keyed by the former's values, forks it completes). Rows that
+    repeat an unbound term unequally or put an anonymous element on a new
+    cycle variable are left out.
+    """
+    cyc, forks = (conditions.cyc, conditions.forks) if conditions else ((), ())
+    exts = [
+        interp.role_triples(a.role) if isinstance(a, RoleAtom) else interp.concept_pairs(a.concept)
+        for a in atoms
+    ]
+    bound = dict.fromkeys(bound, 0)  # term -> the step that binds it
+    holds: dict[Term, list[int]] = {}  # term -> the atoms it occurs in
+    for i, atom in enumerate(atoms):
+        for t in set(BCQ._ordinary_terms(atom)):
+            holds.setdefault(t, []).append(i)
+    count = [len(set(BCQ._ordinary_terms(a)) & bound.keys()) for a in atoms]
+    static = [(len(ext), str(a)) for a, ext in zip(atoms, exts)]
+    # counts only grow, so an entry whose count is behind is stale
+    heap = [(-count[i], *static[i], i) for i in range(len(atoms))]
+    heapq.heapify(heap)
+    plan = []
+    while heap:
+        neg, *_, i = heapq.heappop(heap)
+        if -neg != count[i]:  # stale, or placed already
+            continue
+        count[i] = None
+        args = (*BCQ._ordinary_terms(atoms[i]), atoms[i].prov)
+        first = {t: args.index(t) for t in args}
+        key = [(p, t) for p, t in enumerate(args) if t in bound]
+        new = [(p, t) for t, p in first.items() if t not in bound]
+        repeats = [(first[t], p) for p, t in enumerate(args) if t not in bound and first[t] != p]
+        no_aux = [p for p, t in new if t in cyc]
+        rows: dict[tuple, list] = {}
+        for row in exts[i]:
+            if all(row[p] == row[q] for p, q in repeats) and not any(
+                isinstance(row[p], AuxElement) for p in no_aux
+            ):
+                rows.setdefault(tuple(row[p] for p, _ in key), []).append(row)
+        for _, t in new:
+            bound[t] = len(plan)
+            for j in holds.get(t, ()):
+                if count[j] is not None:
+                    count[j] += 1
+                    heapq.heappush(heap, (-count[j], *static[j], j))
+        plan.append((tuple(t for _, t in key), tuple(new), rows, []))
+    for fork in forks:
+        plan[max(bound[t] for t in (fork.representative, *fork.pre))][3].append(fork)
+    return plan
 
 
 def enumerate_matches(
     interp: AnnotatedInterpretation,
     query: BCQ,
     conditions: "RewritingConditions | None" = None,
+    limits: Limits | None = None,
 ) -> tuple[Match, ...]:
-    """All matches of the query, in a deterministic order.
+    """All matches of the query, sorted by binding.
 
     With ``conditions``, cycle variables may only be matched by named
     individuals and anonymous fork representatives force their
-    predecessors to coincide.
+    predecessors to coincide. The time budget of ``limits``, counted from
+    this call, is checked during the join; it raises ``ResourceCapExceeded``.
     """
+    deadline = time.monotonic() + limits.max_seconds if limits and limits.max_seconds else None
+    binding: dict[Term, object] = {}
     for name in query.individuals():
         if name not in interp.individuals:
             raise UnknownIndividualError(f"individual {name!r} does not occur in the ontology")
+        binding[Ind(name)] = interp.individuals[name]
+    plan = _join_plan(interp, query.atoms, binding, conditions)
+    # a match sorts by its values in term order
+    terms = sorted([*query.ordinary_terms(), *(a.prov for a in query.atoms)], key=term_key)
+    results: list[tuple[tuple, Match]] = []
 
-    cyc = conditions.cyc if conditions is not None else frozenset()
-    forks = conditions.forks if conditions is not None else ()
+    def rows_of(step) -> Iterator:
+        lookup, _, rows, _ = step
+        return iter(rows.get(tuple(binding[t] for t in lookup), ()))
 
-    def candidates(atom: Atom) -> frozenset:
-        if isinstance(atom, ConceptAtom):
-            return interp.concept_pairs(atom.concept)
-        return interp.role_triples(atom.role)
-
-    # the matches are sorted at the end, so candidate order reaches no output
-    ordered = sorted(query.atoms, key=lambda a: (len(candidates(a)), str(a)))
-    cands = [candidates(a) for a in ordered]
-    binding: dict[Term, object] = {
-        Ind(name): interp.individuals[name] for name in query.individuals()
-    }
-
-    def admissible(t: Term, value) -> bool:
-        bound = binding.get(t)
-        if bound is not None:
-            return bound == value
-        if isinstance(t, Var) and t in cyc and isinstance(value, AuxElement):
-            return False
-        return True
-
-    results: dict[tuple, Match] = {}
-
-    def fork_ok() -> bool:
-        for fork in forks:
-            rep = binding[fork.representative]
-            if isinstance(rep, AuxElement):
-                values = [binding[t] for t in fork.pre]
-                if any(v != values[0] for v in values[1:]):
-                    return False
-        return True
-
-    def extend(i: int) -> None:
-        if i == len(ordered):
-            if not fork_ok():
-                return
-            key = tuple(_binding_sort_key(binding))
-            if key in results:
-                raise RuntimeError(f"duplicate match enumerated: {key}")
-            items = tuple(sorted(binding.items(), key=lambda kv: term_key(kv[0])))
-            results[key] = Match(items)
-            return
-        atom = ordered[i]
-        for row in cands[i]:
-            if isinstance(atom, ConceptAtom):
-                pairs = ((atom.arg, row[0]), (atom.prov, row[1]))
-            else:
-                pairs = ((atom.arg1, row[0]), (atom.arg2, row[1]), (atom.prov, row[2]))
-            new: dict[Term, object] = {}
-            ok = True
-            for t, v in pairs:
-                if t in new:
-                    ok = new[t] == v
-                else:
-                    ok = admissible(t, v)
-                    if t not in binding:
-                        new[t] = v
-                if not ok:
-                    break
-            if not ok:
-                continue
-            binding.update(new)
-            extend(i + 1)
-            for t in new:
-                del binding[t]
-
-    extend(0)
-    return tuple(results[k] for k in sorted(results))
+    # a step always rebinds the same terms, so a row overwrites what the
+    # step's previous row bound and nothing needs unbinding
+    stack = [rows_of(plan[0])]
+    ticks = 0
+    while stack:
+        _, new, _, ready = plan[len(stack) - 1]
+        for row in stack[-1]:
+            ticks += 1
+            if deadline is not None and not ticks % 1024 and time.monotonic() > deadline:
+                raise ResourceCapExceeded("query matching wall-clock budget exceeded")
+            for pos, t in new:
+                binding[t] = row[pos]
+            if all(
+                not isinstance(binding[fork.representative], AuxElement)
+                or len({binding[t] for t in fork.pre}) == 1
+                for fork in ready
+            ):
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) < len(plan):
+            stack.append(rows_of(plan[len(stack)]))
+            continue
+        values = [binding[t] for t in terms]
+        key = tuple((2, v) if isinstance(v, Monomial) else element_key(v) for v in values)
+        results.append((key, Match(tuple(zip(terms, values)))))
+    results.sort(key=itemgetter(0))
+    for (key, _), (following, _) in zip(results, results[1:]):
+        if key == following:
+            raise RuntimeError(f"duplicate match enumerated: {key}")
+    return tuple(match for _, match in results)
 
 
 def provenance_of_matches(query: BCQ, matches: Iterable[Match]) -> Polynomial:
     """Sum over matches of the product of the matched provenance monomials."""
     terms = []
     for match in matches:
+        bound = dict(match.binding)
         mon = ONE
         for atom in query.atoms:
-            mon = mon * match[atom.prov]
+            mon = mon * bound[atom.prov]
         terms.append((mon, 1))
     return Polynomial(terms)
 

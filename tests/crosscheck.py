@@ -8,7 +8,10 @@ entailed range restrictions on their own, with a saturation of their
 own, so a model can be checked against them. ``fixpoint_canonical_model``
 builds the canonical model by another route: the inclusions and range
 restrictions run as model-building rules to a fixpoint, so the library's
-one-pass unfolding can be compared with it. They serve the tests only.
+one-pass unfolding can be compared with it. ``scan_matches`` enumerates
+query matches by scanning each atom's whole extension for every partial
+binding and checking forks on complete matches only, so the library's
+indexed join can be compared with it. They serve the tests only.
 """
 
 from __future__ import annotations
@@ -17,11 +20,20 @@ import time
 
 from elprov.completion import Limits, ResourceCapExceeded, entails, saturate
 from elprov.interpretation import (
+    BCQ,
     AnnotatedInterpretation,
     AuxElement,
+    ConceptAtom,
     DomainElement,
+    Ind,
+    Match,
     Named,
+    Term,
+    UnknownIndividualError,
+    Var,
+    element_key,
     evaluate_concept,
+    term_key,
 )
 from elprov.ontology import (
     CA,
@@ -268,3 +280,98 @@ def fixpoint_canonical_model(
         role_ext=role_ext,
         individuals=base.individuals,
     )
+
+
+def _binding_sort_key(pairs: dict):
+    out = []
+    for t in sorted(pairs, key=term_key):
+        v = pairs[t]
+        out.append((term_key(t), element_key(v) if isinstance(v, (Named, AuxElement)) else (2, v)))
+    return out
+
+
+def scan_matches(
+    interp: AnnotatedInterpretation,
+    query: BCQ,
+    conditions: "RewritingConditions | None" = None,
+) -> tuple[Match, ...]:
+    """All matches of the query, in a deterministic order.
+
+    With ``conditions``, cycle variables may only be matched by named
+    individuals and anonymous fork representatives force their
+    predecessors to coincide.
+    """
+    for name in query.individuals():
+        if name not in interp.individuals:
+            raise UnknownIndividualError(f"individual {name!r} does not occur in the ontology")
+
+    cyc = conditions.cyc if conditions is not None else frozenset()
+    forks = conditions.forks if conditions is not None else ()
+
+    def candidates(atom) -> frozenset:
+        if isinstance(atom, ConceptAtom):
+            return interp.concept_pairs(atom.concept)
+        return interp.role_triples(atom.role)
+
+    # the matches are sorted at the end, so candidate order reaches no output
+    ordered = sorted(query.atoms, key=lambda a: (len(candidates(a)), str(a)))
+    cands = [candidates(a) for a in ordered]
+    binding: dict[Term, object] = {
+        Ind(name): interp.individuals[name] for name in query.individuals()
+    }
+
+    def admissible(t: Term, value) -> bool:
+        bound = binding.get(t)
+        if bound is not None:
+            return bound == value
+        if isinstance(t, Var) and t in cyc and isinstance(value, AuxElement):
+            return False
+        return True
+
+    results: dict[tuple, Match] = {}
+
+    def fork_ok() -> bool:
+        for fork in forks:
+            rep = binding[fork.representative]
+            if isinstance(rep, AuxElement):
+                values = [binding[t] for t in fork.pre]
+                if any(v != values[0] for v in values[1:]):
+                    return False
+        return True
+
+    def extend(i: int) -> None:
+        if i == len(ordered):
+            if not fork_ok():
+                return
+            key = tuple(_binding_sort_key(binding))
+            if key in results:
+                raise RuntimeError(f"duplicate match enumerated: {key}")
+            items = tuple(sorted(binding.items(), key=lambda kv: term_key(kv[0])))
+            results[key] = Match(items)
+            return
+        atom = ordered[i]
+        for row in cands[i]:
+            if isinstance(atom, ConceptAtom):
+                pairs = ((atom.arg, row[0]), (atom.prov, row[1]))
+            else:
+                pairs = ((atom.arg1, row[0]), (atom.arg2, row[1]), (atom.prov, row[2]))
+            new: dict[Term, object] = {}
+            ok = True
+            for t, v in pairs:
+                if t in new:
+                    ok = new[t] == v
+                else:
+                    ok = admissible(t, v)
+                    if t not in binding:
+                        new[t] = v
+                if not ok:
+                    break
+            if not ok:
+                continue
+            binding.update(new)
+            extend(i + 1)
+            for t in new:
+                del binding[t]
+
+    extend(0)
+    return tuple(results[k] for k in sorted(results))

@@ -1,9 +1,10 @@
-"""Seeded random ontology and monomial generators for property tests."""
+"""Seeded random ontology, monomial and query generators for property tests."""
 
 from __future__ import annotations
 
 import random
 
+from elprov.interpretation import BCQ, ConceptAtom, Ind, RoleAtom, Var
 from elprov.ontology import (
     CA,
     GCI,
@@ -122,3 +123,34 @@ def random_general_ontology(rng: random.Random, max_axioms: int = 6) -> Annotate
 def random_monomial(rng: random.Random, max_vars: int = 4) -> Monomial:
     k = rng.randint(0, max_vars)
     return Monomial(tuple(rng.sample(VARS, k)))
+
+
+def random_query(
+    rng: random.Random,
+    concepts: tuple[str, ...],
+    roles: tuple[str, ...],
+    inds: tuple[str, ...] = (),
+    max_atoms: int = 5,
+) -> BCQ:
+    """A query of 1..max_atoms atoms over the given names.
+
+    A few variables are shared among the atoms, so cycles, forks and
+    atoms sharing no term with the rest all occur; some role atoms
+    repeat a term (``R(?x, ?x, ?t)``) and some terms are individuals.
+    """
+    variables = [Var(f"x{i}") for i in range(rng.randint(1, 4))]
+
+    def term():
+        if inds and rng.random() < 0.15:
+            return Ind(rng.choice(inds))
+        return rng.choice(variables)
+
+    atoms = []
+    for k in range(rng.randint(1, max_atoms)):
+        if not roles or (concepts and rng.random() < 0.4):
+            atoms.append(ConceptAtom(rng.choice(concepts), term(), Var(f"t{k}")))
+        else:
+            a = term()
+            b = a if rng.random() < 0.15 else term()
+            atoms.append(RoleAtom(rng.choice(roles), a, b, Var(f"t{k}")))
+    return BCQ(atoms)

@@ -1,4 +1,6 @@
 import random
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from elprov.interpretation import (
     AuxElement,
     Ind,
     Named,
+    RoleAtom,
     UnknownIndividualError,
     Var,
     enumerate_matches,
@@ -33,9 +36,11 @@ from elprov.ontology import (
 )
 from elprov.provenance import ONE, Polynomial, parse_monomial, parse_polynomial
 
-from crosscheck import entailed_range_restrictions, fixpoint_canonical_model
-from generators import random_general_ontology, random_normalized_ontology
+from crosscheck import entailed_range_restrictions, fixpoint_canonical_model, scan_matches
+from generators import random_general_ontology, random_normalized_ontology, random_query
 from oracle import chase
+
+GOLDEN = Path(__file__).parent / "golden"
 
 LOOP = """
 ra R(a, a) @ u1
@@ -177,20 +182,22 @@ def model_or_cap(build, ontology, limits=None):
         return str(exc)
 
 
+@pytest.fixture(scope="module")
+def corpus():
+    """The golden ontologies and 300 seeded random ones."""
+    golden = sorted(GOLDEN.glob("*.elp"))
+    rng = random.Random(3)
+    generators = [
+        lambda: random_normalized_ontology(rng, 8),
+        lambda: random_general_ontology(rng, 8),
+        lambda: random_normalized_ontology(rng, 14, min_axioms=8, n_vars=5, n_names=12),
+    ]
+    randoms = [generators[i % 3]() for i in range(300)]
+    return [parse_ontology(p.read_text()) for p in golden], randoms
+
+
 class TestUnfoldingAgainstTheFixpoint:
     """The one-pass unfolding builds the model the rule fixpoint builds."""
-
-    @pytest.fixture(scope="class")
-    def corpus(self):
-        golden = sorted((Path(__file__).parent / "golden").glob("*.elp"))
-        rng = random.Random(3)
-        generators = [
-            lambda: random_normalized_ontology(rng, 8),
-            lambda: random_general_ontology(rng, 8),
-            lambda: random_normalized_ontology(rng, 14, min_axioms=8, n_vars=5, n_names=12),
-        ]
-        randoms = [generators[i % 3]() for i in range(300)]
-        return [parse_ontology(p.read_text()) for p in golden], randoms
 
     def test_same_model(self, corpus):
         golden, randoms = corpus
@@ -208,6 +215,78 @@ class TestUnfoldingAgainstTheFixpoint:
                 assert model_or_cap(build_canonical_model, o, limits) == expected, o.render()
                 capped += isinstance(expected, str)
         assert capped > 50
+
+
+def has_cycle(query) -> bool:
+    edges = {(a.arg1, a.arg2) for a in query.role_atoms()}
+    reach = set(edges)
+    while True:
+        more = {(a, d) for a, b in reach for c, d in edges if b == c} - reach
+        if not more:
+            return any(a == b for a, b in reach)
+        reach |= more
+
+
+def is_disconnected(query) -> bool:
+    components: list[set] = []
+    for atom in query.atoms:
+        args = (atom.arg1, atom.arg2) if isinstance(atom, RoleAtom) else (atom.arg,)
+        terms = {t for t in args if isinstance(t, Var)}
+        joined = [c for c in components if c & terms]
+        components = [c for c in components if not c & terms] + [terms.union(*joined)]
+    return len(components) > 1
+
+
+class TestJoinAgainstTheScan:
+    """The indexed join finds exactly the matches the full scan finds."""
+
+    def queries(self, corpus):
+        golden, randoms = corpus
+        rng = random.Random(7)
+        for path in sorted(GOLDEN.glob("*.cq")):
+            o = parse_ontology((GOLDEN / f"{path.stem.split('-')[0]}.elp").read_text())
+            q = parse_query(path.read_text())
+            if set(q.individuals()) <= set(o.individuals):
+                yield build_canonical_model(o), [q]
+        for o in golden + randoms:
+            interp = build_canonical_model(o)
+            # names with nonempty extensions, so that many queries match
+            names = sorted(interp.concept_ext) or ["A"], sorted(interp.role_ext) or ["R"]
+            yield interp, [random_query(rng, *names, o.individuals) for _ in range(4)]
+
+    def test_same_matches(self, corpus):
+        seen = Counter()
+        for interp, queries in self.queries(corpus):
+            for q in queries:
+                conditions = compute_rewriting(q)
+                found = []
+                for rc in (conditions, None):
+                    expected = scan_matches(interp, q, rc)
+                    assert enumerate_matches(interp, q, rc) == expected, str(q)
+                    found.append(len(expected))
+                seen["matched"] += found[0] > 0
+                seen["conditions block"] += found[0] < found[1]
+                seen[len(q.atoms)] += 1
+                seen["individual"] += bool(q.individuals())
+                seen["repeat"] += any(a.arg1 == a.arg2 for a in q.role_atoms())
+                seen["cycle"] += has_cycle(q)
+                seen["cyc"] += bool(conditions.cyc)
+                seen["fork"] += bool(conditions.forks)
+                seen["disconnected"] += is_disconnected(q)
+        # the corpus exercises every shape the join plans for
+        assert all(seen[k] >= 50 for k in range(1, 6)), seen
+        for shape in ("matched", "individual", "repeat", "cycle", "cyc", "fork", "disconnected"):
+            assert seen[shape] >= 50, seen
+        assert seen["conditions block"] >= 10, seen
+
+    def test_time_budget_covers_matching(self):
+        # seven atoms sharing no term: 56**7 matches on the layered model
+        o = parse_ontology((GOLDEN / "layered.elp").read_text())
+        q = parse_query(" & ".join(f"A1_1(?x{i}, ?t{i})" for i in range(7)))
+        start = time.monotonic()
+        with pytest.raises(ResourceCapExceeded, match="query matching wall-clock"):
+            answer_query(o, q, parse_polynomial("1"), Limits(max_seconds=0.5))
+        assert time.monotonic() - start < 10
 
 
 class TestTracedSurface:

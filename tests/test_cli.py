@@ -152,6 +152,19 @@ class TestQuery:
         assert code == 0
         assert obj["entailed"] is True and obj["matches"] >= 1
 
+    def test_query_size_has_no_recursion_limit(self, tmp_path, capsys):
+        # one join step per atom, well past the interpreter's recursion limit
+        kb = tmp_path / "a.elp"
+        kb.write_text("ca A(a) @ v1\n")
+        query = tmp_path / "long.cq"
+        n = sys.getrecursionlimit() + 500
+        query.write_text(" & ".join(f"A(?x, ?t{i})" for i in range(n)) + "\n")
+        code, obj = run_json(
+            capsys, ["query", "-i", str(kb), "-q", str(query), "--prov", "v1"], "query"
+        )
+        assert code == 0
+        assert obj["matches"] == 1 and obj["query_provenance"] == "v1"
+
 
 class TestOtherCommands:
     def test_normalize_json(self, capsys, tmp_path):
@@ -377,12 +390,19 @@ class TestDeterminism:
             ["model", "-i", "layered.elp"],
             ["query", "-i", "layered.elp", "-q", "layered-anonymous.cq", "--json",
              "--prov", "v10 + 3 v10*v11"],
+            ["entail", "-i", "layered.elp", "--kind", "gci", "--axiom", "gci P0 <= P3",
+             "--prov", "x4"],
+            ["relevant", "-i", "layered.elp", "--json", "--axiom", "ca P3(pa)"],
+            ["saturate", "-i", "layered.elp", "--json", "--k", "2"],
+            ["normalize", "-i", "general.elp", "--json"],
+            ["rewrite", "-q", "layered-anonymous.cq"],
         ],
-        ids=["model", "query"],
+        ids=["model", "query", "entail", "relevant", "saturate", "normalize", "rewrite"],
     )
     def test_bytes_do_not_depend_on_the_hash_seed(self, argv):
-        # the model unfolds its elements in set order, which varies with
-        # the string hash seed; none of that order may reach stdout
+        # sets and dicts of names iterate in an order that varies with the
+        # string hash seed (the model's worklist, the matcher's index
+        # buckets, the saturation's stores); none of it may reach stdout
         src = str(Path(__file__).resolve().parents[1] / "src")
         outputs = set()
         for seed in ("0", "1", "2"):
@@ -390,10 +410,11 @@ class TestDeterminism:
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             done = subprocess.run(
                 [sys.executable, "-m", "elprov.cli", *argv],
-                cwd=GOLDEN, env=env, capture_output=True, check=True,
+                cwd=GOLDEN, env=env, capture_output=True,
             )
-            outputs.add(done.stdout)
-        assert len(outputs) == 1 and outputs.pop()
+            assert done.returncode in (0, 1), done.stderr
+            outputs.add((done.returncode, done.stdout))
+        assert len(outputs) == 1 and outputs.pop()[1]
 
     def test_output_file(self, mayor_file, tmp_path):
         out = tmp_path / "out.txt"
