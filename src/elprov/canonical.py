@@ -80,19 +80,19 @@ class RewritingConditions:
     classes: tuple[frozenset[Term], ...]
     cyc: frozenset[Var]
     forks: tuple[Fork, ...]
-    merge_count: int
 
 
 def compute_rewriting(query: BCQ) -> RewritingConditions:
     """Equivalence classes, cycle variables and fork constraints of a query.
 
-    Terms are merged whenever two role atoms' targets are already
-    equivalent (then their sources must be); a variable is a cycle
-    variable when its class can reach a class lying on a directed cycle
-    of the source-to-target graph; a fork records a class targeted from
-    at least two distinct sources.
+    Two role atoms whose targets are equivalent make their sources
+    equivalent: a worklist of (source, target) pairs keeps one source per
+    target class and merges every other source into it. A variable is a
+    cycle variable when its class can reach a directed cycle of the
+    source-to-target graph of classes; a fork records a class targeted
+    from at least two distinct sources.
     """
-    terms = list(query.ordinary_terms())
+    terms = query.ordinary_terms()
     parent: dict[Term, Term] = {t: t for t in terms}
 
     def find(t: Term) -> Term:
@@ -101,64 +101,53 @@ def compute_rewriting(query: BCQ) -> RewritingConditions:
             t = parent[t]
         return t
 
-    merge_count = 0
     role_atoms = query.role_atoms()
-    changed = True
-    while changed:
-        changed = False
-        for a1 in role_atoms:
-            for a2 in role_atoms:
-                if find(a1.arg2) == find(a2.arg2) and find(a1.arg1) != find(a2.arg1):
-                    parent[find(a1.arg1)] = find(a2.arg1)
-                    merge_count += 1
-                    changed = True
+    source: dict[Term, Term] = {}  # class root -> one source of an atom into the class
+    work = [(atom.arg1, atom.arg2) for atom in role_atoms]
+    while work:
+        s, t = work.pop()
+        a, b = find(source.setdefault(find(t), s)), find(s)
+        if a != b:
+            parent[a] = b
+            if a in source:  # class a's atoms now point into class b
+                work.append((source.pop(a), b))
 
+    rep = {t: find(t) for t in terms}
     groups: dict[Term, set[Term]] = {}
     for t in terms:
-        groups.setdefault(find(t), set()).add(t)
+        groups.setdefault(rep[t], set()).add(t)
     classes = tuple(
         frozenset(g) for g in sorted(groups.values(), key=lambda g: min(term_key(t) for t in g))
     )
 
-    rep = {t: find(t) for t in terms}
+    pre: dict[Term, set[Term]] = {}  # class root -> the sources of its atoms
     edges: dict[Term, set[Term]] = {}
     for atom in role_atoms:
+        pre.setdefault(rep[atom.arg2], set()).add(atom.arg1)
         edges.setdefault(rep[atom.arg1], set()).add(rep[atom.arg2])
 
-    # classes lying on a directed cycle, then everything that can reach them
-    on_cycle: set[Term] = set()
-    for start in edges:
-        stack, seen = [start], set()
-        while stack:
-            node = stack.pop()
-            for nxt in edges.get(node, ()):
-                if nxt == start:
-                    on_cycle.add(start)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-    reaches_cycle = set(on_cycle)
-    changed = True
-    while changed:
-        changed = False
-        for src, dsts in edges.items():
-            if src not in reaches_cycle and dsts & reaches_cycle:
-                reaches_cycle.add(src)
-                changed = True
-
-    cyc = frozenset(
-        t for t in terms if isinstance(t, Var) and rep[t] in reaches_cycle
-    )
+    # the classes left after repeatedly removing classes without successors
+    # are those that reach a cycle
+    into: dict[Term, list[Term]] = {}
+    for src, dsts in edges.items():
+        for dst in dsts:
+            into.setdefault(dst, []).append(src)
+    out = {src: len(dsts) for src, dsts in edges.items()}
+    sinks = [c for c in groups if c not in out]
+    while sinks:
+        for src in into.get(sinks.pop(), ()):
+            out[src] -= 1
+            if not out[src]:
+                sinks.append(src)
+    cyc = frozenset(t for t in terms if isinstance(t, Var) and out.get(rep[t]))
 
     forks = []
-    for cls in classes:
-        pre = {atom.arg1 for atom in role_atoms if atom.arg2 in cls}
-        if len(pre) >= 2:
-            representative = min(cls, key=term_key)
-            forks.append(Fork(tuple(sorted(pre, key=term_key)), representative, cls))
-    forks.sort(key=lambda f: term_key(f.representative))
-
-    return RewritingConditions(classes, cyc, tuple(forks), merge_count)
+    for cls in classes:  # in the order of their representatives
+        representative = min(cls, key=term_key)
+        sources = pre.get(rep[representative], ())
+        if len(sources) >= 2:
+            forks.append(Fork(tuple(sorted(sources, key=term_key)), representative, cls))
+    return RewritingConditions(classes, cyc, tuple(forks))
 
 
 def render_rewriting(query: BCQ, conditions: RewritingConditions) -> str:

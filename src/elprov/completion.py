@@ -7,20 +7,21 @@ membership for every individual); the others are rows of one table,
 shapes and a conclusion pattern, e.g. ``sub A B, sub B C -> sub A C``,
 whose monomial is the product of the premises' monomials. At import each
 row becomes one join plan per premise taken as the delta: which premise
-to visit next, the index that finds it from the variables bound so far
-and the variables it binds. One generic ``_join`` runs the plans from a
-semi-naive worklist, so a newly derived fact only meets matching
-partners. A fact added in the middle of a join is seen by the loops
-after it, so the fired, added and derivation counts and the merged
-store's updates depend on how the joins loop; the table writes that
-down instead of deriving it: the order in which each delta visits its
-partners, which partner loops the joins of one delta share (``|``), and
-which partners' monomials are read before the join starts (``*``).
+to visit next (the one with the most terms already bound), the index
+that finds it from the terms bound so far and the terms it binds. One
+generic ``_join`` runs the plans from a semi-naive worklist. A fact
+enters the indexes when it is taken off the queue and joins only with
+facts taken before it or itself, and never with itself at a premise
+before its own. So every rule instance (one choice of premises) fires
+exactly once, when its last premise is taken, and the fired and
+derivation counts do not depend on the order of the axioms or the joins.
 
 The same engine serves two stores: a set store that keeps every derived
 (axiom, monomial) pair separately (optionally bounded to monomials of at
 most ``k`` variables), and a merge store used by the relevance algorithm
 that keeps one monomial per axiom and unions variables on update.
+When a fact is taken, the set store adds its monomial to the axiom's
+taken monomials, and the merge store replaces them by it.
 
 Inside a run monomials are int bitmasks over the run's seed variables,
 numbered in name order, so a product is ``|`` and a degree is
@@ -177,6 +178,10 @@ class _SetStore:
         self.size += 1
         return [(axiom, mon)]
 
+    @staticmethod
+    def taken(mons: list[int], mon: int) -> None:
+        mons.append(mon)
+
     def monomials(self, axiom: Axiom) -> tuple[int, ...]:
         mons = self.by_axiom.get(axiom)
         return tuple(mons) if mons else ()
@@ -207,12 +212,9 @@ class _MergeStore:
         self.growths += 1
         return [(axiom, merged)]
 
-    def monomials(self, axiom: Axiom) -> tuple[int, ...]:
-        mon = self.by_axiom.get(axiom)
-        return (mon,) if mon is not None else ()
-
-    def contains(self, axiom: Axiom, mon: int) -> bool:
-        return self.by_axiom.get(axiom) == mon
+    @staticmethod
+    def taken(mons: list[int], mon: int) -> None:
+        mons[:] = (mon,)  # a taken merge supersedes the ones before it
 
 
 # --- engine ----------------------------------------------------------------
@@ -256,42 +258,26 @@ _BUILD = {
     "ra": RA,
 }
 
-# Rows: a name from RULE_NAMES, premises -> conclusion and, for three or more
-# premises, for each premise taken as the delta the order in which the join
-# visits the others (with two premises there is one order). ``Top`` is the
+# Rows: a name from RULE_NAMES and premises -> conclusion. ``Top`` is the
 # constant, every other word a variable. Shapes: ri R S = R <= S, rr R B =
 # ran(R) <= B, sub A B = A <= B, exr A R = A <= some(R), conj A B C =
-# and(A, B) <= C, exq R A B = some(R, A) <= B, ca A a, ra R a b. In an order,
-# the steps before ``|`` are shared by the row's plans that start from the
-# same delta shape and carry a ``|``: one snapshot of each shared partner
-# list, and per partial product the plans' remaining steps one after the
-# other. ``*`` after the first premise of an order reads the monomials of all
-# its partners before the join goes on; otherwise the join reads a partner's
-# monomials when it reaches the partner.
+# and(A, B) <= C, exq R A B = some(R, A) <= B, ca A a, ra R a b.
 _RULES = (
     ("role-chain", "ri R S, ri S T -> ri R T"),
     ("range-of-subrole", "ri R S, rr S B -> rr R B"),
     ("existential-subrole", "exr A R, ri R S -> exr A S"),
     ("concept-chain", "sub A B, sub B C -> sub A C"),
     ("chain-into-existential", "sub A B, exr B R -> exr A R"),
-    ("conjunction-subsumption", "sub A B1, sub A B2, conj B1 B2 C -> sub A C", "1|2 0|2 01"),
-    (
-        "range-conjunction",
-        "rr R B1, rr R B2, sub B1 C1, sub B2 C2, conj C1 C2 D -> rr R D",
-        "1*234 0*234 01|34 10|24 2013",
-    ),
+    ("conjunction-subsumption", "sub A B1, sub A B2, conj B1 B2 C -> sub A C"),
+    ("range-conjunction", "rr R B1, rr R B2, sub B1 C1, sub B2 C2, conj C1 C2 D -> rr R D"),
     ("top-conjunct-elim", "sub Top B, conj A B C -> sub A C"),
     ("top-conjunct-elim", "sub Top B, conj B A C -> sub A C"),
-    (
-        "existential-composition",
-        "exr A S, rr S B, sub B C, ri S R, exq R C D -> sub A D",
-        "1234 0234 1034 0124 3012",
-    ),
-    ("existential-top-composition", "exr A R, sub Top B, exq R B C -> sub A C", "21 20 10"),
+    ("existential-composition", "exr A S, rr S B, sub B C, ri S R, exq R C D -> sub A D"),
+    ("existential-top-composition", "exr A R, sub Top B, exq R B C -> sub A C"),
     ("role-fact-hierarchy", "ra R a b, ri R S -> ra S a b"),
     ("instance-chain", "ca A a, sub A B -> ca B a"),
-    ("instance-conjunction", "ca A1 a, ca A2 a, conj A1 A2 B -> ca B a", "21 20 01"),
-    ("instance-existential", "ra R a b, ca A b, exq R A B -> ca B a", "21 02 01"),
+    ("instance-conjunction", "ca A1 a, ca A2 a, conj A1 A2 B -> ca B a"),
+    ("instance-existential", "ra R a b, ca A b, exq R A B -> ca B a"),
     ("instance-range", "ra R a b, rr R B -> ca B b"),
 )
 
@@ -300,12 +286,13 @@ class _Step(NamedTuple):
     index: int  # which index holds the partners
     key: Callable  # slots -> index key
     binds: tuple[tuple[int, int], ...]  # (partner field, slot) pairs it fills
-    next: tuple["_Step", ...]  # run per partial product; none after the last step
+    before: bool  # the partner's premise comes before the delta's
+    next: "_Step | None"  # run per partial product; None after the last step
     conclusion: tuple[Callable, Callable] | None  # last step: (constructor, slots -> arguments)
 
 
 class _Plan(NamedTuple):
-    """A join for one premise taken as the delta (or for several, sharing steps).
+    """A join for one premise taken as the delta.
 
     The slots start as the delta's fields (Top first); the steps fill the
     rest.
@@ -314,56 +301,47 @@ class _Plan(NamedTuple):
     rule: int
     top: int  # the delta field that must be Top; 0, which always is, if none
     pad: tuple[None, ...]  # the slots the steps fill
-    eager: bool  # read the first step's monomials before joining
     first: _Step
 
 
-def _chain(steps, after=(), conclusion=None) -> tuple[_Step, ...]:
-    """Link ``steps``; the last one runs the steps ``after`` or concludes."""
-    for index, key, binds in reversed(steps):
-        after, conclusion = (_Step(index, itemgetter(*key), binds, after, conclusion),), None
-    return after
-
-
 def _compile_rules():
-    """Join plans per delta shape, and per shape the indexes its facts enter."""
+    """Join plans per delta shape, and per shape the indexes its facts enter.
+
+    From each delta the join next visits the premise with the most terms
+    already bound (Top always is), the earlier premise on a tie.
+    """
     plans: dict[str, list[_Plan]] = defaultdict(list)
     indexes: dict[tuple[str, tuple[int, ...]], int] = {}
-    for name, text, *orders in _RULES:
+    for name, text in _RULES:
         lhs, rhs = text.split(" -> ")
         premises = [p.split() for p in lhs.split(", ")]
         cshape, *cterms = rhs.split()
-        groups: dict = {}  # a delta, or shared steps -> [delta shape, shared steps, head, *branches]
-        for delta, order in enumerate(orders[0].split() if orders else "10"):
-            shape, *terms = premises[delta]
+        for delta, (shape, *terms) in enumerate(premises):
             # slot 0 is Top, slot f the delta's field f (field 0 of every fact is Top)
             slot = {t: f for f, t in enumerate(terms, 1)} | {"Top": 0}
             width = 1 + len(terms)
+            rest = [q for q in range(len(premises)) if q != delta]
             steps = []
-            for q in [int(q) for q in order if q.isdigit()]:
+            while rest:
+                q = max(rest, key=lambda q: (sum(t in slot for t in premises[q][1:]), -q))
+                rest.remove(q)
                 pshape, *pterms = premises[q]
                 bound = tuple(f for f, t in enumerate(pterms, 1) if t in slot)
+                assert bound, f"{name}: premise {q} shares no term with those before it"
                 index = indexes.setdefault((pshape, bound), len(indexes))
+                key = itemgetter(*(slot[pterms[f - 1]] for f in bound))
                 binds = []
                 for f, t in enumerate(pterms, 1):
                     if f not in bound:
                         binds.append((f, width))
                         slot[t], width = width, width + 1
-                steps.append((index, tuple(slot[pterms[f - 1]] for f in bound), tuple(binds)))
-            conclusion = _BUILD[cshape], itemgetter(*(slot[t] for t in cterms))
-            shared, bar, rest = order.partition("|")
-            n = sum(map(str.isdigit, shared)) if bar else 0
-            # a branch's first partners are looked up once per shared partner
-            # (see ``_join``), so no branch may start from the conclusion's shape
-            assert not bar or premises[int(rest[0])][0] != cshape
+                steps.append((index, key, tuple(binds), q < delta))
+            step, conclusion = None, (_BUILD[cshape], itemgetter(*(slot[t] for t in cterms)))
+            for index, key, binds, before in reversed(steps):
+                step, conclusion = _Step(index, key, binds, before, step, conclusion), None
             top = terms.index("Top") + 1 if "Top" in terms else 0
-            assert order.find("*") in (-1, 1)
-            head = (RULE_NAMES.index(name), top, (None,) * (width - 1 - len(terms)), "*" in order)
-            group = groups.setdefault(tuple(steps[:n]) if n else delta, [shape, steps[:n], head])
-            assert group[:3] == [shape, steps[:n], head]
-            group += _chain(steps[n:], (), conclusion)
-        for shape, shared, head, *branches in groups.values():
-            plans[shape].append(_Plan(*head, *_chain(shared, tuple(branches))))
+            pad = (None,) * (width - 1 - len(terms))
+            plans[shape].append(_Plan(RULE_NAMES.index(name), top, pad, step))
     indexed: dict[str, list[tuple[int, Callable]]] = defaultdict(list)
     for (shape, positions), index in indexes.items():
         indexed[shape].append((index, itemgetter(*positions)))
@@ -390,15 +368,13 @@ class _Saturator:
             time.monotonic() + self.limits.max_seconds if self.limits.max_seconds else None
         )
         self._ticks = 0
-        # axiom structure only; monomials live in the store
-        self.fields: dict[Axiom, tuple[str, tuple]] = {}
+        # per taken axiom: its shape, its fields and its taken monomials
+        self.taken: dict[Axiom, tuple[str, tuple, list[int]]] = {}
+        # index key -> [(fields, taken monomials)] of the taken axioms
         self.index: list[dict] = [{} for plans in _INDEXED.values() for _ in plans]
+        # the fact being joined: its axiom's taken monomials and its monomial
+        self.delta: tuple[list[int], int] = ([], 0)
         self._seed(ontology)
-
-    def _index(self, ax: Axiom) -> None:
-        shape, fields = self.fields[ax] = _fields(ax)
-        for index, key in _INDEXED[shape]:
-            self.index[index].setdefault(key(fields), []).append((ax, fields))
 
     def _tick(self) -> None:
         self._ticks += 1
@@ -410,7 +386,6 @@ class _Saturator:
         self._tick()
         if not seed:
             self.stats.fired[rule] += 1
-        fresh_axiom = axiom not in self.store.by_axiom
         deltas = self.store.add(axiom, mon, seed)
         if self.track and (seed or self.store.contains(axiom, mon)):
             self.derivations.setdefault((axiom, mon), Counter())[rule] += 1
@@ -422,8 +397,6 @@ class _Saturator:
                 self.stats,
             )
         self.stats.added[rule] += 1
-        if fresh_axiom:
-            self._index(axiom)
         self.queue.extend(deltas)
 
     def _seed(self, ontology: AnnotatedOntology) -> None:
@@ -442,60 +415,58 @@ class _Saturator:
                 self._add(CA(TOP, ind), 0, "top-instance", seed=True)
 
     def run(self) -> SaturationStats:
-        queue, index, join, monomials = self.queue, self.index, self._join, self.store.monomials
+        queue, index, taken, join = self.queue, self.index, self.taken, self._join
+        take = self.store.taken
         while queue:
             axiom, mon = queue.popleft()
-            shape, fields = self.fields[axiom]
-            for rule, top, pad, eager, first in self.plans[shape]:
+            entry = taken.get(axiom)
+            if entry is None:
+                # an axiom enters the indexes when it is first taken
+                shape, fields = _fields(axiom)
+                entry = taken[axiom] = shape, fields, []
+                for i, key in _INDEXED[shape]:
+                    index[i].setdefault(key(fields), []).append((fields, entry[2]))
+            shape, fields, mons = entry
+            take(mons, mon)
+            self.delta = mons, mon
+            for rule, top, pad, first in self.plans[shape]:
                 if not isinstance(fields[top], Top):
                     continue
                 # the first step reads only the delta's fields
                 partners = index[first.index].get(first.key(fields))
                 if partners:
-                    read = monomials
-                    if eager:
-                        read = {ax: monomials(ax) for ax, _ in partners}.__getitem__
-                    join(RULE_NAMES[rule], first, [*fields, *pad], mon, partners, read)
+                    join(RULE_NAMES[rule], first, [*fields, *pad], mon, partners)
         self.stats.facts = self.store.size
         if isinstance(self.store, _MergeStore):
             self.stats.merge_updates = self.store.growths
         return self.stats
 
-    def _join(self, rule: str, step: _Step, slots: list, mon: int, partners: list, read) -> None:
+    def _join(self, rule: str, step: _Step, slots: list, mon: int, partners: list) -> None:
         """Extend the partial match ``slots`` (product ``mon``) by ``step``.
 
-        Loops over a snapshot of the live list ``partners`` and reads a
-        partner's monomials through ``read`` when it reaches the partner,
-        like the nested loops the rules denote. The next steps' partner
-        lists are looked up once per partner: one found empty stays empty
-        over the partner's monomials, as only the joins below the other
-        next steps add facts, and none to its index.
+        ``partners`` are taken facts, and the indexes and taken monomials
+        change only when a fact is taken, so the join reads a fixed view.
+        At a premise before its own the delta is not its own partner, so a
+        rule instance fires once: when its last premise is taken.
         """
-        binds = step.binds
-        if step.conclusion:
-            add, (make, args) = self._add, step.conclusion
-            for axiom, fields in tuple(partners):
-                for f, s in binds:
-                    slots[s] = fields[f]
-                mons = read(axiom)
-                if mons:
-                    conclusion = make(*args(slots))
-                    for n in mons:
-                        add(conclusion, mon | n, rule)
-            return
-        index, live, nexts = self.index, self.store.monomials, step.next
-        for axiom, fields in tuple(partners):
+        binds, nxt = step.binds, step.next
+        own, own_mon = self.delta if step.before else (None, -1)
+        for fields, mons in partners:
             for f, s in binds:
                 slots[s] = fields[f]
-            found = []
-            for n in nexts:
-                later = index[n.index].get(n.key(slots))
-                if later:
-                    found.append((n, later))
-            if found:
-                for m in read(axiom):
-                    for n, later in found:
-                        self._join(rule, n, slots, mon | m, later, live)
+            skip = own_mon if mons is own else -1
+            if nxt is None:
+                make, args = step.conclusion
+                conclusion = make(*args(slots))
+                for n in mons:
+                    if n != skip:
+                        self._add(conclusion, mon | n, rule)
+                continue
+            later = self.index[nxt.index].get(nxt.key(slots))
+            if later:
+                for n in mons:
+                    if n != skip:
+                        self._join(rule, nxt, slots, mon | n, later)
 
 
 # --- public saturation API --------------------------------------------------

@@ -75,10 +75,6 @@ class Monomial:
         object.__setattr__(self, "vars", tuple(sorted(set(self.vars))))
 
     @property
-    def is_unit(self) -> bool:
-        return not self.vars
-
-    @property
     def degree(self) -> int:
         return len(self.vars)
 
@@ -141,10 +137,6 @@ class Polynomial:
         for mon in self._terms:
             out.update(mon.vars)
         return frozenset(out)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)

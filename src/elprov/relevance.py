@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .completion import Limits, _MergeStore, _Saturator, probe
-from .ontology import AnnotatedAxiom, AnnotatedOntology, Axiom, normalize, render_axiom
+from .ontology import AnnotatedAxiom, AnnotatedOntology, Axiom, normalize
 from .provenance import Monomial
 
 __all__ = [
@@ -39,13 +39,6 @@ class MergedSet:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def dump_json_obj(self) -> dict:
-        rows = [
-            {"axiom": render_axiom(ax), "merged": str(mon)}
-            for ax, mon in sorted(self.entries.items(), key=lambda kv: render_axiom(kv[0]))
-        ]
-        return {"size": len(rows), "entries": rows, "merge_updates": self.merge_updates}
 
 
 def merged_saturate(

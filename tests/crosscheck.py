@@ -11,13 +11,17 @@ restrictions run as model-building rules to a fixpoint, so the library's
 one-pass unfolding can be compared with it. ``scan_matches`` enumerates
 query matches by scanning each atom's whole extension for every partial
 binding and checking forks on complete matches only, so the library's
-indexed join can be compared with it. They serve the tests only.
+indexed join can be compared with it. ``pairwise_rewriting`` computes a
+query's rewriting conditions by comparing every pair of role atoms until
+nothing changes, so the library's worklist can be compared with it. They
+serve the tests only.
 """
 
 from __future__ import annotations
 
 import time
 
+from elprov.canonical import Fork, RewritingConditions
 from elprov.completion import Limits, ResourceCapExceeded, entails, saturate
 from elprov.interpretation import (
     BCQ,
@@ -375,3 +379,79 @@ def scan_matches(
 
     extend(0)
     return tuple(results[k] for k in sorted(results))
+
+
+def pairwise_rewriting(query: BCQ) -> RewritingConditions:
+    """``compute_rewriting`` by fixpoint loops over pairs of role atoms.
+
+    Terms are merged whenever two role atoms' targets are already
+    equivalent (then their sources must be); a variable is a cycle
+    variable when its class can reach a class lying on a directed cycle
+    of the source-to-target graph; a fork records a class targeted from
+    at least two distinct sources.
+    """
+    terms = list(query.ordinary_terms())
+    parent: dict[Term, Term] = {t: t for t in terms}
+
+    def find(t: Term) -> Term:
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    role_atoms = query.role_atoms()
+    changed = True
+    while changed:
+        changed = False
+        for a1 in role_atoms:
+            for a2 in role_atoms:
+                if find(a1.arg2) == find(a2.arg2) and find(a1.arg1) != find(a2.arg1):
+                    parent[find(a1.arg1)] = find(a2.arg1)
+                    changed = True
+
+    groups: dict[Term, set[Term]] = {}
+    for t in terms:
+        groups.setdefault(find(t), set()).add(t)
+    classes = tuple(
+        frozenset(g) for g in sorted(groups.values(), key=lambda g: min(term_key(t) for t in g))
+    )
+
+    rep = {t: find(t) for t in terms}
+    edges: dict[Term, set[Term]] = {}
+    for atom in role_atoms:
+        edges.setdefault(rep[atom.arg1], set()).add(rep[atom.arg2])
+
+    # classes lying on a directed cycle, then everything that can reach them
+    on_cycle: set[Term] = set()
+    for start in edges:
+        stack, seen = [start], set()
+        while stack:
+            node = stack.pop()
+            for nxt in edges.get(node, ()):
+                if nxt == start:
+                    on_cycle.add(start)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    reaches_cycle = set(on_cycle)
+    changed = True
+    while changed:
+        changed = False
+        for src, dsts in edges.items():
+            if src not in reaches_cycle and dsts & reaches_cycle:
+                reaches_cycle.add(src)
+                changed = True
+
+    cyc = frozenset(
+        t for t in terms if isinstance(t, Var) and rep[t] in reaches_cycle
+    )
+
+    forks = []
+    for cls in classes:
+        pre = {atom.arg1 for atom in role_atoms if atom.arg2 in cls}
+        if len(pre) >= 2:
+            representative = min(cls, key=term_key)
+            forks.append(Fork(tuple(sorted(pre, key=term_key)), representative, cls))
+    forks.sort(key=lambda f: term_key(f.representative))
+
+    return RewritingConditions(classes, cyc, tuple(forks))

@@ -14,6 +14,7 @@ from elprov.canonical import (
 )
 from elprov.completion import Limits, ResourceCapExceeded, entails_assertion, saturate
 from elprov.interpretation import (
+    BCQ,
     AuxElement,
     Ind,
     Named,
@@ -36,7 +37,12 @@ from elprov.ontology import (
 )
 from elprov.provenance import ONE, Polynomial, parse_monomial, parse_polynomial
 
-from crosscheck import entailed_range_restrictions, fixpoint_canonical_model, scan_matches
+from crosscheck import (
+    entailed_range_restrictions,
+    fixpoint_canonical_model,
+    pairwise_rewriting,
+    scan_matches,
+)
 from generators import random_general_ontology, random_normalized_ontology, random_query
 from oracle import chase
 
@@ -331,9 +337,38 @@ class TestComputeRewriting:
         assert rc.cyc == frozenset() and rc.forks == ()
 
     def test_merge_budget(self):
+        # every merge joins two classes: ?x and ?z, which both point at ?y
         q = parse_query(LOOP_QUERY)
         rc = compute_rewriting(q)
-        assert rc.merge_count <= len(q.ordinary_terms()) ** 2
+        assert len(q.ordinary_terms()) - len(rc.classes) == 1
+
+    def test_same_as_pairwise_fixpoint(self):
+        rng = random.Random(5)
+        for n in range(600):
+            if n % 2:
+                q = random_query(rng, ("A", "B"), ("R", "S"), ("a", "b"), max_atoms=30)
+            else:
+                # up to 16 variables, so that classes, cycles and forks vary more
+                terms = [Var(f"x{i}") for i in range(rng.randint(2, 16))] + [Ind("a")]
+                q = BCQ(
+                    RoleAtom("R", rng.choice(terms), rng.choice(terms), Var(f"t{k}"))
+                    for k in range(rng.randint(1, 16))
+                )
+            assert compute_rewriting(q) == pairwise_rewriting(q), str(q)
+
+    @pytest.mark.parametrize("shape", ["star", "chain"])
+    def test_long_queries_rewrite_in_linear_time(self, shape):
+        # the pairwise fixpoint took about a minute on the star
+        n = 2000
+        if shape == "star":
+            atoms = [RoleAtom("R", Var(f"y{i}"), Var("x"), Var(f"t{i}")) for i in range(n)]
+        else:
+            atoms = [RoleAtom("R", Var(f"x{i}"), Var(f"x{i + 1}"), Var(f"t{i}")) for i in range(n)]
+        start = time.perf_counter()
+        rc = compute_rewriting(BCQ(atoms))
+        assert time.perf_counter() - start < 2.0
+        assert len(rc.classes) == (2 if shape == "star" else n + 1)
+        assert rc.cyc == frozenset() and len(rc.forks) == (shape == "star")
 
     def test_render(self):
         text = render_rewriting(parse_query(LOOP_QUERY), compute_rewriting(parse_query(LOOP_QUERY)))

@@ -1,9 +1,11 @@
 import random
 import warnings
+from pathlib import Path
 
 import pytest
 
 from elprov.completion import (
+    RULE_NAMES,
     Limits,
     ResourceCapExceeded,
     UnknownNameWarning,
@@ -27,13 +29,16 @@ from elprov.ontology import (
     TOP,
     normalize,
     parse_ontology,
+    render_axiom,
 )
 from elprov.provenance import ONE, Monomial, Variable, parse_monomial
 
-from closure import missing_conclusions
+from closure import instance_counts, missing_conclusions
 from crosscheck import entails_ca_via_gci, entails_ra_via_ri, reduce_ca_to_gci, reduce_ra_to_ri
 from generators import VARS, random_monomial, random_normalized_ontology
 from oracle import chase
+
+GOLDEN = Path(__file__).parent / "golden"
 
 MAYOR = """
 ra mayor(Venice, Orsoni) @ v1
@@ -154,6 +159,56 @@ class TestSaturate:
         # every route to B(a) chains an instance through an inclusion
         # (possibly padded by reflexive axioms)
         assert set(derivations) == {"instance-chain"} and derivations["instance-chain"] >= 1
+
+
+JOINING_RULES = frozenset(RULE_NAMES) - {"reflexivity", "top-instance"}
+
+
+def counted_ontologies():
+    """The golden ontologies, normalized, and 300 seeded random ones."""
+    for path in sorted(GOLDEN.glob("*.elp")):
+        yield normalize(parse_ontology(path.read_text(encoding="utf-8")))
+    rng = random.Random(21)
+    for i in range(300):
+        if i % 3:
+            yield random_normalized_ontology(rng, max_axioms=8)
+        else:
+            yield random_normalized_ontology(rng, 16, min_axioms=8, n_vars=6, n_names=12)
+
+
+def counts_json(sat):
+    """``dump_json_obj`` without the order-dependent ``added`` counts."""
+    obj = sat.dump_json_obj()
+    del obj["stats"]["added"]
+    return obj
+
+
+class TestRuleCounts:
+    """Every rule instance over the saturated set fires exactly once."""
+
+    @pytest.mark.parametrize("k", [1, 2, None])
+    def test_fired_and_derivations_count_rule_instances(self, k):
+        for o in counted_ontologies():
+            sat = saturate(o, k=k, track_derivations=True)
+            per_rule, per_conclusion = instance_counts(sat)
+            assert sat.stats.fired == per_rule
+            by_key = {(render_axiom(ax), str(mon)): c for (ax, mon), c in per_conclusion.items()}
+            for row in sat.dump_json_obj()["axioms"]:
+                found = {r: n for r, n in row["derivations"].items() if r in JOINING_RULES}
+                assert found == by_key.get((row["axiom"], row["annotation"]), {}), row
+
+    def test_counts_do_not_depend_on_axiom_order(self):
+        # ``added`` names the rule that inserted a fact first, so it does
+        rng = random.Random(22)
+        for n, o in enumerate(counted_ontologies()):
+            if n % 3:
+                continue
+            axioms = list(o.axioms)
+            rng.shuffle(axioms)
+            shuffled = AnnotatedOntology(axioms)
+            for k in (1, 2, None):
+                expected = counts_json(saturate(o, k=k, track_derivations=True))
+                assert counts_json(saturate(shuffled, k=k, track_derivations=True)) == expected
 
 
 class TestMonomialBoundary:
