@@ -20,14 +20,24 @@ The same engine serves two stores: a set store that keeps every derived
 (axiom, monomial) pair separately (optionally bounded to monomials of at
 most ``k`` variables), and a merge store used by the relevance algorithm
 that keeps one monomial per axiom and unions variables on update.
-When a fact is taken, the set store adds its monomial to the axiom's
+When a fact is taken, the set store adds its monomial to the fact's
 taken monomials, and the merge store replaces them by it.
 
-Inside a run monomials are int bitmasks over the run's seed variables,
-numbered in name order, so a product is ``|`` and a degree is
-``bit_count()``. ``Monomial`` is the boundary type: seeding maps
-annotations to masks; ``SaturatedSet`` and ``relevance.merged_saturate``
-map masks back.
+Inside a run a fact is a plain tuple ``(shape, Top, f1, f2[, f3])``,
+e.g. ``("sub", Top, "A", "B")``: names are ``str`` (whose hash is
+cached) and Top is ``None``, which no name equals. Monomials are int
+bitmasks over the run's seed variables, numbered in name order, so a
+product is ``|`` and a degree is ``bit_count()``. ``Axiom`` and
+``Monomial`` are the boundary types: seeding maps axioms to facts and
+annotations to masks; ``SaturatedSet`` and ``relevance.MergedSet`` map
+back what is asked for, and an axiom outside normal form is in neither.
+
+Two cuts keep the join from work that cannot store a fact. A product
+only grows along a join, so a partner that takes it beyond ``k``
+variables is skipped at once; ``fired`` and ``derivations`` therefore
+count the rule instances within ``k``. And with the merge store a
+queued merge that has grown again before it is taken is dropped: the
+grown one is still queued and covers it.
 
 Entailment of annotated assertions is membership in the k-saturation
 for k the number of variables of the queried monomial
@@ -45,6 +55,7 @@ import time
 import warnings
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -152,65 +163,58 @@ class _VarTable:
     def monomial(self, mask: int) -> Monomial:
         mon = self._monomials.get(mask)
         if mon is None:
-            vs = tuple(v for i, v in enumerate(self.vars) if mask >> i & 1)
-            mon = self._monomials[mask] = Monomial(vs)
+            vs, rest = [], mask
+            while rest:  # one step per set bit, lowest first
+                low = rest & -rest
+                vs.append(self.vars[low.bit_length() - 1])
+                rest ^= low
+            mon = self._monomials[mask] = Monomial(tuple(vs))
         return mon
 
 
 class _SetStore:
-    """One entry per (axiom, monomial mask) pair; insertion ordered."""
+    """One entry per (fact, monomial mask) pair; insertion ordered."""
 
     def __init__(self, k: int | None):
         self.k = k
-        self.by_axiom: dict[Axiom, dict[int, None]] = {}
+        self.by_fact: dict[tuple, dict[int, None]] = {}
         self.size = 0
 
-    def admits(self, mon: int) -> bool:
-        return self.k is None or mon.bit_count() <= self.k
-
-    def add(self, axiom: Axiom, mon: int, seed: bool) -> list[tuple[Axiom, int]]:
-        if not seed and not self.admits(mon):
-            return []
-        mons = self.by_axiom.setdefault(axiom, {})
+    def add(self, fact: tuple, mon: int) -> int | None:
+        mons = self.by_fact.setdefault(fact, {})
         if mon in mons:
-            return []
+            return None
         mons[mon] = None
         self.size += 1
-        return [(axiom, mon)]
+        return mon
 
     @staticmethod
     def taken(mons: list[int], mon: int) -> None:
         mons.append(mon)
 
-    def monomials(self, axiom: Axiom) -> tuple[int, ...]:
-        mons = self.by_axiom.get(axiom)
-        return tuple(mons) if mons else ()
-
-    def contains(self, axiom: Axiom, mon: int) -> bool:
-        mons = self.by_axiom.get(axiom)
-        return bool(mons) and mon in mons
-
 
 class _MergeStore:
-    """One monomial mask per axiom; additions union the variable sets."""
+    """One monomial mask per fact; additions union the variable sets."""
+
+    k = None  # merged monomials are not bounded
 
     def __init__(self):
-        self.by_axiom: dict[Axiom, int] = {}
+        self.by_fact: dict[tuple, int] = {}
         self.size = 0
         self.growths = 0
 
-    def add(self, axiom: Axiom, mon: int, seed: bool) -> list[tuple[Axiom, int]]:
-        current = self.by_axiom.get(axiom)
+    def add(self, fact: tuple, mon: int) -> int | None:
+        current = self.by_fact.get(fact)
         if current is None:
-            self.by_axiom[axiom] = mon
+            self.by_fact[fact] = mon
             self.size += 1
-            return [(axiom, mon)]
+            return mon
         merged = current | mon
         if merged == current:
-            return []
-        self.by_axiom[axiom] = merged
+            return None
+        self.by_fact[fact] = merged
         self.growths += 1
-        return [(axiom, merged)]
+        return merged
 
     @staticmethod
     def taken(mons: list[int], mon: int) -> None:
@@ -220,43 +224,59 @@ class _MergeStore:
 # --- engine ----------------------------------------------------------------
 
 
-def _fields(ax: Axiom) -> tuple[str, tuple]:
-    """The normal-form shape of ``ax`` and its fields in pattern order.
+def _name(c: Concept) -> str | None:
+    return None if isinstance(c, Top) else c.name
 
-    Field 0 is always Top, so a join plan can name the constant like any
-    bound value.
+
+def _concept(name: str | None) -> Concept:
+    return TOP if name is None else Atomic(name)
+
+
+def _fact(ax: Axiom) -> tuple | None:
+    """``ax`` as an engine fact: its normal-form shape, Top, its fields.
+
+    Field values are plain names and Top is None, which no name equals.
+    None if ``ax`` is not in normal form.
     """
     if isinstance(ax, RI):
-        return "ri", (TOP, ax.sub, ax.sup)
+        return "ri", None, ax.sub, ax.sup
     if isinstance(ax, RR):
-        return "rr", (TOP, ax.role, Atomic(ax.filler))
-    if isinstance(ax, CA):
-        return "ca", (TOP, ax.concept, ax.ind)
+        return "rr", None, ax.role, ax.filler
     if isinstance(ax, RA):
-        return "ra", (TOP, ax.role, ax.a, ax.b)
-    if isinstance(ax, GCI):
+        return "ra", None, ax.role, ax.a, ax.b
+    if isinstance(ax, CA):
+        if is_atomic_or_top(ax.concept):
+            return "ca", None, _name(ax.concept), ax.ind
+    elif isinstance(ax, GCI):
         lhs, rhs = ax.lhs, ax.rhs
         if isinstance(rhs, (Atomic, Top)):
             if is_atomic_or_top(lhs):
-                return "sub", (TOP, lhs, rhs)
+                return "sub", None, _name(lhs), _name(rhs)
             if isinstance(lhs, Conj) and is_atomic_or_top(lhs.left) and is_atomic_or_top(lhs.right):
-                return "conj", (TOP, lhs.left, lhs.right, rhs)
+                return "conj", None, _name(lhs.left), _name(lhs.right), _name(rhs)
             if isinstance(lhs, ExistsQ) and is_atomic_or_top(lhs.filler):
-                return "exq", (TOP, lhs.role, lhs.filler, rhs)
+                return "exq", None, lhs.role, _name(lhs.filler), _name(rhs)
         elif isinstance(rhs, Exists) and is_atomic_or_top(lhs):
-            return "exr", (TOP, lhs, rhs.role)
-    raise ValueError(f"axiom is not in normal form: {render_axiom(ax)}")
+            return "exr", None, _name(lhs), rhs.role
+    return None
 
 
-# The inverse of ``_fields`` for the shapes a rule concludes.
-_BUILD = {
+# The inverse of ``_fact``, per shape, from the fields after Top.
+_AXIOM = {
     "ri": RI,
-    "rr": lambda role, filler: RR(role, filler.name),
-    "sub": GCI,
-    "exr": lambda lhs, role: GCI(lhs, Exists(role)),
-    "ca": CA,
+    "rr": RR,
     "ra": RA,
+    "ca": lambda a, ind: CA(_concept(a), ind),
+    "sub": lambda a, b: GCI(_concept(a), _concept(b)),
+    "exr": lambda a, role: GCI(_concept(a), Exists(role)),
+    "conj": lambda a, b, c: GCI(Conj(_concept(a), _concept(b)), _concept(c)),
+    "exq": lambda role, a, b: GCI(ExistsQ(role, _concept(a)), _concept(b)),
 }
+
+
+def _axiom(fact: tuple) -> Axiom:
+    return _AXIOM[fact[0]](*fact[2:])
+
 
 # Rows: a name from RULE_NAMES and premises -> conclusion. ``Top`` is the
 # constant, every other word a variable. Shapes: ri R S = R <= S, rr R B =
@@ -288,18 +308,19 @@ class _Step(NamedTuple):
     binds: tuple[tuple[int, int], ...]  # (partner field, slot) pairs it fills
     before: bool  # the partner's premise comes before the delta's
     next: "_Step | None"  # run per partial product; None after the last step
-    conclusion: tuple[Callable, Callable] | None  # last step: (constructor, slots -> arguments)
+    conclusion: Callable | None  # last step: slots -> the concluded fact
 
 
 class _Plan(NamedTuple):
     """A join for one premise taken as the delta.
 
-    The slots start as the delta's fields (Top first); the steps fill the
-    rest.
+    The slots start as the delta fact with the conclusion's shape in place
+    of its own (slot 1 is Top); the steps fill the rest.
     """
 
     rule: int
-    top: int  # the delta field that must be Top; 0, which always is, if none
+    shape: str  # the conclusion's
+    top: int  # the delta field that must be Top; 1, which always is, if none
     pad: tuple[None, ...]  # the slots the steps fill
     first: _Step
 
@@ -317,31 +338,31 @@ def _compile_rules():
         premises = [p.split() for p in lhs.split(", ")]
         cshape, *cterms = rhs.split()
         for delta, (shape, *terms) in enumerate(premises):
-            # slot 0 is Top, slot f the delta's field f (field 0 of every fact is Top)
-            slot = {t: f for f, t in enumerate(terms, 1)} | {"Top": 0}
-            width = 1 + len(terms)
+            # slot 1 is Top, slot f the delta's field f (field 1 of every fact is Top)
+            slot = {t: f for f, t in enumerate(terms, 2)} | {"Top": 1}
+            width = 2 + len(terms)
             rest = [q for q in range(len(premises)) if q != delta]
             steps = []
             while rest:
                 q = max(rest, key=lambda q: (sum(t in slot for t in premises[q][1:]), -q))
                 rest.remove(q)
                 pshape, *pterms = premises[q]
-                bound = tuple(f for f, t in enumerate(pterms, 1) if t in slot)
+                bound = tuple(f for f, t in enumerate(pterms, 2) if t in slot)
                 assert bound, f"{name}: premise {q} shares no term with those before it"
                 index = indexes.setdefault((pshape, bound), len(indexes))
-                key = itemgetter(*(slot[pterms[f - 1]] for f in bound))
+                key = itemgetter(*(slot[pterms[f - 2]] for f in bound))
                 binds = []
-                for f, t in enumerate(pterms, 1):
+                for f, t in enumerate(pterms, 2):
                     if f not in bound:
                         binds.append((f, width))
                         slot[t], width = width, width + 1
                 steps.append((index, key, tuple(binds), q < delta))
-            step, conclusion = None, (_BUILD[cshape], itemgetter(*(slot[t] for t in cterms)))
+            step, conclusion = None, itemgetter(0, 1, *(slot[t] for t in cterms))
             for index, key, binds, before in reversed(steps):
                 step, conclusion = _Step(index, key, binds, before, step, conclusion), None
-            top = terms.index("Top") + 1 if "Top" in terms else 0
-            pad = (None,) * (width - 1 - len(terms))
-            plans[shape].append(_Plan(RULE_NAMES.index(name), top, pad, step))
+            top = terms.index("Top") + 2 if "Top" in terms else 1
+            pad = (None,) * (width - 2 - len(terms))
+            plans[shape].append(_Plan(RULE_NAMES.index(name), cshape, top, pad, step))
     indexed: dict[str, list[tuple[int, Callable]]] = defaultdict(list)
     for (shape, positions), index in indexes.items():
         indexed[shape].append((index, itemgetter(*positions)))
@@ -362,17 +383,17 @@ class _Saturator:
         self.track = track
         self.stats = SaturationStats()
         self.table = _VarTable(ann.annotation for ann in ontology.axioms)
-        self.derivations: dict[tuple[Axiom, int], Counter] = {}
-        self.queue: deque[tuple[Axiom, int]] = deque()
+        self.derivations: dict[tuple[tuple, int], Counter] = {}
+        self.queue: deque[tuple[tuple, int]] = deque()
         self.deadline = (
             time.monotonic() + self.limits.max_seconds if self.limits.max_seconds else None
         )
         self._ticks = 0
-        # per taken axiom: its shape, its fields and its taken monomials
-        self.taken: dict[Axiom, tuple[str, tuple, list[int]]] = {}
-        # index key -> [(fields, taken monomials)] of the taken axioms
+        # per taken fact: its taken monomials
+        self.taken: dict[tuple, list[int]] = {}
+        # index key -> [(fact, taken monomials)] of the taken facts
         self.index: list[dict] = [{} for plans in _INDEXED.values() for _ in plans]
-        # the fact being joined: its axiom's taken monomials and its monomial
+        # the fact being joined: its taken monomials and its monomial
         self.delta: tuple[list[int], int] = ([], 0)
         self._seed(ontology)
 
@@ -382,14 +403,14 @@ class _Saturator:
             if time.monotonic() > self.deadline:
                 raise ResourceCapExceeded("saturation wall-clock budget exceeded", self.stats)
 
-    def _add(self, axiom: Axiom, mon: int, rule: str, seed: bool = False) -> None:
+    def _add(self, fact: tuple, mon: int, rule: str, seed: bool = False) -> None:
         self._tick()
         if not seed:
             self.stats.fired[rule] += 1
-        deltas = self.store.add(axiom, mon, seed)
-        if self.track and (seed or self.store.contains(axiom, mon)):
-            self.derivations.setdefault((axiom, mon), Counter())[rule] += 1
-        if not deltas:
+        if self.track:
+            self.derivations.setdefault((fact, mon), Counter())[rule] += 1
+        stored = self.store.add(fact, mon)
+        if stored is None:
             return
         if self.store.size > self.limits.max_axioms:
             raise ResourceCapExceeded(
@@ -397,45 +418,52 @@ class _Saturator:
                 self.stats,
             )
         self.stats.added[rule] += 1
-        self.queue.extend(deltas)
+        self.queue.append((fact, stored))
 
     def _seed(self, ontology: AnnotatedOntology) -> None:
         for ann in ontology.axioms:
-            _fields(ann.axiom)  # raises if not normal form
-            self._add(ann.axiom, self.table.mask(ann.annotation), "input", seed=True)
+            fact = _fact(ann.axiom)
+            if fact is None:
+                raise ValueError(f"axiom is not in normal form: {render_axiom(ann.axiom)}")
+            self._add(fact, self.table.mask(ann.annotation), "input", seed=True)
         if 0 not in self.disabled:
             for name in ontology.concept_names:
-                self._add(GCI(Atomic(name), Atomic(name)), 0, "reflexivity", seed=True)
+                self._add(("sub", None, name, name), 0, "reflexivity", seed=True)
             for role in ontology.role_names:
-                self._add(RI(role, role), 0, "reflexivity", seed=True)
+                self._add(("ri", None, role, role), 0, "reflexivity", seed=True)
             if ontology.top_occurs or ontology.individuals:
-                self._add(GCI(TOP, TOP), 0, "reflexivity", seed=True)
+                self._add(("sub", None, None, None), 0, "reflexivity", seed=True)
         if 11 not in self.disabled:
             for ind in ontology.individuals:
-                self._add(CA(TOP, ind), 0, "top-instance", seed=True)
+                self._add(("ca", None, None, ind), 0, "top-instance", seed=True)
 
     def run(self) -> SaturationStats:
-        queue, index, taken, join = self.queue, self.index, self.taken, self._join
+        queue, index, taken, join, tick = self.queue, self.index, self.taken, self._join, self._tick
         take = self.store.taken
+        # a merge that grew again since it was queued is covered by the newer one, still queued
+        current = self.store.by_fact if isinstance(self.store, _MergeStore) else None
         while queue:
-            axiom, mon = queue.popleft()
-            entry = taken.get(axiom)
-            if entry is None:
-                # an axiom enters the indexes when it is first taken
-                shape, fields = _fields(axiom)
-                entry = taken[axiom] = shape, fields, []
-                for i, key in _INDEXED[shape]:
-                    index[i].setdefault(key(fields), []).append((fields, entry[2]))
-            shape, fields, mons = entry
+            fact, mon = queue.popleft()
+            tick()  # also when every join of this fact is cut
+            if current is not None and current[fact] != mon:
+                continue
+            mons = taken.get(fact)
+            if mons is None:
+                # a fact enters the indexes when it is first taken
+                mons = taken[fact] = []
+                for i, key in _INDEXED[fact[0]]:
+                    index[i].setdefault(key(fact), []).append((fact, mons))
             take(mons, mon)
             self.delta = mons, mon
-            for rule, top, pad, first in self.plans[shape]:
-                if not isinstance(fields[top], Top):
+            for rule, shape, top, pad, first in self.plans[fact[0]]:
+                if fact[top] is not None:
                     continue
                 # the first step reads only the delta's fields
-                partners = index[first.index].get(first.key(fields))
+                partners = index[first.index].get(first.key(fact))
                 if partners:
-                    join(RULE_NAMES[rule], first, [*fields, *pad], mon, partners)
+                    slots = [*fact, *pad]
+                    slots[0] = shape
+                    join(RULE_NAMES[rule], first, slots, mon, partners)
         self.stats.facts = self.store.size
         if isinstance(self.store, _MergeStore):
             self.stats.merge_updates = self.store.growths
@@ -447,26 +475,31 @@ class _Saturator:
         ``partners`` are taken facts, and the indexes and taken monomials
         change only when a fact is taken, so the join reads a fixed view.
         At a premise before its own the delta is not its own partner, so a
-        rule instance fires once: when its last premise is taken.
+        rule instance fires once: when its last premise is taken. A
+        product only grows along the join, so a partner that takes it
+        beyond ``k`` variables is skipped at once.
         """
-        binds, nxt = step.binds, step.next
+        binds, nxt, k = step.binds, step.next, self.store.k
         own, own_mon = self.delta if step.before else (None, -1)
-        for fields, mons in partners:
+        for fact, mons in partners:
             for f, s in binds:
-                slots[s] = fields[f]
+                slots[s] = fact[f]
             skip = own_mon if mons is own else -1
             if nxt is None:
-                make, args = step.conclusion
-                conclusion = make(*args(slots))
+                conclusion = step.conclusion(slots)
                 for n in mons:
                     if n != skip:
-                        self._add(conclusion, mon | n, rule)
+                        n |= mon
+                        if k is None or n.bit_count() <= k:
+                            self._add(conclusion, n, rule)
                 continue
             later = self.index[nxt.index].get(nxt.key(slots))
             if later:
                 for n in mons:
                     if n != skip:
-                        self._join(rule, nxt, slots, mon | n, later)
+                        n |= mon
+                        if k is None or n.bit_count() <= k:
+                            self._join(rule, nxt, slots, n, later)
 
 
 # --- public saturation API --------------------------------------------------
@@ -478,31 +511,33 @@ class SaturatedSet:
     def __init__(
         self, store: _SetStore, table: _VarTable, k: int | None, stats: SaturationStats, derivations
     ):
-        self._store = store
+        self._by_fact = store.by_fact
         self._table = table
         self.k = k
         self.stats = stats
         self._derivations = derivations
-        members = [
-            AnnotatedAxiom(axiom, table.monomial(mask))
-            for axiom, masks in store.by_axiom.items()
-            for mask in masks
-        ]
+
+    @cached_property
+    def axioms(self) -> tuple[AnnotatedAxiom, ...]:
+        members = []
+        for fact, masks in self._by_fact.items():
+            axiom = _axiom(fact)
+            members.extend(AnnotatedAxiom(axiom, self._table.monomial(mask)) for mask in masks)
         members.sort(key=lambda ann: (render_axiom(ann.axiom), ann.annotation))
-        self.axioms: tuple[AnnotatedAxiom, ...] = tuple(members)
+        return tuple(members)
 
     def __len__(self) -> int:
-        return len(self.axioms)
+        return self.stats.facts
 
     def __iter__(self):
         return iter(self.axioms)
 
     def contains(self, axiom: Axiom, mon: Monomial) -> bool:
-        mask = self._table.mask(mon)
-        return mask is not None and self._store.contains(axiom, mask)
+        # a mask of None (a variable outside the run) is in no entry
+        return self._table.mask(mon) in self._by_fact.get(_fact(axiom), ())
 
     def monomials(self, axiom: Axiom) -> tuple[Monomial, ...]:
-        return tuple(map(self._table.monomial, self._store.monomials(axiom)))
+        return tuple(map(self._table.monomial, self._by_fact.get(_fact(axiom), ())))
 
     def assertions(self) -> tuple[AnnotatedAxiom, ...]:
         return tuple(ann for ann in self.axioms if isinstance(ann.axiom, (CA, RA)))
@@ -515,7 +550,7 @@ class SaturatedSet:
         for ann in self.axioms:
             row = {"axiom": render_axiom(ann.axiom), "annotation": str(ann.annotation)}
             if self._derivations is not None:
-                key = (ann.axiom, self._table.mask(ann.annotation))
+                key = (_fact(ann.axiom), self._table.mask(ann.annotation))
                 counts = self._derivations.get(key, {})
                 row["derivations"] = {rule: counts[rule] for rule in sorted(counts)}
             rows.append(row)

@@ -14,10 +14,10 @@ and the probe's reserved helper variables are stripped from the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
-from .completion import Limits, _MergeStore, _Saturator, probe
-from .ontology import AnnotatedAxiom, AnnotatedOntology, Axiom, normalize
+from .completion import Limits, _axiom, _fact, _MergeStore, _Saturator, _VarTable, probe
+from .ontology import AnnotatedOntology, Axiom, normalize
 from .provenance import Monomial
 
 __all__ = [
@@ -27,18 +27,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class MergedSet:
     """Saturated axiom -> merged monomial mapping, plus update statistics."""
 
-    entries: dict[Axiom, Monomial]
-    merge_updates: int
+    def __init__(self, merged: dict[tuple, int], table: _VarTable, merge_updates: int):
+        self._merged = merged
+        self._table = table
+        self.merge_updates = merge_updates
+
+    @cached_property
+    def entries(self) -> dict[Axiom, Monomial]:
+        return {_axiom(fact): self._table.monomial(mask) for fact, mask in self._merged.items()}
 
     def monomial(self, axiom: Axiom) -> Monomial | None:
-        return self.entries.get(axiom)
+        mask = self._merged.get(_fact(axiom))
+        return None if mask is None else self._table.monomial(mask)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._merged)
 
 
 def merged_saturate(
@@ -49,20 +55,13 @@ def merged_saturate(
 ) -> MergedSet:
     """Saturate a normal-form ontology under the merge-update policy.
 
-    Initialization already merges multiple annotations of one axiom into
-    a single monomial; every rule application then either inserts a new
-    axiom or grows an existing axiom's monomial.
+    Every seed and every rule application either inserts a new axiom or
+    grows an existing axiom's monomial, so several annotations of one
+    input axiom merge like any two derivations.
     """
-    merged: dict[Axiom, Monomial] = {}
-    for ann in ontology.axioms:
-        current = merged.get(ann.axiom)
-        merged[ann.axiom] = ann.annotation if current is None else current * ann.annotation
-    seeds = AnnotatedOntology([AnnotatedAxiom(ax, mon) for ax, mon in merged.items()])
     store = _MergeStore()
-    sat = _Saturator(seeds, store, disabled_rules, limits, track=False)
-    stats = sat.run()
-    entries = {ax: sat.table.monomial(mask) for ax, mask in store.by_axiom.items()}
-    return MergedSet(entries=entries, merge_updates=stats.merge_updates)
+    sat = _Saturator(ontology, store, disabled_rules, limits, track=False)
+    return MergedSet(store.by_fact, sat.table, sat.run().merge_updates)
 
 
 def relevant_monomial(

@@ -3,8 +3,8 @@
 Deliberately brute force and structured independently of the engine's
 semi-naive joins: enumerates premise combinations over the final set.
 ``missing_conclusions`` reports any in-bound conclusion that the set
-lacks; ``instance_counts`` counts the rule instances, which the engine
-fires exactly once each.
+lacks; ``instance_counts`` counts the rule instances whose product is
+within the set's k, which the engine fires exactly once each.
 """
 
 from __future__ import annotations
@@ -153,10 +153,12 @@ def rule_instances(sat: SaturatedSet):
 
 
 def instance_counts(sat: SaturatedSet) -> tuple[Counter, dict]:
-    """Rule instances per rule, and per conclusion ``(axiom, monomial)`` per rule."""
+    """Rule instances within the set's k, per rule and per conclusion ``(axiom, monomial)``."""
     per_rule: Counter = Counter()
     per_conclusion: dict = {}
     for rule, axiom, mon in rule_instances(sat):
+        if sat.k is not None and mon.degree > sat.k:
+            continue
         per_rule[rule] += 1
         per_conclusion.setdefault((axiom, mon), Counter())[rule] += 1
     return per_rule, per_conclusion

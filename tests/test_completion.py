@@ -32,6 +32,7 @@ from elprov.ontology import (
     render_axiom,
 )
 from elprov.provenance import ONE, Monomial, Variable, parse_monomial
+from elprov.relevance import merged_saturate
 
 from closure import instance_counts, missing_conclusions
 from crosscheck import entails_ca_via_gci, entails_ra_via_ri, reduce_ca_to_gci, reduce_ra_to_ri
@@ -183,19 +184,29 @@ def counts_json(sat):
     return obj
 
 
+def assert_counts_are_instances(sat):
+    per_rule, per_conclusion = instance_counts(sat)
+    assert sat.stats.fired == per_rule
+    by_key = {(render_axiom(ax), str(mon)): c for (ax, mon), c in per_conclusion.items()}
+    for row in sat.dump_json_obj()["axioms"]:
+        found = {r: n for r, n in row["derivations"].items() if r in JOINING_RULES}
+        assert found == by_key.get((row["axiom"], row["annotation"]), {}), row
+
+
 class TestRuleCounts:
-    """Every rule instance over the saturated set fires exactly once."""
+    """Every rule instance over the saturated set within k fires exactly once."""
 
     @pytest.mark.parametrize("k", [1, 2, None])
     def test_fired_and_derivations_count_rule_instances(self, k):
         for o in counted_ontologies():
-            sat = saturate(o, k=k, track_derivations=True)
-            per_rule, per_conclusion = instance_counts(sat)
-            assert sat.stats.fired == per_rule
-            by_key = {(render_axiom(ax), str(mon)): c for (ax, mon), c in per_conclusion.items()}
-            for row in sat.dump_json_obj()["axioms"]:
-                found = {r: n for r, n in row["derivations"].items() if r in JOINING_RULES}
-                assert found == by_key.get((row["axiom"], row["annotation"]), {}), row
+            assert_counts_are_instances(saturate(o, k=k, track_derivations=True))
+
+    def test_instances_beyond_k_derive_no_input(self):
+        # both routes to A(a) @ v need a variable, which k = 0 does not admit
+        o = parse_ontology("ca B(a) @ 1\ngci B <= A @ v\nca A(a) @ v")
+        obj = saturate(o, k=0, track_derivations=True).dump_json_obj()
+        rows = {row["axiom"]: row for row in obj["axioms"]}
+        assert rows["ca A(a)"]["derivations"] == {"input": 1}
 
     def test_counts_do_not_depend_on_axiom_order(self):
         # ``added`` names the rule that inserted a fact first, so it does
@@ -209,6 +220,41 @@ class TestRuleCounts:
             for k in (1, 2, None):
                 expected = counts_json(saturate(o, k=k, track_derivations=True))
                 assert counts_json(saturate(shuffled, k=k, track_derivations=True)) == expected
+
+
+class TestLargerOntologies:
+    def test_oracles_on_20_to_40_axioms(self):
+        # the re-scan, the instance counts and the merged store's union
+        # equivalence, beyond the 6-axiom generators
+        rng = random.Random(23)
+        for _ in range(40):
+            o = random_normalized_ontology(rng, 40, min_axioms=20, n_vars=8, n_names=24)
+            for k in (1, 2, None):
+                sat = saturate(o, k=k, track_derivations=True)
+                assert missing_conclusions(sat) == []
+                assert_counts_are_instances(sat)
+            # sat is the full saturation
+            merged = merged_saturate(o).entries
+            assert set(merged) == {ann.axiom for ann in sat.axioms}
+            for axiom, mon in merged.items():
+                union = {v for m in sat.monomials(axiom) for v in m.vars}
+                assert set(mon.vars) == union, axiom
+
+
+class TestTimeBudget:
+    """The budget is checked per taken fact too, so joins cut by k still see it."""
+
+    # 121 seeds, and at k = 0 only the 61 reflexive concept chains fire
+    CHAIN = "\n".join(f"gci A{i} <= A{i + 1} @ v{i}" for i in range(60))
+
+    @pytest.mark.parametrize("k", [0, None])
+    def test_saturate(self, k):
+        with pytest.raises(ResourceCapExceeded, match="saturation wall-clock budget exceeded"):
+            saturate(parse_ontology(self.CHAIN), k=k, limits=Limits(max_seconds=1e-9))
+
+    def test_merged_saturate(self):
+        with pytest.raises(ResourceCapExceeded, match="saturation wall-clock budget exceeded"):
+            merged_saturate(parse_ontology(self.CHAIN), limits=Limits(max_seconds=1e-9))
 
 
 class TestMonomialBoundary:
@@ -234,6 +280,20 @@ class TestMonomialBoundary:
         assert not sat.contains(CA(Atomic("A"), "a"), mono("w"))
         assert not sat.contains(CA(Atomic("B"), "a"), mono("u*v*w"))
         assert not sat.contains(CA(TOP, "a"), mono("w"))
+
+    def test_axiom_outside_normal_form_is_not_contained(self):
+        sat = saturate(parse_ontology("ca A(a) @ v\nca B(a) @ u\ngci and(A, B) <= C @ w"))
+        a, b, c = Atomic("A"), Atomic("B"), Atomic("C")
+        for axiom in (
+            CA(Conj(a, b), "a"),
+            CA(ExistsQ("R", a), "a"),
+            GCI(Conj(a, Conj(b, c)), Atomic("D")),
+            GCI(a, Conj(b, c)),
+            GCI(Exists("R"), a),
+        ):
+            assert not sat.contains(axiom, ONE)
+            assert not sat.contains(axiom, mono("u*v"))
+            assert sat.monomials(axiom) == ()
 
     def test_monomials_keep_name_order_past_one_word(self):
         names = [f"v{i}" for i in range(70)]

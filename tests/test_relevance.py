@@ -11,6 +11,8 @@ from elprov.ontology import (
     RR,
     AnnotatedAxiom,
     Atomic,
+    Conj,
+    Exists,
     ExistsQ,
     normalize,
     parse_ontology,
@@ -47,6 +49,14 @@ class TestMergedSaturate:
         merged = merged_saturate(parse_ontology("ca A(a) @ v"))
         assert merged.monomial(CA(Atomic("A"), "a")) == parse_monomial("v")
         assert merged.monomial(GCI(Atomic("A"), Atomic("A"))) == Monomial()
+
+    def test_lookup_agrees_with_entries(self):
+        merged = merged_saturate(parse_ontology("ca A(a) @ v\nca B(a) @ u\ngci and(A, B) <= C @ w"))
+        assert len(merged) == len(merged.entries)
+        for axiom, mon in merged.entries.items():
+            assert merged.monomial(axiom) == mon
+        for axiom in (CA(Conj(Atomic("A"), Atomic("B")), "a"), GCI(Atomic("A"), Exists("R"))):
+            assert merged.monomial(axiom) is None
 
     def test_blowup_every_entry_collapses(self):
         merged = merged_saturate(normalize(blowup_ontology(2)))
