@@ -591,20 +591,20 @@ def saturate(
 # --- entailment ------------------------------------------------------------
 
 
-def _assertion_signature_gap(ontology: AnnotatedOntology, assertion: Axiom) -> list[str]:
-    gaps = []
+def _assertion_signature_gap(ontology: AnnotatedOntology, assertion: Axiom) -> set[str]:
+    gaps = set()
     concepts = set(ontology.concept_names)
     roles = set(ontology.role_names)
     inds = set(ontology.individuals)
     if isinstance(assertion, CA):
         if isinstance(assertion.concept, Atomic) and assertion.concept.name not in concepts:
-            gaps.append(assertion.concept.name)
+            gaps.add(assertion.concept.name)
         if assertion.ind not in inds:
-            gaps.append(assertion.ind)
+            gaps.add(assertion.ind)
     elif isinstance(assertion, RA):
         if assertion.role not in roles:
-            gaps.append(assertion.role)
-        gaps.extend(i for i in (assertion.a, assertion.b) if i not in inds)
+            gaps.add(assertion.role)
+        gaps.update(i for i in (assertion.a, assertion.b) if i not in inds)
     else:
         raise TypeError(f"not an assertion: {assertion!r}")
     return gaps
@@ -722,9 +722,11 @@ def entails(
 
     ``target`` is any axiom or a ``(concept, ind)`` instance query; the
     probe reduces it to one assertion, decided with the queried monomial
-    times the probe's markers.
+    times the probe's markers. A monomial that mentions a variable foreign
+    to the ontology is never entailed; without that check a queried probe
+    marker would be absorbed by the markers' product.
     """
     extended, assertion, markers, _ = probe(ontology, target)
     return entails_assertion(
         extended, assertion, mon * markers, limits, disabled_rules=disabled_rules
-    )
+    ) and set(mon.vars) <= set(ontology.variables)

@@ -21,6 +21,15 @@ File grammar (UTF-8, line oriented, ``#`` comments):
 
 Names beginning with ``__`` are reserved for internally generated
 symbols and rejected in user input.
+
+The front end does each job once: one iterative walk over a concept
+(``_walk``) yields its concept and role names, whether Top occurs and
+whether it is in the left-hand side grammar, for the parser, for
+validation and for ``translate_general_gci``; an ontology hashes each
+axiom once, into the dict that deduplicates it and answers membership
+and equality; ``normalize`` passes a GCI through when ``_is_normal_gci``
+holds; and one helper checks an axiom's keyword and parses its body for
+``parse_ontology`` and ``parse_axiom``.
 """
 
 from __future__ import annotations
@@ -150,18 +159,33 @@ def is_atomic_or_top(c: Concept) -> bool:
     return isinstance(c, (Atomic, Top))
 
 
-def _check_lhs_grammar(c: Concept) -> bool:
-    if isinstance(c, (Atomic, Top)):
-        return True
-    if isinstance(c, Conj):
-        return _check_lhs_grammar(c.left) and _check_lhs_grammar(c.right)
-    if isinstance(c, ExistsQ):
-        return _check_lhs_grammar(c.filler)
-    return False
+def _walk(c: Concept) -> tuple[list[str], list[str], bool, bool]:
+    """One iterative pre-order walk over a concept.
 
-
-def _check_rhs_grammar(c: Concept) -> bool:
-    return isinstance(c, (Atomic, Exists))
+    Returns its concept names and its role names, each in pre-order,
+    whether Top occurs in it, and whether it is in the left-hand side
+    grammar (``Exists``, ``Ran`` or a non-concept anywhere is outside).
+    """
+    concepts: list[str] = []
+    roles: list[str] = []
+    top, lhs = False, True
+    stack = [c]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, Atomic):
+            concepts.append(c.name)
+        elif isinstance(c, Conj):
+            stack += (c.right, c.left)
+        elif isinstance(c, ExistsQ):
+            roles.append(c.role)
+            stack.append(c.filler)
+        elif isinstance(c, Top):
+            top = True
+        else:
+            lhs = False
+            if isinstance(c, (Exists, Ran)):
+                roles.append(c.role)
+    return concepts, roles, top, lhs
 
 
 # --- axioms ---------------------------------------------------------------
@@ -229,37 +253,6 @@ def render_annotated(ann: AnnotatedAxiom) -> str:
     return f"{render_axiom(ann.axiom)} @ {ann.annotation}"
 
 
-def _concept_names(c: Concept) -> Iterator[str]:
-    if isinstance(c, Atomic):
-        yield c.name
-    elif isinstance(c, Conj):
-        yield from _concept_names(c.left)
-        yield from _concept_names(c.right)
-    elif isinstance(c, ExistsQ):
-        yield from _concept_names(c.filler)
-
-
-def _role_names(c: Concept) -> Iterator[str]:
-    if isinstance(c, (Exists, Ran)):
-        yield c.role
-    elif isinstance(c, ExistsQ):
-        yield c.role
-        yield from _role_names(c.filler)
-    elif isinstance(c, Conj):
-        yield from _role_names(c.left)
-        yield from _role_names(c.right)
-
-
-def _mentions_top(c: Concept) -> bool:
-    if isinstance(c, Top):
-        return True
-    if isinstance(c, Conj):
-        return _mentions_top(c.left) or _mentions_top(c.right)
-    if isinstance(c, ExistsQ):
-        return _mentions_top(c.filler)
-    return False
-
-
 @dataclass(frozen=True)
 class Signature:
     concepts: tuple[str, ...]
@@ -276,23 +269,21 @@ class AnnotatedOntology:
     namespaces.
     """
 
-    __slots__ = ("axioms", "_sig", "_top_occurs", "_axiom_set")
+    __slots__ = ("axioms", "_sig", "_top_occurs", "_index")
 
     def __init__(self, axioms: Iterable[AnnotatedAxiom]):
-        seen: dict[AnnotatedAxiom, None] = {}
+        # the dedup dict also answers membership and equality, so each
+        # axiom is hashed once per construction
+        self._index: dict[AnnotatedAxiom, None] = {}
         for ann in axioms:
             if not isinstance(ann, AnnotatedAxiom):
                 raise TypeError(f"expected AnnotatedAxiom, got {ann!r}")
-            seen.setdefault(ann, None)
-        self.axioms: tuple[AnnotatedAxiom, ...] = tuple(seen)
-        self._axiom_set = frozenset(self.axioms)
+            self._index.setdefault(ann, None)
+        self.axioms: tuple[AnnotatedAxiom, ...] = tuple(self._index)
         self._sig, self._top_occurs = self._validate()
 
     def _validate(self) -> tuple[Signature, bool]:
         kinds: dict[str, str] = {}
-        concepts: set[str] = set()
-        roles: set[str] = set()
-        inds: set[str] = set()
         variables: set[Variable] = set()
         top = False
 
@@ -300,23 +291,23 @@ class AnnotatedOntology:
             prev = kinds.setdefault(name, kind)
             if prev != kind:
                 raise NamespaceError(f"name {name!r} used both as {prev} and as {kind}")
-            {"concept": concepts, "role": roles, "individual": inds}[kind].add(name)
 
         for ann in self.axioms:
             ax = ann.axiom
             if isinstance(ax, GCI):
-                if not _check_lhs_grammar(ax.lhs):
+                lhs = _walk(ax.lhs)
+                if not lhs[3]:
                     raise ValueError(f"GCI left-hand side violates the concept grammar: {ax.lhs}")
-                if not _check_rhs_grammar(ax.rhs):
+                if not isinstance(ax.rhs, (Atomic, Exists)):
                     raise ValueError(
                         f"GCI right-hand side must be atomic or some(R): {ax.rhs}"
                     )
-                for side in (ax.lhs, ax.rhs):
-                    for n in _concept_names(side):
+                for concepts, roles, side_top, _ in (lhs, _walk(ax.rhs)):
+                    for n in concepts:
                         claim(n, "concept")
-                    for n in _role_names(side):
+                    for n in roles:
                         claim(n, "role")
-                    top = top or _mentions_top(side)
+                    top = top or side_top
             elif isinstance(ax, RI):
                 claim(ax.sub, "role")
                 claim(ax.sup, "role")
@@ -344,10 +335,13 @@ class AnnotatedOntology:
                 raise NamespaceError(
                     f"name {v.name!r} used both as {kinds[v.name]} and as provenance variable"
                 )
+        names: dict[str, list[str]] = {"concept": [], "role": [], "individual": []}
+        for name, kind in kinds.items():
+            names[kind].append(name)
         sig = Signature(
-            concepts=tuple(sorted(concepts)),
-            roles=tuple(sorted(roles)),
-            individuals=tuple(sorted(inds)),
+            concepts=tuple(sorted(names["concept"])),
+            roles=tuple(sorted(names["role"])),
+            individuals=tuple(sorted(names["individual"])),
             variables=tuple(sorted(variables)),
         )
         return sig, top
@@ -386,13 +380,13 @@ class AnnotatedOntology:
         return len(self.axioms)
 
     def __contains__(self, ann: AnnotatedAxiom) -> bool:
-        return ann in self._axiom_set
+        return ann in self._index
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, AnnotatedOntology) and self._axiom_set == other._axiom_set
+        return isinstance(other, AnnotatedOntology) and self._index.keys() == other._index.keys()
 
     def __hash__(self) -> int:
-        return hash(self._axiom_set)
+        return hash(frozenset(self._index))
 
     def extended(self, extra: Iterable[AnnotatedAxiom]) -> "AnnotatedOntology":
         return AnnotatedOntology(list(self.axioms) + list(extra))
@@ -470,16 +464,19 @@ class FreshNames:
 # --- normalization --------------------------------------------------------
 
 
-def normalize(ontology: AnnotatedOntology, fresh: FreshNames | None = None) -> AnnotatedOntology:
+def normalize(ontology: AnnotatedOntology) -> AnnotatedOntology:
     """Rewrite all GCIs into normal form.
 
-    The three rewrite steps replace a non-atomic conjunct, a non-atomic
-    existential filler, or a non-atomic lhs of an unqualified existential
-    by a fresh concept name defined with annotation 1. Fresh names are
-    memoized per concept structure so repeated subconcepts share one
-    definition, and already-normal ontologies pass through unchanged.
+    An axiom passes through when it is not a GCI or ``_is_normal_gci``
+    holds. Otherwise one of four rewrites replaces part of its left-hand
+    side by a fresh concept name defined with annotation 1: a non-atomic
+    right conjunct, else a non-atomic left conjunct, else a non-atomic
+    existential filler, else (the right-hand side is ``some(R)``) the
+    whole left-hand side. Fresh names are memoized per concept structure
+    so repeated subconcepts share one definition; an already-normal
+    ontology passes through unchanged.
     """
-    fresh = fresh or FreshNames(ontology.all_names())
+    fresh = FreshNames(ontology.all_names())
     memo: dict[Concept, Atomic] = {}
     out: list[AnnotatedAxiom] = []
     work: deque[AnnotatedAxiom] = deque(ontology.axioms)
@@ -495,33 +492,19 @@ def normalize(ontology: AnnotatedOntology, fresh: FreshNames | None = None) -> A
     while work:
         ann = work.popleft()
         ax = ann.axiom
-        if not isinstance(ax, GCI):
+        if not isinstance(ax, GCI) or _is_normal_gci(ax):
             out.append(ann)
             continue
-        lhs, rhs = ax.lhs, ax.rhs
-        if is_atomic_or_top(lhs):
-            out.append(ann)
-        elif isinstance(lhs, Conj):
-            if not is_atomic_or_top(lhs.right):
-                replaced = Conj(lhs.left, name_for(lhs.right))
-                work.append(AnnotatedAxiom(GCI(replaced, rhs), ann.annotation))
-            elif not is_atomic_or_top(lhs.left):
-                replaced = Conj(name_for(lhs.left), lhs.right)
-                work.append(AnnotatedAxiom(GCI(replaced, rhs), ann.annotation))
-            elif isinstance(rhs, Exists):
-                work.append(AnnotatedAxiom(GCI(name_for(lhs), rhs), ann.annotation))
-            else:
-                out.append(ann)
-        elif isinstance(lhs, ExistsQ):
-            if not is_atomic_or_top(lhs.filler):
-                replaced = ExistsQ(lhs.role, name_for(lhs.filler))
-                work.append(AnnotatedAxiom(GCI(replaced, rhs), ann.annotation))
-            elif isinstance(rhs, Exists):
-                work.append(AnnotatedAxiom(GCI(name_for(lhs), rhs), ann.annotation))
-            else:
-                out.append(ann)
+        lhs = ax.lhs
+        if isinstance(lhs, Conj) and not is_atomic_or_top(lhs.right):
+            lhs = Conj(lhs.left, name_for(lhs.right))
+        elif isinstance(lhs, Conj) and not is_atomic_or_top(lhs.left):
+            lhs = Conj(name_for(lhs.left), lhs.right)
+        elif isinstance(lhs, ExistsQ) and not is_atomic_or_top(lhs.filler):
+            lhs = ExistsQ(lhs.role, name_for(lhs.filler))
         else:
-            raise ValueError(f"cannot normalize GCI with left-hand side {lhs}")
+            lhs = name_for(lhs)
+        work.append(AnnotatedAxiom(GCI(lhs, ax.rhs), ann.annotation))
     return AnnotatedOntology(out)
 
 
@@ -556,7 +539,7 @@ def translate_general_gci(
     dropped where it is extensionally redundant and rejected otherwise,
     since an annotated inclusion into Top constrains annotations to 1.
     """
-    if not _check_lhs_grammar(lhs):
+    if not _walk(lhs)[3]:
         raise ValueError(f"left-hand side violates the concept grammar: {lhs}")
     out: list[AnnotatedAxiom] = []
     seen: set[AnnotatedAxiom] = set()
@@ -599,10 +582,11 @@ _LINE_TOKEN = re.compile(r"[ \t]*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<one>1)|
 
 _CONCEPT_KEYWORDS = {"Top", "and", "some", "ran"}
 
-# Deepest and/some nesting the parser accepts. The walks over concepts
-# (grammar checks, name collection, hashing, printing, probes) recurse
-# once per level, so a bound well under the interpreter's recursion
-# limit keeps them all safe, in-process callers' frames included.
+# Deepest and/some nesting the parser accepts. Grammar checks and name
+# collection are one iterative walk, but hashing, printing, normalizing
+# and the probes still recurse once per level, so a bound well under the
+# interpreter's recursion limit keeps them all safe, in-process callers'
+# frames included.
 MAX_CONCEPT_DEPTH = 200
 
 
@@ -714,14 +698,21 @@ class _LineParser:
             raise self.error("trailing input after axiom")
 
 
-def _parse_axiom_body(p: _LineParser, keyword: str) -> Axiom:
+def _parse_axiom(p: _LineParser) -> Axiom:
+    """Check the axiom keyword and parse the axiom it starts."""
+    tok = p.peek()
+    if tok is None or tok[0] != "name" or tok[1] not in ("gci", "ri", "rr", "ca", "ra"):
+        got = tok[1] if tok else "end of input"
+        raise p.error(f"expected one of gci/ri/rr/ca/ra, got {got!r}")
+    p.i += 1
+    keyword = tok[1]
     if keyword == "gci":
         lhs = p.concept()
         p.take("le")
         rhs = p.concept()
-        if not _check_lhs_grammar(lhs):
+        if not _walk(lhs)[3]:
             raise p.error(f"left-hand side violates the concept grammar: {lhs}")
-        if not _check_rhs_grammar(rhs):
+        if not isinstance(rhs, (Atomic, Exists)):
             raise p.error(f"right-hand side must be a concept name or some(R): {rhs}")
         return GCI(lhs, rhs)
     if keyword == "ri":
@@ -748,15 +739,13 @@ def _parse_axiom_body(p: _LineParser, keyword: str) -> Axiom:
         ind = p.name("an individual name", allow_keywords=False)
         p.take("punct", ")")
         return CA(concept, ind)
-    if keyword == "ra":
-        role = p.name("a role name", allow_keywords=False)
-        p.take("punct", "(")
-        a = p.name("an individual name", allow_keywords=False)
-        p.take("punct", ",")
-        b = p.name("an individual name", allow_keywords=False)
-        p.take("punct", ")")
-        return RA(role, a, b)
-    raise p.error(f"unknown axiom keyword {keyword!r}")
+    role = p.name("a role name", allow_keywords=False)
+    p.take("punct", "(")
+    a = p.name("an individual name", allow_keywords=False)
+    p.take("punct", ",")
+    b = p.name("an individual name", allow_keywords=False)
+    p.take("punct", ")")
+    return RA(role, a, b)
 
 
 def parse_ontology(text: str) -> AnnotatedOntology:
@@ -767,31 +756,17 @@ def parse_ontology(text: str) -> AnnotatedOntology:
         if not line.strip():
             continue
         p = _LineParser(line, lineno)
-        tok = p.peek()
-        if tok is None or tok[0] != "name" or tok[1] not in ("gci", "ri", "rr", "ca", "ra"):
-            got = tok[1] if tok else "end of line"
-            raise p.error(f"expected one of gci/ri/rr/ca/ra, got {got!r}")
-        p.i += 1
-        axiom = _parse_axiom_body(p, tok[1])
-        annotation = p.annotation()
-        axioms.append(AnnotatedAxiom(axiom, annotation))
+        axioms.append(AnnotatedAxiom(_parse_axiom(p), p.annotation()))
     try:
         return AnnotatedOntology(axioms)
-    except (NamespaceError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
+    except NamespaceError as exc:
         raise ParseError(str(exc), 0, 0) from exc
 
 
 def parse_axiom(text: str) -> Axiom:
     """Parse a single un-annotated axiom, e.g. for CLI --axiom arguments."""
     p = _LineParser(text.strip(), 1)
-    tok = p.peek()
-    if tok is None or tok[0] != "name" or tok[1] not in ("gci", "ri", "rr", "ca", "ra"):
-        got = tok[1] if tok else "end of input"
-        raise p.error(f"expected one of gci/ri/rr/ca/ra, got {got!r}")
-    p.i += 1
-    axiom = _parse_axiom_body(p, tok[1])
+    axiom = _parse_axiom(p)
     p.finish_without_annotation()
     return axiom
 

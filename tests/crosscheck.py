@@ -13,13 +13,17 @@ query matches by scanning each atom's whole extension for every partial
 binding and checking forks on complete matches only, so the library's
 indexed join can be compared with it. ``pairwise_rewriting`` computes a
 query's rewriting conditions by comparing every pair of role atoms until
-nothing changes, so the library's worklist can be compared with it. They
-serve the tests only.
+nothing changes, so the library's worklist can be compared with it.
+``check_lhs_grammar``, ``concept_names``, ``role_names`` and
+``mentions_top`` are the four recursive walks over a concept that
+``ontology._walk`` replaced, so the one iterative walk can be compared
+with them. They serve the tests only.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Iterator
 
 from elprov.canonical import Fork, RewritingConditions
 from elprov.completion import Limits, ResourceCapExceeded, entails, saturate
@@ -48,10 +52,14 @@ from elprov.ontology import (
     AnnotatedAxiom,
     AnnotatedOntology,
     Atomic,
+    Concept,
+    Conj,
     Exists,
+    ExistsQ,
     FreshNames,
     Ran,
     TOP,
+    Top,
     normalize,
 )
 from elprov.provenance import ONE, Monomial, Variable
@@ -455,3 +463,44 @@ def pairwise_rewriting(query: BCQ) -> RewritingConditions:
     forks.sort(key=lambda f: term_key(f.representative))
 
     return RewritingConditions(classes, cyc, tuple(forks))
+
+
+def check_lhs_grammar(c: Concept) -> bool:
+    if isinstance(c, (Atomic, Top)):
+        return True
+    if isinstance(c, Conj):
+        return check_lhs_grammar(c.left) and check_lhs_grammar(c.right)
+    if isinstance(c, ExistsQ):
+        return check_lhs_grammar(c.filler)
+    return False
+
+
+def concept_names(c: Concept) -> Iterator[str]:
+    if isinstance(c, Atomic):
+        yield c.name
+    elif isinstance(c, Conj):
+        yield from concept_names(c.left)
+        yield from concept_names(c.right)
+    elif isinstance(c, ExistsQ):
+        yield from concept_names(c.filler)
+
+
+def role_names(c: Concept) -> Iterator[str]:
+    if isinstance(c, (Exists, Ran)):
+        yield c.role
+    elif isinstance(c, ExistsQ):
+        yield c.role
+        yield from role_names(c.filler)
+    elif isinstance(c, Conj):
+        yield from role_names(c.left)
+        yield from role_names(c.right)
+
+
+def mentions_top(c: Concept) -> bool:
+    if isinstance(c, Top):
+        return True
+    if isinstance(c, Conj):
+        return mentions_top(c.left) or mentions_top(c.right)
+    if isinstance(c, ExistsQ):
+        return mentions_top(c.filler)
+    return False

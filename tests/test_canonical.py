@@ -207,7 +207,7 @@ class TestUnfoldingAgainstTheFixpoint:
 
     def test_same_model(self, corpus):
         golden, randoms = corpus
-        assert len(golden) == 7
+        assert len(golden) == 8
         for o in golden + randoms:
             expected = model_or_cap(fixpoint_canonical_model, o)
             assert model_or_cap(build_canonical_model, o) == expected, o.render()

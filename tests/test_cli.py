@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from elprov.cli import main
+from elprov.completion import UnknownNameWarning
 from elprov.ontology import MAX_CONCEPT_DEPTH
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -136,6 +137,28 @@ class TestEntail:
         path.write_text("ri R <= S @ v1\nrr ran(S) <= A @ v2\n")
         assert main(["entail", "--kind", "ri", "-i", str(path), "--axiom", "ri R <= S", "--prov", "v1"]) == 0
         assert main(["entail", "--kind", "rr", "-i", str(path), "--axiom", "rr ran(R) <= A", "--prov", "v1*v2"]) == 0
+
+    @pytest.mark.parametrize(
+        "text, kind, axiom, prov",
+        [
+            ("rr ran(R) <= A @ 1\nra R(a, b) @ v\n", "rr", "rr ran(R) <= A", "__var0"),
+            ("gci A <= B @ v\n", "gci", "gci A <= B", "v*__q0_A___a0"),
+        ],
+    )
+    def test_probe_marker_is_not_entailed(self, tmp_path, capsys, text, kind, axiom, prov):
+        path = tmp_path / "probe.elp"
+        path.write_text(text)
+        argv = ["entail", "-i", str(path), "--kind", kind, "--axiom", axiom, "--prov", prov]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == "not entailed\n"
+
+    def test_unknown_names_are_warned_once_each(self, mayor_file):
+        argv = ["entail", "-i", mayor_file, "--kind", "assertion", "--axiom", "ra S(a, a)", "--prov", "1"]
+        with pytest.warns(UnknownNameWarning) as caught:
+            assert main(argv) == 1
+        assert [str(w.message) for w in caught] == [
+            "queried assertion mentions names unknown to the ontology: S, a"
+        ]
 
 
 class TestQuery:

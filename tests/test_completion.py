@@ -402,6 +402,21 @@ class TestEntailsRiRr:
         assert not entails(o, RR("R", "A"), ONE)
 
 
+class TestProbeMarkersAreForeign:
+    # the probe's marker variables are not the ontology's: naming one in
+    # the queried monomial must not let idempotency absorb it
+
+    def test_rr_marker(self):
+        o = parse_ontology("rr ran(R) <= A @ 1\nra R(a, b) @ v")
+        assert entails(o, RR("R", "A"), ONE)
+        assert not entails(o, RR("R", "A"), mono("__var0"))
+
+    def test_gci_marker(self):
+        o = parse_ontology("gci A <= B @ v")
+        assert entails(o, GCI(Atomic("A"), Atomic("B")), mono("v"))
+        assert not entails(o, GCI(Atomic("A"), Atomic("B")), mono("v*__q0_A___a0"))
+
+
 class TestEntailsIq:
     def test_qualified_existential_instance(self):
         o = parse_ontology(MAYOR)

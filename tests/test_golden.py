@@ -3,14 +3,16 @@
 ``tests/golden/*.elp`` are seeded ontologies: the paper's mayor example,
 a normal-form and a general ontology from ``generators.py``, a layered
 knowledge base with a planted component like the benchmark's,
+``nested.elp``, whose left-hand sides nest up to depth 4 with Top
+conjuncts and fillers, like the benchmark's ``ingest`` inputs,
 ``order.elp`` and ``joins.elp``, whose three- and five-premise rules have
 many instances that share premises (``joins.elp`` has 8,525 over 70
 facts), and ``loop.elp``, a self-loop whose canonical model unfolds into
 anonymous elements; ``tests/golden/*.cq`` are queries over them. Each
 case's expected stdout is ``tests/golden/<case>.out`` and its exit code
 is listed below; they pin saturation, relevance, entailment of every
-kind, query answering and the canonical model across changes to the
-internals. The ``saturate --json`` cases also pin the counts: ``fired``
+kind, query answering, normalization and the canonical model across
+changes to the internals. The ``saturate --json`` cases also pin the counts: ``fired``
 and ``derivations`` count rule instances over the saturated set (see
 ``tests/closure.py``), while ``added`` names the rule that inserted a
 fact first and so depends on the order of the joins.
@@ -135,6 +137,8 @@ CASES = {
     "model-general": ["model", "-i", "general.elp"],
     "model-order": ["model", "-i", "order.elp"],
     "model-loop": ["model", "-i", "loop.elp"],
+    "normalize-general": ["normalize", "-i", "general.elp", "--json"],
+    "normalize-nested": ["normalize", "-i", "nested.elp", "--json"],
 }
 
 # every case exits 0 unless listed here

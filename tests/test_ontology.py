@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,10 @@ from elprov.ontology import (
     FreshNames,
     NamespaceError,
     ParseError,
+    Ran,
     TOP,
+    Top,
+    _walk,
     normalize,
     parse_axiom,
     parse_ontology,
@@ -27,7 +31,10 @@ from elprov.ontology import (
 )
 from elprov.provenance import ONE, Monomial, Variable
 
+from crosscheck import check_lhs_grammar, concept_names, mentions_top, role_names
 from generators import random_general_ontology
+
+GOLDEN = Path(__file__).parent / "golden"
 
 MAYOR = """
 # city council example
@@ -114,6 +121,74 @@ class TestParser:
         assert parse_axiom("rr ran(R) <= A") == RR("R", "A")
         with pytest.raises(ParseError):
             parse_axiom("ca Mayor(brugnaro) @ v")
+
+
+class TestNamespaceErrors:
+    # per side, concept names are claimed before role names, the left-hand
+    # side first, so the clash is reported from the concept side first here
+    def test_concept_then_role_on_one_side(self):
+        with pytest.raises(ParseError) as exc:
+            parse_ontology("gci and(some(R, A), R) <= C @ v")
+        assert exc.value.message == "name 'R' used both as concept and as role"
+
+    def test_role_on_the_left_then_concept_on_the_right(self):
+        with pytest.raises(ParseError) as exc:
+            parse_ontology("gci some(R, A) <= R @ v")
+        assert exc.value.message == "name 'R' used both as role and as concept"
+
+    def test_library_construction_raises_the_same_text(self):
+        lhs = Conj(ExistsQ("R", Atomic("A")), Atomic("R"))
+        with pytest.raises(NamespaceError, match="^name 'R' used both as concept and as role$"):
+            AnnotatedOntology([ann(GCI(lhs, Atomic("C")), "v")])
+
+
+def random_concept(rng, depth):
+    """Any concept tree: Top, Exists, Ran and a non-concept leaf anywhere."""
+    if depth == 0 or rng.random() < 0.3:
+        pick = rng.randrange(5)
+        if pick == 0:
+            return TOP
+        if pick == 1:
+            return Atomic(rng.choice("ABC"))
+        if pick == 2:
+            return Exists(rng.choice("RS"))
+        if pick == 3:
+            return Ran(rng.choice("RS"))
+        return "A"  # not a Concept
+    if rng.random() < 0.5:
+        return Conj(random_concept(rng, depth - 1), random_concept(rng, depth - 1))
+    return ExistsQ(rng.choice("RS"), random_concept(rng, depth - 1))
+
+
+class TestWalkAgainstTheRecursiveWalks:
+    """``_walk`` against the four recursive walks it replaced."""
+
+    @staticmethod
+    def check(c):
+        expected = (list(concept_names(c)), list(role_names(c)), mentions_top(c), check_lhs_grammar(c))
+        assert _walk(c) == expected, c
+
+    def test_golden_concepts(self):
+        seen = 0
+        for path in sorted(GOLDEN.glob("*.elp")):
+            for a in parse_ontology(path.read_text(encoding="utf-8")):
+                if isinstance(a.axiom, GCI):
+                    self.check(a.axiom.lhs)
+                    self.check(a.axiom.rhs)
+                    seen += 2
+                elif isinstance(a.axiom, CA):
+                    self.check(a.axiom.concept)
+                    seen += 1
+        assert seen > 300
+
+    def test_generated_concepts(self):
+        rng = random.Random(10)
+        kinds = set()
+        for _ in range(2000):
+            c = random_concept(rng, rng.randrange(6))
+            kinds.add(type(c))
+            self.check(c)
+        assert kinds == {Top, Atomic, Exists, Ran, str, Conj, ExistsQ}
 
 
 class TestSignature:
