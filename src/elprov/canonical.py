@@ -7,10 +7,11 @@ individuals form the named part. An anonymous element is keyed by the
 role and monomial of the edge that creates it, and since ELHr has no
 inverse roles, what holds of it depends on that key alone: it is the
 type of the role's probe target, the marker replaced by the edge
-monomial. So each element is unfolded once, with no fixpoint. This is
-the canonical model of the combined approach (Lutz, Toman & Wolter,
-*Conjunctive Query Answering in the Description Logic EL Using a
-Relational Database System*, IJCAI 2009).
+monomial. So each element is unfolded once, with no fixpoint, on the
+saturation's own facts and monomial masks. This is the canonical model
+of the combined approach (Lutz, Toman & Wolter, *Conjunctive Query
+Answering in the Description Logic EL Using a Relational Database
+System*, IJCAI 2009).
 
 A query holds on the ontology exactly when its rewriting holds on the
 canonical model. The rewriting keeps the query atoms and adds side
@@ -41,10 +42,8 @@ from .interpretation import (
     term_key,
 )
 from .ontology import (
-    CA,
     GCI,
     RA,
-    RI,
     AnnotatedAxiom,
     AnnotatedOntology,
     Atomic,
@@ -52,7 +51,7 @@ from .ontology import (
     FreshNames,
     normalize,
 )
-from .provenance import ONE, Monomial, Polynomial, Variable
+from .provenance import Monomial, Polynomial, Variable
 
 __all__ = [
     "Fork",
@@ -179,7 +178,10 @@ def build_canonical_model(
     every role T with an entailed ``S <= T @ y``. A new element gets S's
     type: a marked ``(B, m')`` becomes ``(B, m*n*m')`` without the
     marker; an unmarked one holds of every element and stays as it is.
-    ``limits`` applies to the saturation as in ``saturate``; it also caps
+    The unfolding reads ``sat.facts`` and works on masks, so a product is
+    ``|`` and dropping the marker ``& ~bit``; a mask becomes a
+    ``Monomial`` once, through the run's ``table``, when it enters the
+    model. ``limits`` applies to the saturation as in ``saturate``; it also caps
     the model's tuples, and its time budget, counted from this call, is
     checked once per element. Either raises ``ResourceCapExceeded``.
     """
@@ -195,6 +197,8 @@ def build_canonical_model(
         probes.append(AnnotatedAxiom(RA(role, a, b), Monomial((w,))))
         markers[b] = (role, w)
     sat = saturate(base.extended(probes), limits=limits)
+    table = sat.table
+    monomial = table.monomial
 
     concept_ext: dict[str, set] = {}
     role_ext: dict[str, set] = {}
@@ -211,32 +215,32 @@ def build_canonical_model(
                     f"canonical model exceeded the cap of {limits.max_axioms} tuples"
                 )
 
-    # atomic memberships per element; the keys are the domain
+    # atomic memberships (name, mask) per element; the keys are the domain
     members: dict[DomainElement, list] = {Named(i): [] for i in base.individuals}
-    types: dict[str, list] = {role: [] for role in base.role_names}  # (name, mon, marked)
-    sups: dict[str, list] = {}  # role -> entailed (super-role, monomial), itself included
-    for ann in sat.axioms:
-        ax, m = ann.axiom, ann.annotation
-        if isinstance(ax, RI):
-            sups.setdefault(ax.sub, []).append((ax.sup, m))
-        elif isinstance(ax, RA):
-            if Named(ax.a) in members:  # a probe edge joins fresh individuals only
-                add(role_ext, ax.role, (Named(ax.a), Named(ax.b), m))
-        elif isinstance(ax, CA) and isinstance(ax.concept, Atomic):
-            name, x = ax.concept.name, Named(ax.ind)
-            if x in members:
-                members[x].append((name, m))
-                add(concept_ext, name, (x, m))
-            elif ax.ind in markers:
-                role, w = markers[ax.ind]
-                stripped = Monomial(tuple(v for v in m.vars if v != w))
-                types[role].append((name, stripped, stripped != m))
-    existentials: dict[str | None, list] = {}  # lhs name, None for Top -> (role, monomial)
+    types: dict[str, list] = {role: [] for role in base.role_names}  # (name, mask, marked)
+    sups: dict[str, list] = {}  # role -> entailed (super-role, mask), itself included
+    for fact, masks in sat.facts.items():
+        for m in masks:
+            if fact[0] == "ri":
+                sups.setdefault(fact[2], []).append((fact[3], m))
+            elif fact[0] == "ra":
+                if Named(fact[3]) in members:  # a probe edge joins fresh individuals only
+                    add(role_ext, fact[2], (Named(fact[3]), Named(fact[4]), monomial(m)))
+            elif fact[0] == "ca" and fact[2] is not None:
+                name, x = fact[2], Named(fact[3])
+                if x in members:
+                    members[x].append((name, m))
+                    add(concept_ext, name, (x, monomial(m)))
+                elif fact[3] in markers:
+                    role, w = markers[fact[3]]
+                    w = table.bits[w]
+                    types[role].append((name, m & ~w, m & w))
+    existentials: dict[str | None, list] = {}  # lhs name, None for Top -> (role, mask)
     for ann in base.axioms:
         ax = ann.axiom
         if isinstance(ax, GCI) and isinstance(ax.rhs, Exists):
             lhs = ax.lhs.name if isinstance(ax.lhs, Atomic) else None
-            existentials.setdefault(lhs, []).append((ax.rhs.role, ann.annotation))
+            existentials.setdefault(lhs, []).append((ax.rhs.role, table.mask(ann.annotation)))
 
     # the model is a set of facts, so the order of the worklist reaches no output
     work = list(members)
@@ -244,16 +248,16 @@ def build_canonical_model(
         x = work.pop()
         if deadline is not None and time.monotonic() > deadline:
             raise ResourceCapExceeded("canonical model wall-clock budget exceeded")
-        for name, n in [(None, ONE), *members[x]]:
+        for name, n in [(None, 0), *members[x]]:
             for role, m in existentials.get(name, ()):
-                mn = m * n
-                e = AuxElement(role, mn)
+                mn = m | n
+                e = AuxElement(role, monomial(mn))
                 for sup, y in sups[role]:
-                    add(role_ext, sup, (x, e, mn * y))
+                    add(role_ext, sup, (x, e, monomial(mn | y)))
                 if e not in members:
-                    members[e] = [(b, mn * mb if marked else mb) for b, mb, marked in types[role]]
+                    members[e] = [(b, mn | mb if marked else mb) for b, mb, marked in types[role]]
                     for b, mb in members[e]:
-                        add(concept_ext, b, (e, mb))
+                        add(concept_ext, b, (e, monomial(mb)))
                     work.append(e)
 
     return AnnotatedInterpretation(members, concept_ext, role_ext, base.individuals)

@@ -47,7 +47,7 @@ EXIT_USAGE = 2
 EXIT_RESOURCES = 3
 
 
-def _limits(args) -> Limits:
+def _limits() -> Limits:
     cap = os.environ.get("ELPROV_MAX_AXIOMS")
     if not cap:
         return Limits()
@@ -90,7 +90,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_saturate(args) -> int:
     ontology = normalize(_load_ontology(args.input))
-    sat = saturate(ontology, k=args.k, limits=_limits(args), track_derivations=args.json)
+    sat = saturate(ontology, k=args.k, limits=_limits(), track_derivations=args.json)
     if args.json:
         _emit_json(args, sat.dump_json_obj())
     else:
@@ -130,7 +130,7 @@ def _entail_target(kind: str, text: str):
 def _cmd_entail(args) -> int:
     ontology = _load_ontology(args.input)
     mon = parse_monomial(args.prov)
-    limits = _limits(args)
+    limits = _limits()
     entailed = entails(ontology, _entail_target(args.kind, args.axiom), mon, limits)
     if args.json:
         _emit_json(
@@ -146,7 +146,7 @@ def _cmd_relevant(args) -> int:
     ontology = _load_ontology(args.input)
     text = args.axiom.strip()
     target = _parse_axiom_arg(text, iq=text.startswith("iq"))
-    merged = relevant_monomial(ontology, target, _limits(args))
+    merged = relevant_monomial(ontology, target, _limits())
     names = [v.name for v in merged.vars] if merged is not None else []
     if args.json:
         # the merged annotation is reported for atomic assertions only
@@ -161,7 +161,7 @@ def _cmd_query(args) -> int:
     ontology = _load_ontology(args.input)
     query = _load_query(args.query)
     prov = parse_polynomial(args.prov)
-    answer = answer_query(ontology, query, prov, _limits(args))
+    answer = answer_query(ontology, query, prov, _limits())
     if args.json:
         _emit_json(
             args,
@@ -180,7 +180,7 @@ def _cmd_query(args) -> int:
 
 def _cmd_model(args) -> int:
     ontology = _load_ontology(args.input)
-    interp = build_canonical_model(ontology, _limits(args))
+    interp = build_canonical_model(ontology, _limits())
     _emit_json(args, interp.to_json_obj())
     return EXIT_ENTAILED
 
@@ -263,10 +263,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parsing leaves the parser as it was
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_ENTAILED
     try:

@@ -15,6 +15,7 @@ facts taken before it or itself, and never with itself at a premise
 before its own. So every rule instance (one choice of premises) fires
 exactly once, when its last premise is taken, and the fired and
 derivation counts do not depend on the order of the axioms or the joins.
+Every run uses every rule; there is no switch to leave one out.
 
 The same engine serves two stores: a set store that keeps every derived
 (axiom, monomial) pair separately (optionally bounded to monomials of at
@@ -27,10 +28,13 @@ Inside a run a fact is a plain tuple ``(shape, Top, f1, f2[, f3])``,
 e.g. ``("sub", Top, "A", "B")``: names are ``str`` (whose hash is
 cached) and Top is ``None``, which no name equals. Monomials are int
 bitmasks over the run's seed variables, numbered in name order, so a
-product is ``|`` and a degree is ``bit_count()``. ``Axiom`` and
-``Monomial`` are the boundary types: seeding maps axioms to facts and
-annotations to masks; ``SaturatedSet`` and ``relevance.MergedSet`` map
-back what is asked for, and an axiom outside normal form is in neither.
+product is ``|`` and a degree is ``bit_count()``. The canonical model
+reads a run as it is: ``SaturatedSet.facts`` maps each fact to its
+masks, and ``SaturatedSet.table``, the run's ``_VarTable``, turns a mask
+into a ``Monomial`` once. Elsewhere ``Axiom`` and ``Monomial`` are the
+boundary types: seeding maps axioms to facts and annotations to masks;
+``SaturatedSet`` and ``relevance.MergedSet`` map back what is asked for,
+and an axiom outside normal form is in neither.
 
 Two cuts keep the join from work that cannot store a fact. A product
 only grows along a join, so a partner that takes it beyond ``k``
@@ -373,12 +377,9 @@ _PLANS, _INDEXED = _compile_rules()
 
 
 class _Saturator:
-    def __init__(self, ontology, store, disabled, limits, track):
+    def __init__(self, ontology, store, limits, track):
         self.store = store
-        self.disabled = frozenset(disabled)
-        self.plans = {
-            shape: [p for p in plans if p.rule not in self.disabled] for shape, plans in _PLANS.items()
-        }
+        self.plans = _PLANS
         self.limits = limits or Limits()
         self.track = track
         self.stats = SaturationStats()
@@ -426,16 +427,14 @@ class _Saturator:
             if fact is None:
                 raise ValueError(f"axiom is not in normal form: {render_axiom(ann.axiom)}")
             self._add(fact, self.table.mask(ann.annotation), "input", seed=True)
-        if 0 not in self.disabled:
-            for name in ontology.concept_names:
-                self._add(("sub", None, name, name), 0, "reflexivity", seed=True)
-            for role in ontology.role_names:
-                self._add(("ri", None, role, role), 0, "reflexivity", seed=True)
-            if ontology.top_occurs or ontology.individuals:
-                self._add(("sub", None, None, None), 0, "reflexivity", seed=True)
-        if 11 not in self.disabled:
-            for ind in ontology.individuals:
-                self._add(("ca", None, None, ind), 0, "top-instance", seed=True)
+        for name in ontology.concept_names:
+            self._add(("sub", None, name, name), 0, "reflexivity", seed=True)
+        for role in ontology.role_names:
+            self._add(("ri", None, role, role), 0, "reflexivity", seed=True)
+        if ontology.top_occurs or ontology.individuals:
+            self._add(("sub", None, None, None), 0, "reflexivity", seed=True)
+        for ind in ontology.individuals:
+            self._add(("ca", None, None, ind), 0, "top-instance", seed=True)
 
     def run(self) -> SaturationStats:
         queue, index, taken, join, tick = self.queue, self.index, self.taken, self._join, self._tick
@@ -506,13 +505,19 @@ class _Saturator:
 
 
 class SaturatedSet:
-    """The closure of a normalized ontology under the completion rules."""
+    """The closure of a normalized ontology under the completion rules.
+
+    ``facts`` (each fact, laid out as the module docstring says, with its
+    monomial masks) and ``table`` (the run's variables) are the engine's
+    own view, read-only, which the canonical model reads. ``axioms``
+    converts every pair, sorted, for printing.
+    """
 
     def __init__(
         self, store: _SetStore, table: _VarTable, k: int | None, stats: SaturationStats, derivations
     ):
-        self._by_fact = store.by_fact
-        self._table = table
+        self.facts = store.by_fact
+        self.table = table
         self.k = k
         self.stats = stats
         self._derivations = derivations
@@ -520,9 +525,9 @@ class SaturatedSet:
     @cached_property
     def axioms(self) -> tuple[AnnotatedAxiom, ...]:
         members = []
-        for fact, masks in self._by_fact.items():
+        for fact, masks in self.facts.items():
             axiom = _axiom(fact)
-            members.extend(AnnotatedAxiom(axiom, self._table.monomial(mask)) for mask in masks)
+            members.extend(AnnotatedAxiom(axiom, self.table.monomial(mask)) for mask in masks)
         members.sort(key=lambda ann: (render_axiom(ann.axiom), ann.annotation))
         return tuple(members)
 
@@ -534,10 +539,10 @@ class SaturatedSet:
 
     def contains(self, axiom: Axiom, mon: Monomial) -> bool:
         # a mask of None (a variable outside the run) is in no entry
-        return self._table.mask(mon) in self._by_fact.get(_fact(axiom), ())
+        return self.table.mask(mon) in self.facts.get(_fact(axiom), ())
 
     def monomials(self, axiom: Axiom) -> tuple[Monomial, ...]:
-        return tuple(map(self._table.monomial, self._by_fact.get(_fact(axiom), ())))
+        return tuple(map(self.table.monomial, self.facts.get(_fact(axiom), ())))
 
     def assertions(self) -> tuple[AnnotatedAxiom, ...]:
         return tuple(ann for ann in self.axioms if isinstance(ann.axiom, (CA, RA)))
@@ -550,7 +555,7 @@ class SaturatedSet:
         for ann in self.axioms:
             row = {"axiom": render_axiom(ann.axiom), "annotation": str(ann.annotation)}
             if self._derivations is not None:
-                key = (_fact(ann.axiom), self._table.mask(ann.annotation))
+                key = (_fact(ann.axiom), self.table.mask(ann.annotation))
                 counts = self._derivations.get(key, {})
                 row["derivations"] = {rule: counts[rule] for rule in sorted(counts)}
             rows.append(row)
@@ -570,7 +575,6 @@ def saturate(
     k: int | None = None,
     limits: Limits | None = None,
     *,
-    disabled_rules=(),
     track_derivations: bool = False,
 ) -> SaturatedSet:
     """Close a normal-form ontology under the completion rules.
@@ -583,7 +587,7 @@ def saturate(
     if k is not None and k < 0:
         raise ValueError(f"k must be a non-negative integer, got {k}")
     store = _SetStore(k)
-    sat = _Saturator(ontology, store, disabled_rules, limits, track_derivations)
+    sat = _Saturator(ontology, store, limits, track_derivations)
     stats = sat.run()
     return SaturatedSet(store, sat.table, k, stats, sat.derivations if track_derivations else None)
 
@@ -611,12 +615,7 @@ def _assertion_signature_gap(ontology: AnnotatedOntology, assertion: Axiom) -> s
 
 
 def entails_assertion(
-    ontology: AnnotatedOntology,
-    assertion: Axiom,
-    mon: Monomial,
-    limits: Limits | None = None,
-    *,
-    disabled_rules=(),
+    ontology: AnnotatedOntology, assertion: Axiom, mon: Monomial, limits: Limits | None = None
 ) -> bool:
     """Decide entailment of an annotated assertion.
 
@@ -634,7 +633,7 @@ def entails_assertion(
         )
         return False
     normalized = normalize(ontology)
-    sat = saturate(normalized, k=mon.degree, limits=limits, disabled_rules=disabled_rules)
+    sat = saturate(normalized, k=mon.degree, limits=limits)
     return sat.contains(assertion, mon)
 
 
@@ -711,12 +710,7 @@ def probe(
 
 
 def entails(
-    ontology: AnnotatedOntology,
-    target,
-    mon: Monomial,
-    limits: Limits | None = None,
-    *,
-    disabled_rules=(),
+    ontology: AnnotatedOntology, target, mon: Monomial, limits: Limits | None = None
 ) -> bool:
     """Decide entailment of ``target`` annotated with ``mon``.
 
@@ -727,6 +721,5 @@ def entails(
     marker would be absorbed by the markers' product.
     """
     extended, assertion, markers, _ = probe(ontology, target)
-    return entails_assertion(
-        extended, assertion, mon * markers, limits, disabled_rules=disabled_rules
-    ) and set(mon.vars) <= set(ontology.variables)
+    entailed = entails_assertion(extended, assertion, mon * markers, limits)
+    return entailed and set(mon.vars) <= set(ontology.variables)

@@ -27,9 +27,10 @@ The front end does each job once: one iterative walk over a concept
 whether it is in the left-hand side grammar, for the parser, for
 validation and for ``translate_general_gci``; an ontology hashes each
 axiom once, into the dict that deduplicates it and answers membership
-and equality; ``normalize`` passes a GCI through when ``_is_normal_gci``
-holds; and one helper checks an axiom's keyword and parses its body for
-``parse_ontology`` and ``parse_axiom``.
+and equality; ``normalize`` returns a normal-form ontology as is and
+passes a GCI through when ``_is_normal_gci`` holds; and one helper
+checks an axiom's keyword and parses its body for ``parse_ontology``
+and ``parse_axiom``.
 """
 
 from __future__ import annotations
@@ -92,7 +93,14 @@ class ParseError(ValueError):
 
 
 class NamespaceError(ValueError):
-    """A name is used in more than one of the disjoint namespaces."""
+    """A name is used in more than one of the disjoint namespaces.
+
+    ``axiom`` is the annotated axiom that completes the first clash.
+    """
+
+    def __init__(self, message: str, axiom: "AnnotatedAxiom"):
+        super().__init__(message)
+        self.axiom = axiom
 
 
 # --- concepts -------------------------------------------------------------
@@ -261,6 +269,9 @@ class Signature:
     variables: tuple[Variable, ...]
 
 
+_VARIABLE = "provenance variable"
+
+
 class AnnotatedOntology:
     """An immutable, deduplicated set of annotated axioms.
 
@@ -283,6 +294,7 @@ class AnnotatedOntology:
         self._sig, self._top_occurs = self._validate()
 
     def _validate(self) -> tuple[Signature, bool]:
+        """Claim names axiom by axiom; the first clash in axiom order raises."""
         kinds: dict[str, str] = {}
         variables: set[Variable] = set()
         top = False
@@ -290,7 +302,9 @@ class AnnotatedOntology:
         def claim(name: str, kind: str) -> None:
             prev = kinds.setdefault(name, kind)
             if prev != kind:
-                raise NamespaceError(f"name {name!r} used both as {prev} and as {kind}")
+                # a provenance variable is named second, whichever came first
+                first, second = (kind, prev) if prev == _VARIABLE else (prev, kind)
+                raise NamespaceError(f"name {name!r} used both as {first} and as {second}", ann)
 
         for ann in self.axioms:
             ax = ann.axiom
@@ -328,14 +342,11 @@ class AnnotatedOntology:
                 claim(ax.b, "individual")
             else:
                 raise TypeError(f"unknown axiom kind: {ax!r}")
+            for v in ann.annotation.vars:
+                claim(v.name, _VARIABLE)
             variables.update(ann.annotation.vars)
 
-        for v in variables:
-            if v.name in kinds:
-                raise NamespaceError(
-                    f"name {v.name!r} used both as {kinds[v.name]} and as provenance variable"
-                )
-        names: dict[str, list[str]] = {"concept": [], "role": [], "individual": []}
+        names: dict[str, list[str]] = {"concept": [], "role": [], "individual": [], _VARIABLE: []}
         for name, kind in kinds.items():
             names[kind].append(name)
         sig = Signature(
@@ -473,9 +484,11 @@ def normalize(ontology: AnnotatedOntology) -> AnnotatedOntology:
     right conjunct, else a non-atomic left conjunct, else a non-atomic
     existential filler, else (the right-hand side is ``some(R)``) the
     whole left-hand side. Fresh names are memoized per concept structure
-    so repeated subconcepts share one definition; an already-normal
-    ontology passes through unchanged.
+    so repeated subconcepts share one definition. A normal-form ontology
+    is returned as is, with no new construction.
     """
+    if ontology.is_normal_form():
+        return ontology
     fresh = FreshNames(ontology.all_names())
     memo: dict[Concept, Atomic] = {}
     out: list[AnnotatedAxiom] = []
@@ -749,18 +762,25 @@ def _parse_axiom(p: _LineParser) -> Axiom:
 
 
 def parse_ontology(text: str) -> AnnotatedOntology:
-    """Parse an ontology file; raises ParseError with line:column info."""
+    """Parse an ontology file; raises ParseError with line:column info.
+
+    A namespace clash is reported at the first token of the line whose
+    axiom completes it.
+    """
     axioms: list[AnnotatedAxiom] = []
+    places: list[tuple[int, int]] = []  # per axiom: its line, its first token's column
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
         p = _LineParser(line, lineno)
         axioms.append(AnnotatedAxiom(_parse_axiom(p), p.annotation()))
+        places.append((lineno, p.tokens[0][2]))
     try:
         return AnnotatedOntology(axioms)
     except NamespaceError as exc:
-        raise ParseError(str(exc), 0, 0) from exc
+        # validation sees a repeated axiom at its first occurrence
+        raise ParseError(str(exc), *places[axioms.index(exc.axiom)]) from exc
 
 
 def parse_axiom(text: str) -> Axiom:

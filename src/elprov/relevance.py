@@ -47,12 +47,7 @@ class MergedSet:
         return len(self._merged)
 
 
-def merged_saturate(
-    ontology: AnnotatedOntology,
-    *,
-    limits: Limits | None = None,
-    disabled_rules=(),
-) -> MergedSet:
+def merged_saturate(ontology: AnnotatedOntology, *, limits: Limits | None = None) -> MergedSet:
     """Saturate a normal-form ontology under the merge-update policy.
 
     Every seed and every rule application either inserts a new axiom or
@@ -60,7 +55,7 @@ def merged_saturate(
     input axiom merge like any two derivations.
     """
     store = _MergeStore()
-    sat = _Saturator(ontology, store, disabled_rules, limits, track=False)
+    sat = _Saturator(ontology, store, limits, track=False)
     return MergedSet(store.by_fact, sat.table, sat.run().merge_updates)
 
 

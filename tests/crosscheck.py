@@ -17,16 +17,28 @@ nothing changes, so the library's worklist can be compared with it.
 ``check_lhs_grammar``, ``concept_names``, ``role_names`` and
 ``mentions_top`` are the four recursive walks over a concept that
 ``ontology._walk`` replaced, so the one iterative walk can be compared
-with them. They serve the tests only.
+with them. ``entails_without_rules`` decides an entailment with some
+joining rules left out, so a test can show that it needs them. They
+serve the tests only.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from elprov.canonical import Fork, RewritingConditions
-from elprov.completion import Limits, ResourceCapExceeded, entails, saturate
+from elprov.completion import (
+    RULE_NAMES,
+    Limits,
+    ResourceCapExceeded,
+    _fact,
+    _Saturator,
+    _SetStore,
+    entails,
+    probe,
+    saturate,
+)
 from elprov.interpretation import (
     BCQ,
     AnnotatedInterpretation,
@@ -157,6 +169,32 @@ def entails_ra_via_ri(
         # inclusion: nothing can derive it
         return False
     return entails(encoding, RI(s, role), mon, limits)
+
+
+# the rules that merge two memberships of one element (TBox, range and
+# assertion variants)
+CONJUNCTION_RULES = ("conjunction-subsumption", "range-conjunction", "instance-conjunction")
+
+
+def entails_without_rules(
+    ontology: AnnotatedOntology, target, mon: Monomial, rules: Iterable[str]
+) -> bool:
+    """Membership of ``target`` at ``mon`` in a saturation without ``rules``.
+
+    Probes and normalizes as ``entails`` does, then runs the engine with
+    the join plans of the joining rules named in ``rules`` left out
+    (``_Saturator.plans`` is the seam), k-bounded by the queried degree,
+    and reports whether the probed assertion holds with the probe's
+    markers. Shows which rules an entailment needs.
+    """
+    off = {RULE_NAMES.index(rule) for rule in rules}
+    extended, assertion, markers, _ = probe(ontology, target)
+    mon = mon * markers
+    store = _SetStore(mon.degree)
+    sat = _Saturator(normalize(extended), store, None, False)
+    sat.plans = {shape: [p for p in plans if p.rule not in off] for shape, plans in sat.plans.items()}
+    sat.run()
+    return sat.table.mask(mon) in store.by_fact.get(_fact(assertion), ())
 
 
 def entailed_range_restrictions(

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import elprov.canonical
+import elprov.completion
 from elprov.canonical import (
     build_canonical_model,
     answer_query,
@@ -13,6 +14,7 @@ from elprov.canonical import (
     render_rewriting,
 )
 from elprov.completion import Limits, ResourceCapExceeded, entails_assertion, saturate
+from elprov.completion import _axiom as axiom_of
 from elprov.interpretation import (
     BCQ,
     AuxElement,
@@ -314,6 +316,19 @@ class TestTracedSurface:
         assert sum(map(interp.is_aux, interp.domain)) == 3
         assert sum(map(len, interp.concept_ext.values())) == 5
         assert sum(map(len, interp.role_ext.values())) == 6
+
+
+class TestEngineBoundary:
+    def test_model_reads_facts_without_converting_them(self, monkeypatch):
+        calls = Counter()
+
+        def counting_axiom(fact):
+            calls[fact[0]] += 1
+            return axiom_of(fact)
+
+        monkeypatch.setattr(elprov.completion, "_axiom", counting_axiom)
+        interp = build_canonical_model(parse_ontology((GOLDEN / "layered.elp").read_text()))
+        assert interp.domain and not calls
 
 
 class TestComputeRewriting:

@@ -35,7 +35,14 @@ from elprov.provenance import ONE, Monomial, Variable, parse_monomial
 from elprov.relevance import merged_saturate
 
 from closure import instance_counts, missing_conclusions
-from crosscheck import entails_ca_via_gci, entails_ra_via_ri, reduce_ca_to_gci, reduce_ra_to_ri
+from crosscheck import (
+    CONJUNCTION_RULES,
+    entails_ca_via_gci,
+    entails_ra_via_ri,
+    entails_without_rules,
+    reduce_ca_to_gci,
+    reduce_ra_to_ri,
+)
 from generators import VARS, random_monomial, random_normalized_ontology
 from oracle import chase
 
@@ -567,10 +574,11 @@ class TestStability:
 class TestDisabledRules:
     def test_conjunction_rules_off_blocks_merge(self):
         o = parse_ontology("gci A <= B1 @ v1\ngci A <= B2 @ v2\ngci and(B1, B2) <= C @ v3")
-        assert not entails(
-            o, GCI(Atomic("A"), Atomic("C")), mono("v1*v2*v3"), disabled_rules=(6, 7, 14)
-        )
+        target = GCI(Atomic("A"), Atomic("C"))
+        assert entails_without_rules(o, target, mono("v1*v2*v3"), ())
+        assert not entails_without_rules(o, target, mono("v1*v2*v3"), CONJUNCTION_RULES)
 
     def test_other_rules_unaffected(self):
         o = parse_ontology("gci A <= B @ v1\ngci B <= C @ v2")
-        assert entails(o, GCI(Atomic("A"), Atomic("C")), mono("v1*v2"), disabled_rules=(6, 7, 14))
+        target = GCI(Atomic("A"), Atomic("C"))
+        assert entails_without_rules(o, target, mono("v1*v2"), CONJUNCTION_RULES)

@@ -136,6 +136,14 @@ class TestNamespaceErrors:
             parse_ontology("gci some(R, A) <= R @ v")
         assert exc.value.message == "name 'R' used both as role and as concept"
 
+    def test_clash_at_the_first_token_of_its_line(self):
+        # a repeated axiom completes the clash at its first occurrence
+        text = "ca A(x) @ b\n\n  ca B(b) @ 1  # b\nca B(b) @ 1\n"
+        with pytest.raises(ParseError) as exc:
+            parse_ontology(text)
+        assert (exc.value.line, exc.value.column) == (3, 3)
+        assert exc.value.message == "name 'b' used both as individual and as provenance variable"
+
     def test_library_construction_raises_the_same_text(self):
         lhs = Conj(ExistsQ("R", Atomic("A")), Atomic("R"))
         with pytest.raises(NamespaceError, match="^name 'R' used both as concept and as role$"):
@@ -241,6 +249,16 @@ class TestNormalize:
     def test_idempotent_on_normal(self):
         o = normalize(parse_ontology(MAYOR))
         assert normalize(o) == o
+
+    def test_normal_form_returned_as_is(self):
+        o = parse_ontology("gci A <= some(R) @ v1\ngci and(A, B) <= C @ v2\nca A(a) @ v3")
+        assert o.is_normal_form()
+        assert normalize(o) is o
+        nested_lhs = ExistsQ("R", Conj(Atomic("A"), Atomic("B")))
+        nested = o.extended([ann(GCI(nested_lhs, Atomic("C")), "v4")])
+        n = normalize(nested)
+        assert n is not nested and n.is_normal_form()
+        assert set(o.axioms) < set(n.axioms) and "__nf0" in n.concept_names
 
     def test_idempotent_random(self):
         rng = random.Random(11)
