@@ -2,11 +2,12 @@
 
 Subcommands: normalize, saturate, entail, relevant, query, model,
 rewrite. Exit codes: 0 entailed/success, 1 not entailed, 2 usage or
-parse error, 3 resource cap exceeded. ``--json`` switches every
-subcommand to machine-readable output validating against the schemas
-shipped in ``elprov/schemas``. The environment variable
-``ELPROV_MAX_AXIOMS`` overrides the derived-axiom cap of every
-subcommand that saturates or builds a model.
+parse error, 3 resource cap exceeded. A library warning (a queried
+assertion over unknown names) is one ``warning: ...`` line on stderr.
+``--json`` switches every subcommand to machine-readable output
+validating against the schemas shipped in ``elprov/schemas``. The
+environment variable ``ELPROV_MAX_AXIOMS`` overrides the derived-axiom
+cap of every subcommand that saturates or builds a model.
 
 Each question is one library call: ``entail`` calls
 ``completion.entails``, ``relevant`` calls ``relevance.relevant_monomial``
@@ -20,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from .canonical import answer_query, build_canonical_model, compute_rewriting, render_rewriting
 from .completion import Limits, ResourceCapExceeded, entails, saturate
@@ -267,11 +269,17 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+def _format_warning(message, *_) -> str:
+    # a diagnostic line, without the library's source path and line
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_ENTAILED
+    format_warning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.func(args)
     except ParseError as exc:
@@ -284,6 +292,8 @@ def main(argv=None) -> int:
     except (QueryError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":  # pragma: no cover

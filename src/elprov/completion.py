@@ -43,14 +43,15 @@ count the rule instances within ``k``. And with the merge store a
 queued merge that has grown again before it is taken is dropped: the
 grown one is still queued and covers it.
 
-Entailment of annotated assertions is membership in the k-saturation
-for k the number of variables of the queried monomial
+Entailment of annotated assertions is membership in the saturation of
+the axioms whose annotation divides the queried monomial
 (``entails_assertion``, the only place that normalizes, saturates and
-tests membership). ``probe`` reduces every other target (GCI, role
-inclusion, range restriction, instance query) to an assertion over the
-ontology extended by a small probe with reserved (``__``-prefixed) helper
-names; ``entails`` decides any target through it, and the relevance
-algorithm reuses the same probe.
+tests membership): a derivation's monomial is the union of its axioms'
+variables, so no other axiom can take part. ``probe`` reduces every
+other target (GCI, role inclusion, range restriction, instance query)
+to an assertion over the ontology extended by a small probe with
+reserved (``__``-prefixed) helper names; ``entails`` decides any target
+through it, and the relevance algorithm reuses the same probe.
 """
 
 from __future__ import annotations
@@ -377,13 +378,18 @@ _PLANS, _INDEXED = _compile_rules()
 
 
 class _Saturator:
-    def __init__(self, ontology, store, limits, track):
+    """One run over a normal-form ontology; with ``within``, over the
+    axioms whose annotation divides that monomial only."""
+
+    def __init__(self, ontology, store, limits, track, within: Monomial | None = None):
         self.store = store
         self.plans = _PLANS
         self.limits = limits or Limits()
         self.track = track
         self.stats = SaturationStats()
-        self.table = _VarTable(ann.annotation for ann in ontology.axioms)
+        self.table = _VarTable(
+            (within,) if within is not None else (ann.annotation for ann in ontology.axioms)
+        )
         self.derivations: dict[tuple[tuple, int], Counter] = {}
         self.queue: deque[tuple[tuple, int]] = deque()
         self.deadline = (
@@ -426,7 +432,9 @@ class _Saturator:
             fact = _fact(ann.axiom)
             if fact is None:
                 raise ValueError(f"axiom is not in normal form: {render_axiom(ann.axiom)}")
-            self._add(fact, self.table.mask(ann.annotation), "input", seed=True)
+            mask = self.table.mask(ann.annotation)
+            if mask is not None:  # None: a variable outside the run
+                self._add(fact, mask, "input", seed=True)
         for name in ontology.concept_names:
             self._add(("sub", None, name, name), 0, "reflexivity", seed=True)
         for role in ontology.role_names:
@@ -619,9 +627,10 @@ def entails_assertion(
 ) -> bool:
     """Decide entailment of an annotated assertion.
 
-    Normalizes the ontology, saturates with k = number of variables in
-    the queried monomial, and checks membership of the canonical pair.
-    Assertions over unknown names are reported not-entailed with an
+    Normalizes the ontology, saturates the axioms whose annotation
+    divides the queried monomial (every product of that run divides it
+    too, so it needs no k-bound), and checks membership of the canonical
+    pair. Assertions over unknown names are reported not-entailed with an
     UnknownNameWarning rather than failing.
     """
     gaps = _assertion_signature_gap(ontology, assertion)
@@ -632,9 +641,9 @@ def entails_assertion(
             stacklevel=2,
         )
         return False
-    normalized = normalize(ontology)
-    sat = saturate(normalized, k=mon.degree, limits=limits)
-    return sat.contains(assertion, mon)
+    store = _SetStore(None)
+    run = _Saturator(normalize(ontology), store, limits, track=False, within=mon)
+    return SaturatedSet(store, run.table, None, run.run(), None).contains(assertion, mon)
 
 
 def probe(

@@ -18,8 +18,11 @@ nothing changes, so the library's worklist can be compared with it.
 ``mentions_top`` are the four recursive walks over a concept that
 ``ontology._walk`` replaced, so the one iterative walk can be compared
 with them. ``entails_without_rules`` decides an entailment with some
-joining rules left out, so a test can show that it needs them. They
-serve the tests only.
+joining rules left out, so a test can show that it needs them.
+``entails_by_k_saturation`` decides an entailment from the k-saturation
+of the whole probed ontology, k the queried degree, so the library's run
+over the axioms whose annotation divides the monomial can be compared
+with it. They serve the tests only.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from elprov.completion import (
     RULE_NAMES,
     Limits,
     ResourceCapExceeded,
+    _assertion_signature_gap,
     _fact,
     _Saturator,
     _SetStore,
@@ -195,6 +199,25 @@ def entails_without_rules(
     sat.plans = {shape: [p for p in plans if p.rule not in off] for shape, plans in sat.plans.items()}
     sat.run()
     return sat.table.mask(mon) in store.by_fact.get(_fact(assertion), ())
+
+
+def entails_by_k_saturation(
+    ontology: AnnotatedOntology, target, mon: Monomial, limits: Limits | None = None
+) -> bool:
+    """``entails`` decided by membership in the k-saturation, k = the degree.
+
+    Probes as ``entails`` does, saturates the whole normalized extension
+    with k the number of variables of the queried monomial times the
+    probe's markers, and tests membership of the probed assertion. An
+    assertion over unknown names is not entailed (without a warning), nor
+    is a monomial with a variable foreign to the ontology.
+    """
+    extended, assertion, markers, _ = probe(ontology, target)
+    if _assertion_signature_gap(extended, assertion):
+        return False
+    probed = mon * markers
+    sat = saturate(normalize(extended), k=probed.degree, limits=limits)
+    return sat.contains(assertion, probed) and set(mon.vars) <= set(ontology.variables)
 
 
 def entailed_range_restrictions(

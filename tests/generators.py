@@ -120,6 +120,53 @@ def random_general_ontology(rng: random.Random, max_axioms: int = 6) -> Annotate
     return AnnotatedOntology(axioms)
 
 
+TARGET_KINDS = ("ca", "ra", "gci", "ri", "rr", "iq")
+
+
+def random_target(rng: random.Random, ontology: AnnotatedOntology, kind: str):
+    """A target of ``kind`` (one of ``TARGET_KINDS``) over the ontology's names.
+
+    ``ca`` and ``iq`` may ask about Top, and an ``iq`` concept may be
+    ``some(R, C)``. A ``gci`` left-hand side is a name, Top, a
+    conjunction of two or ``some(R, C)``, and its right-hand side a name
+    or ``some(R)``. None when the ontology has too few names for ``kind``.
+    """
+    concepts = [Atomic(c) for c in ontology.concept_names]
+    roles, inds = ontology.role_names, ontology.individuals
+
+    def concept(top_prob: float = 0.15):
+        return TOP if not concepts or rng.random() < top_prob else rng.choice(concepts)
+
+    if kind == "ca":
+        return CA(concept(), rng.choice(inds)) if inds else None
+    if kind == "ra":
+        return RA(rng.choice(roles), rng.choice(inds), rng.choice(inds)) if roles and inds else None
+    if kind == "ri":
+        return RI(rng.choice(roles), rng.choice(roles)) if roles else None
+    if kind == "rr":
+        return RR(rng.choice(roles), rng.choice(concepts).name) if roles and concepts else None
+    if kind == "iq":
+        if not inds:
+            return None
+        some = roles and rng.random() < 0.4
+        return (ExistsQ(rng.choice(roles), concept()) if some else concept(), rng.choice(inds))
+    if kind != "gci":
+        raise ValueError(f"unknown target kind {kind!r}")
+    if not concepts:
+        return None
+    pick = rng.randrange(4)
+    if pick == 0 or (pick == 3 and not roles):
+        lhs = concept(0.0)
+    elif pick == 1:
+        lhs = TOP
+    elif pick == 2:
+        lhs = Conj(concept(), concept())
+    else:
+        lhs = ExistsQ(rng.choice(roles), concept())
+    rhs = Exists(rng.choice(roles)) if roles and rng.random() < 0.3 else rng.choice(concepts)
+    return GCI(lhs, rhs)
+
+
 def random_monomial(rng: random.Random, max_vars: int = 4) -> Monomial:
     k = rng.randint(0, max_vars)
     return Monomial(tuple(rng.sample(VARS, k)))

@@ -2,15 +2,22 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from hypothesis import assume, event, given, settings, strategies as st
+
 from elprov.cli import main
-from elprov.completion import UnknownNameWarning
-from elprov.ontology import MAX_CONCEPT_DEPTH
+from elprov.completion import UnknownNameWarning, entails
+from elprov.ontology import MAX_CONCEPT_DEPTH, render_axiom
+from elprov.provenance import Monomial, Variable
+from elprov.relevance import relevant_monomial
+
+from generators import random_general_ontology, random_normalized_ontology, random_target
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -79,6 +86,10 @@ def run_json(capsys, argv, schema_name):
     obj = json.loads(out)
     jsonschema.validate(obj, schema(schema_name))
     return code, obj
+
+
+# --kind -> the target kinds of tests/generators.py it covers
+_CLI_KINDS = {"assertion": ("ca", "ra"), "gci": ("gci",), "ri": ("ri",), "rr": ("rr",), "iq": ("iq",)}
 
 
 class TestEntail:
@@ -169,6 +180,45 @@ class TestEntail:
         assert [str(w.message) for w in caught] == [
             "queried assertion mentions names unknown to the ontology: S, a"
         ]
+
+    def test_unknown_names_warning_is_one_line(self):
+        # no library path, line number or source line, whatever the install
+        argv = ["entail", "-i", "mayor.elp", "--kind", "assertion", "--axiom", "ra S(a, a)", "--prov", "1"]
+        done = run_fresh(argv)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1,
+            b"not entailed\n",
+            b"warning: queried assertion mentions names unknown to the ontology: S, a\n",
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(sorted(_CLI_KINDS)), st.booleans())
+    def test_exit_code_agrees_with_the_library(self, rng, kind, general):
+        o = random_general_ontology(rng) if general else random_normalized_ontology(rng)
+        target = random_target(rng, o, rng.choice(_CLI_KINDS[kind]))
+        assume(target is not None)
+        # the target's relevant variables make entailed monomials likely
+        relevant = relevant_monomial(o, target)
+        if relevant is not None and rng.random() < 0.6:
+            pool = list(relevant.vars)
+        else:
+            pool = [*o.variables, Variable("foreign")]
+        mon = Monomial(tuple(rng.sample(pool, rng.randint(0, min(3, len(pool))))))
+        if kind == "iq":
+            concept, ind = target
+            text = f"iq {concept}({ind})"
+        else:
+            text = render_axiom(target)
+        with tempfile.TemporaryDirectory() as tmp:  # tmp_path is per test, not per example
+            path, out = Path(tmp) / "o.elp", Path(tmp) / "out.txt"
+            path.write_text(o.render())
+            argv = ["entail", "-i", str(path), "--kind", kind, "--axiom", text, "--prov", str(mon)]
+            code = main([*argv, "-o", str(out)])
+            entailed = entails(o, target, mon)
+            event(f"{kind}: {'entailed' if entailed else 'not entailed'}")
+            assert (code, out.read_text()) == (
+                (0, "entailed\n") if entailed else (1, "not entailed\n")
+            ), (o.render(), argv)
 
 
 class TestQuery:
@@ -333,6 +383,25 @@ class TestErrorPaths:
         path.write_text("\n".join(lines) + "\n")
         monkeypatch.setenv("ELPROV_MAX_AXIOMS", "10")
         assert main(["saturate", "-i", str(path)]) == 3
+
+    def test_entail_cap_counts_only_the_axioms_dividing_the_monomial(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the chain annotated with v derives 820 inclusions within k = 2;
+        # none of them can take part in a derivation of x1*x2, and the cap
+        # counts what the entailment's own run derives
+        lines = ["ca A(a) @ x1", "gci A <= B @ x2"]
+        lines += [f"gci C{i} <= C{i + 1} @ v" for i in range(40)]
+        path = tmp_path / "planted.elp"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setenv("ELPROV_MAX_AXIOMS", "200")
+        assert main(["saturate", "-i", str(path), "--k", "2"]) == 3
+        capsys.readouterr()
+        argv = ["entail", "-i", str(path), "--kind", "assertion", "--axiom", "ca B(a)"]
+        assert main([*argv, "--prov", "x1*x2"]) == 0
+        assert capsys.readouterr() == ("entailed\n", "")
+        assert main([*argv, "--prov", "x1*v"]) == 3
+        assert capsys.readouterr().err == "error: saturation exceeded the cap of 200 derived axioms\n"
 
     @pytest.mark.parametrize("cap", ["-1", "0", "abc"])
     def test_invalid_axiom_cap_is_usage_error(self, mayor_file, capsys, monkeypatch, cap):

@@ -1,5 +1,6 @@
 import random
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,18 +33,26 @@ from elprov.ontology import (
     render_axiom,
 )
 from elprov.provenance import ONE, Monomial, Variable, parse_monomial
-from elprov.relevance import merged_saturate
+from elprov.relevance import merged_saturate, relevant_monomial
 
 from closure import instance_counts, missing_conclusions
 from crosscheck import (
     CONJUNCTION_RULES,
     entails_ca_via_gci,
     entails_ra_via_ri,
+    entails_by_k_saturation,
     entails_without_rules,
     reduce_ca_to_gci,
     reduce_ra_to_ri,
 )
-from generators import VARS, random_monomial, random_normalized_ontology
+from generators import (
+    TARGET_KINDS,
+    VARS,
+    random_general_ontology,
+    random_monomial,
+    random_normalized_ontology,
+    random_target,
+)
 from oracle import chase
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -582,3 +591,56 @@ class TestDisabledRules:
         o = parse_ontology("gci A <= B @ v1\ngci B <= C @ v2")
         target = GCI(Atomic("A"), Atomic("C"))
         assert entails_without_rules(o, target, mono("v1*v2"), CONJUNCTION_RULES)
+
+
+class TestAgainstKSaturation:
+    """``entails`` saturates only the axioms whose annotation divides the
+    queried monomial; the k-saturation of the whole ontology decides the
+    same questions."""
+
+    FOREIGN = Monomial((Variable("foreign"),))
+
+    @staticmethod
+    def corpus():
+        rng = random.Random(131)
+        for path in sorted(GOLDEN.glob("*.elp")):
+            yield path.name, parse_ontology(path.read_text())
+        for i in range(40):
+            yield f"normalized-{i}", random_normalized_ontology(rng)
+        for i in range(40):
+            yield f"general-{i}", random_general_ontology(rng)
+        for i in range(12):
+            o = random_normalized_ontology(rng, 30, min_axioms=15, n_vars=8, n_names=12)
+            yield f"wide-{i}", o
+
+    def monomials(self, rng, ontology, target):
+        """1, degrees 1-3 from the ontology's variables and from the
+        target's relevant ones (which are often entailed), and one
+        monomial with a variable foreign to the ontology."""
+        pool = list(ontology.variables)
+        relevant = relevant_monomial(ontology, target)
+        near = list(relevant.vars) if relevant is not None else []
+        mons = {ONE, self.FOREIGN * Monomial(tuple(rng.sample(pool, min(1, len(pool)))))}
+        for degree in (1, 2, 3):
+            for source in (pool, near):
+                if len(source) >= degree:
+                    mons.add(Monomial(tuple(rng.sample(source, degree))))
+        return sorted(mons, key=str)
+
+    def test_entails_equals_the_k_saturation(self):
+        rng = random.Random(7)
+        pairs, entailed = Counter(), Counter()
+        for name, o in self.corpus():
+            for kind in TARGET_KINDS:
+                for _ in range(2):
+                    target = random_target(rng, o, kind)
+                    if target is None:
+                        continue
+                    for mon in self.monomials(rng, o, target):
+                        expected = entails_by_k_saturation(o, target, mon)
+                        assert entails(o, target, mon) == expected, (name, target, str(mon))
+                        pairs[kind] += 1
+                        entailed[kind] += expected
+        # every kind is asked often, and entailed as well as not
+        for kind in TARGET_KINDS:
+            assert pairs[kind] >= 400 and 10 <= entailed[kind] < pairs[kind], (kind, pairs, entailed)
