@@ -49,6 +49,7 @@ from .ontology import (
     RR,
     Ran,
     Top,
+    _LINE_BREAK,
 )
 from .provenance import ONE, Monomial, Polynomial
 
@@ -515,13 +516,13 @@ def provenance_of_matches(query: BCQ, matches: Iterable[Match]) -> Polynomial:
 #
 # atom  := NAME '(' term ',' term ')' | NAME '(' term ',' term ',' term ')'
 # term  := '?' NAME | NAME        (a '?'-term is an existential variable)
-# query := atom ('&' atom)*       (newlines are whitespace; '#' comments)
+# query := atom ('&' atom)*       (line breaks are whitespace; '#' comments)
 
 _QTOKEN = re.compile(r"\s*(?:(?P<var>\?[A-Za-z_][A-Za-z0-9_]*)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[(),&]))")
 
 
 def parse_query(text: str) -> BCQ:
-    text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    text = "\n".join(line.split("#", 1)[0] for line in _LINE_BREAK.split(text))
     tokens: list[tuple[str, str]] = []
     pos = 0
     while pos < len(text):

@@ -22,15 +22,15 @@ File grammar (UTF-8, line oriented, ``#`` comments):
 Names beginning with ``__`` are reserved for internally generated
 symbols and rejected in user input.
 
-The front end does each job once: one iterative walk over a concept
-(``_walk``) yields its concept and role names, whether Top occurs and
-whether it is in the left-hand side grammar, for the parser, for
-validation and for ``translate_general_gci``; an ontology hashes each
-axiom once, into the dict that deduplicates it and answers membership
-and equality; ``normalize`` returns a normal-form ontology as is and
-passes a GCI through when ``_is_normal_gci`` holds; and one helper
-checks an axiom's keyword and parses its body for ``parse_ontology``
-and ``parse_axiom``.
+The front end does each job once. One ``findall`` splits a line into
+plain string tokens whose kind is read off the token; a column is computed
+only for an error. One iterative walk over a concept (``_walk``) serves
+the parser, validation and ``translate_general_gci``. An ontology hashes
+each axiom once, into the dict that deduplicates it and answers
+membership and equality. A derived ontology (``extended``, ``normalize``)
+copies its parent's dict and name-to-kind table and validates only the
+axioms it adds; ``normalize`` returns a normal-form ontology as is and
+passes a GCI through when ``_is_normal_gci`` holds.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .provenance import ONE, Monomial, Variable
@@ -272,90 +273,97 @@ class Signature:
 _VARIABLE = "provenance variable"
 
 
+def _claim(index: dict, axioms: Iterable[AnnotatedAxiom], kinds: dict[str, str]) -> bool:
+    """Add ``axioms`` to the dedup dict ``index`` and validate those it lacked,
+    claiming their names in ``kinds``; the first clash in axiom order raises.
+    Returns whether Top occurs."""
+    known = len(index)
+    for ann in axioms:
+        if not isinstance(ann, AnnotatedAxiom):
+            raise TypeError(f"expected AnnotatedAxiom, got {ann!r}")
+        index.setdefault(ann, None)
+    top = False
+
+    def claim(name: str, kind: str) -> None:
+        prev = kinds.setdefault(name, kind)
+        if prev != kind:
+            # a provenance variable is named second, whichever came first
+            first, second = (kind, prev) if prev == _VARIABLE else (prev, kind)
+            raise NamespaceError(f"name {name!r} used both as {first} and as {second}", ann)
+
+    for ann in islice(index, known, None):
+        ax = ann.axiom
+        if isinstance(ax, GCI):
+            lhs = _walk(ax.lhs)
+            if not lhs[3]:
+                raise ValueError(f"GCI left-hand side violates the concept grammar: {ax.lhs}")
+            if not isinstance(ax.rhs, (Atomic, Exists)):
+                raise ValueError(f"GCI right-hand side must be atomic or some(R): {ax.rhs}")
+            for concepts, roles, side_top, _ in (lhs, _walk(ax.rhs)):
+                for n in concepts:
+                    claim(n, "concept")
+                for n in roles:
+                    claim(n, "role")
+                top = top or side_top
+        elif isinstance(ax, RI):
+            claim(ax.sub, "role")
+            claim(ax.sup, "role")
+        elif isinstance(ax, RR):
+            claim(ax.role, "role")
+            claim(ax.filler, "concept")
+        elif isinstance(ax, CA):
+            if isinstance(ax.concept, Atomic):
+                claim(ax.concept.name, "concept")
+            elif isinstance(ax.concept, Top):
+                top = True
+            else:
+                raise ValueError(f"assertions must use atomic concepts: {ax.concept}")
+            claim(ax.ind, "individual")
+        elif isinstance(ax, RA):
+            claim(ax.role, "role")
+            claim(ax.a, "individual")
+            claim(ax.b, "individual")
+        else:
+            raise TypeError(f"unknown axiom kind: {ax!r}")
+        for v in ann.annotation.vars:
+            claim(v.name, _VARIABLE)
+    return top
+
+
 class AnnotatedOntology:
     """An immutable, deduplicated set of annotated axioms.
 
     Construction validates the GCI grammar (restricted right-hand sides)
     and the mutual disjointness of the concept/role/individual/variable
-    namespaces.
+    namespaces. A derived ontology (``extended``, ``normalize``) copies its
+    parent's dedup dict and name-to-kind table and validates only what it adds.
     """
 
-    __slots__ = ("axioms", "_sig", "_top_occurs", "_index")
+    __slots__ = ("axioms", "_sig", "_top_occurs", "_index", "_kinds")
 
     def __init__(self, axioms: Iterable[AnnotatedAxiom]):
-        # the dedup dict also answers membership and equality, so each
-        # axiom is hashed once per construction
-        self._index: dict[AnnotatedAxiom, None] = {}
-        for ann in axioms:
-            if not isinstance(ann, AnnotatedAxiom):
-                raise TypeError(f"expected AnnotatedAxiom, got {ann!r}")
-            self._index.setdefault(ann, None)
-        self.axioms: tuple[AnnotatedAxiom, ...] = tuple(self._index)
-        self._sig, self._top_occurs = self._validate()
-
-    def _validate(self) -> tuple[Signature, bool]:
-        """Claim names axiom by axiom; the first clash in axiom order raises."""
+        index: dict[AnnotatedAxiom, None] = {}
         kinds: dict[str, str] = {}
-        variables: set[Variable] = set()
-        top = False
+        self._fill(index, kinds, 0, Signature((), (), (), ()), _claim(index, axioms, kinds))
 
-        def claim(name: str, kind: str) -> None:
-            prev = kinds.setdefault(name, kind)
-            if prev != kind:
-                # a provenance variable is named second, whichever came first
-                first, second = (kind, prev) if prev == _VARIABLE else (prev, kind)
-                raise NamespaceError(f"name {name!r} used both as {first} and as {second}", ann)
+    def _derived(self, index: dict, kinds: dict, top: bool) -> "AnnotatedOntology":
+        """The ontology over ``index`` and ``kinds``, which extend this one's."""
+        out = AnnotatedOntology.__new__(AnnotatedOntology)
+        out._fill(index, kinds, len(self._kinds), self._sig, top or self._top_occurs)
+        return out
 
-        for ann in self.axioms:
-            ax = ann.axiom
-            if isinstance(ax, GCI):
-                lhs = _walk(ax.lhs)
-                if not lhs[3]:
-                    raise ValueError(f"GCI left-hand side violates the concept grammar: {ax.lhs}")
-                if not isinstance(ax.rhs, (Atomic, Exists)):
-                    raise ValueError(
-                        f"GCI right-hand side must be atomic or some(R): {ax.rhs}"
-                    )
-                for concepts, roles, side_top, _ in (lhs, _walk(ax.rhs)):
-                    for n in concepts:
-                        claim(n, "concept")
-                    for n in roles:
-                        claim(n, "role")
-                    top = top or side_top
-            elif isinstance(ax, RI):
-                claim(ax.sub, "role")
-                claim(ax.sup, "role")
-            elif isinstance(ax, RR):
-                claim(ax.role, "role")
-                claim(ax.filler, "concept")
-            elif isinstance(ax, CA):
-                if isinstance(ax.concept, Atomic):
-                    claim(ax.concept.name, "concept")
-                elif isinstance(ax.concept, Top):
-                    top = True
-                else:
-                    raise ValueError(f"assertions must use atomic concepts: {ax.concept}")
-                claim(ax.ind, "individual")
-            elif isinstance(ax, RA):
-                claim(ax.role, "role")
-                claim(ax.a, "individual")
-                claim(ax.b, "individual")
-            else:
-                raise TypeError(f"unknown axiom kind: {ax!r}")
-            for v in ann.annotation.vars:
-                claim(v.name, _VARIABLE)
-            variables.update(ann.annotation.vars)
-
-        names: dict[str, list[str]] = {"concept": [], "role": [], "individual": [], _VARIABLE: []}
-        for name, kind in kinds.items():
-            names[kind].append(name)
-        sig = Signature(
-            concepts=tuple(sorted(names["concept"])),
-            roles=tuple(sorted(names["role"])),
-            individuals=tuple(sorted(names["individual"])),
-            variables=tuple(sorted(variables)),
-        )
-        return sig, top
+    def _fill(self, index: dict, kinds: dict, known: int, sig: Signature, top: bool) -> None:
+        # the dedup dict also answers membership and equality, so each
+        # axiom is hashed once per construction; the names ``kinds`` lists
+        # after its first ``known`` are merged into the signature ``sig``
+        self._index, self._kinds, self._top_occurs = index, kinds, top
+        self.axioms: tuple[AnnotatedAxiom, ...] = tuple(index)
+        new: dict[str, list] = {"concept": [], "role": [], "individual": [], _VARIABLE: []}
+        for name, kind in islice(kinds.items(), known, None):
+            new[kind].append(Variable(name) if kind == _VARIABLE else name)
+        old = (sig.concepts, sig.roles, sig.individuals, sig.variables)
+        merged = (tuple(sorted(o + tuple(n))) if n else o for o, n in zip(old, new.values()))
+        self._sig = Signature(*merged)
 
     # -- views ------------------------------------------------------------
 
@@ -380,9 +388,7 @@ class AnnotatedOntology:
         return self._top_occurs
 
     def all_names(self) -> set[str]:
-        out = set(self._sig.concepts) | set(self._sig.roles) | set(self._sig.individuals)
-        out.update(v.name for v in self._sig.variables)
-        return out
+        return set(self._kinds)
 
     def __iter__(self) -> Iterator[AnnotatedAxiom]:
         return iter(self.axioms)
@@ -400,12 +406,12 @@ class AnnotatedOntology:
         return hash(frozenset(self._index))
 
     def extended(self, extra: Iterable[AnnotatedAxiom]) -> "AnnotatedOntology":
-        return AnnotatedOntology(list(self.axioms) + list(extra))
+        """This ontology plus ``extra``; only the axioms it adds are validated."""
+        index, kinds = dict(self._index), dict(self._kinds)
+        return self._derived(index, kinds, _claim(index, extra, kinds))
 
     def is_normal_form(self) -> bool:
-        return all(
-            _is_normal_gci(ann.axiom) for ann in self.axioms if isinstance(ann.axiom, GCI)
-        )
+        return all(_is_normal_gci(a.axiom) for a in self.axioms if isinstance(a.axiom, GCI))
 
     def render(self) -> str:
         return "\n".join(render_annotated(ann) for ann in self.axioms) + ("\n" if self.axioms else "")
@@ -518,7 +524,10 @@ def normalize(ontology: AnnotatedOntology) -> AnnotatedOntology:
         else:
             lhs = name_for(lhs)
         work.append(AnnotatedAxiom(GCI(lhs, ax.rhs), ann.annotation))
-    return AnnotatedOntology(out)
+    # the output is valid and names the input's names and the fresh ones
+    kinds = dict(ontology._kinds)
+    kinds.update((a.name, "concept") for a in memo.values())
+    return ontology._derived(dict.fromkeys(out), kinds, False)
 
 
 def _strip_top(c: Concept) -> Concept:
@@ -591,7 +600,13 @@ def translate_general_gci(
 
 # --- parser ---------------------------------------------------------------
 
-_LINE_TOKEN = re.compile(r"[ \t]*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<one>1)|(?P<le><=)|(?P<punct>[(),@*]))")
+# one token: a name, ``1``, ``<=`` or punctuation; any other character
+# but space and tab is an error, and _COVERED ends just before the first
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|1|<=|[(),@*]")
+_COVERED = re.compile(rf"(?:[ \t]*(?:{_TOKEN.pattern}))*[ \t]*")
+_NOT_NAMES = frozenset(("1", "<=", "(", ")", ",", "@", "*"))
+# lines break at \n, \r\n and \r only, unlike str.splitlines
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 _CONCEPT_KEYWORDS = {"Top", "and", "some", "ran"}
 
@@ -604,124 +619,107 @@ MAX_CONCEPT_DEPTH = 200
 
 
 class _LineParser:
+    """Recursive descent over one line's tokens, plain strings whose kind is
+    read off the token; columns are computed only for an error."""
+
     def __init__(self, line: str, lineno: int):
         self.line = line
         self.lineno = lineno
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(line):
-            m = _LINE_TOKEN.match(line, pos)
-            if not m:
-                rest = line[pos:].strip()
-                if not rest:
-                    break
-                col = pos + len(line[pos:]) - len(line[pos:].lstrip()) + 1
-                raise ParseError(f"unexpected character {rest[0]!r}", lineno, col)
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(kind), m.start(kind) + 1))
-            pos = m.end()
+        self.tokens: list[str] = _TOKEN.findall(line)
+        # the tokens, spaces and tabs have to cover the whole line
+        if sum(map(len, self.tokens)) + line.count(" ") + line.count("\t") != len(line):
+            col = _COVERED.match(line).end() + 1
+            raise ParseError(f"unexpected character {line[col - 1]!r}", lineno, col)
         self.i = 0
 
     def error(self, message: str) -> ParseError:
-        col = self.tokens[self.i][2] if self.i < len(self.tokens) else len(self.line) + 1
-        return ParseError(message, self.lineno, col)
+        """An error at the current token, or just past the line's end."""
+        columns = [m.start() + 1 for m in _TOKEN.finditer(self.line)] + [len(self.line) + 1]
+        return ParseError(message, self.lineno, columns[self.i])
 
-    def peek(self) -> tuple[str, str] | None:
-        if self.i < len(self.tokens):
-            kind, value, _ = self.tokens[self.i]
-            return kind, value
-        return None
+    def peek(self) -> str | None:
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def take(self, kind: str, value: str | None = None) -> str:
+    def take(self, value: str) -> None:
         tok = self.peek()
-        if tok is None or tok[0] != kind or (value is not None and tok[1] != value):
-            want = value or kind
-            got = tok[1] if tok else "end of line"
-            raise self.error(f"expected {want!r}, got {got!r}")
+        if tok != value:
+            want = "le" if value == "<=" else value
+            raise self.error(f"expected {want!r}, got {tok or 'end of line'!r}")
         self.i += 1
-        return tok[1]
 
-    def name(self, what: str, allow_keywords: bool = True) -> str:
+    def name(self, what: str) -> str:
         tok = self.peek()
-        if tok is None or tok[0] != "name":
-            got = tok[1] if tok else "end of line"
-            raise self.error(f"expected {what}, got {got!r}")
-        if not allow_keywords and tok[1] in _CONCEPT_KEYWORDS:
-            raise self.error(f"expected {what}, got keyword {tok[1]!r}")
-        if tok[1].startswith(RESERVED_PREFIX):
-            raise self.error(f"names starting with {RESERVED_PREFIX!r} are reserved: {tok[1]!r}")
+        if tok is None or tok in _NOT_NAMES:
+            raise self.error(f"expected {what}, got {tok or 'end of line'!r}")
+        if tok in _CONCEPT_KEYWORDS:
+            raise self.error(f"expected {what}, got keyword {tok!r}")
+        if tok.startswith(RESERVED_PREFIX):
+            raise self.error(f"names starting with {RESERVED_PREFIX!r} are reserved: {tok!r}")
         self.i += 1
-        return tok[1]
+        return tok
 
     def concept(self, depth: int = 0) -> Concept:
         tok = self.peek()
-        if tok is None:
-            raise self.error("expected a concept")
-        kind, value = tok
-        if kind != "name":
-            raise self.error(f"expected a concept, got {value!r}")
-        if value == "Top":
+        if tok is None or tok in _NOT_NAMES:
+            raise self.error(f"expected a concept, got {tok!r}" if tok else "expected a concept")
+        if tok == "Top":
             self.i += 1
             return TOP
-        if depth == MAX_CONCEPT_DEPTH and value in ("and", "some"):
+        if depth == MAX_CONCEPT_DEPTH and tok in ("and", "some"):
             raise self.error(f"concept nesting deeper than {MAX_CONCEPT_DEPTH} levels")
-        if value == "and":
+        if tok == "and":
             self.i += 1
-            self.take("punct", "(")
+            self.take("(")
             left = self.concept(depth + 1)
-            self.take("punct", ",")
+            self.take(",")
             right = self.concept(depth + 1)
-            self.take("punct", ")")
+            self.take(")")
             return Conj(left, right)
-        if value == "some":
+        if tok == "some":
             self.i += 1
-            self.take("punct", "(")
-            role = self.name("a role name", allow_keywords=False)
-            nxt = self.peek()
-            if nxt == ("punct", ","):
+            self.take("(")
+            role = self.name("a role name")
+            if self.peek() == ",":
                 self.i += 1
                 filler = self.concept(depth + 1)
-                self.take("punct", ")")
+                self.take(")")
                 return ExistsQ(role, filler)
-            self.take("punct", ")")
+            self.take(")")
             return Exists(role)
-        if value == "ran":
+        if tok == "ran":
             raise self.error("'ran' is only allowed in 'rr' lines")
         return Atomic(self.name("a concept name"))
 
-    def annotation(self) -> Monomial:
-        self.take("punct", "@")
+    def annotation(self, interned: dict[str, Monomial]) -> Monomial:
+        """The ``@`` annotation ending the line; ``interned`` maps ``1`` and
+        the variable names seen so far in a file to their monomials."""
+        self.take("@")
         tok = self.peek()
-        if tok == ("one", "1"):
+        if tok in interned:
             self.i += 1
-            mon = ONE
-        elif tok is not None and tok[0] == "name":
-            mon = Monomial((Variable(self.name("a provenance variable", allow_keywords=False)),))
+            mon = interned[tok]
+        elif tok is not None and tok not in _NOT_NAMES:
+            mon = interned[tok] = Monomial((Variable(self.name("a provenance variable")),))
         else:
-            got = tok[1] if tok else "end of line"
-            raise self.error(
-                f"annotation must be a single variable or 1, got {got!r}"
-            )
-        if self.i != len(self.tokens):
-            raise self.error("annotation must be a single variable or 1")
+            got = tok or "end of line"
+            raise self.error(f"annotation must be a single variable or 1, got {got!r}")
+        self.finish("annotation must be a single variable or 1")
         return mon
 
-    def finish_without_annotation(self) -> None:
+    def finish(self, message: str) -> None:
         if self.i != len(self.tokens):
-            raise self.error("trailing input after axiom")
+            raise self.error(message)
 
 
 def _parse_axiom(p: _LineParser) -> Axiom:
     """Check the axiom keyword and parse the axiom it starts."""
-    tok = p.peek()
-    if tok is None or tok[0] != "name" or tok[1] not in ("gci", "ri", "rr", "ca", "ra"):
-        got = tok[1] if tok else "end of input"
-        raise p.error(f"expected one of gci/ri/rr/ca/ra, got {got!r}")
+    keyword = p.peek()
+    if keyword not in ("gci", "ri", "rr", "ca", "ra"):
+        raise p.error(f"expected one of gci/ri/rr/ca/ra, got {keyword or 'end of input'!r}")
     p.i += 1
-    keyword = tok[1]
     if keyword == "gci":
         lhs = p.concept()
-        p.take("le")
+        p.take("<=")
         rhs = p.concept()
         if not _walk(lhs)[3]:
             raise p.error(f"left-hand side violates the concept grammar: {lhs}")
@@ -729,75 +727,76 @@ def _parse_axiom(p: _LineParser) -> Axiom:
             raise p.error(f"right-hand side must be a concept name or some(R): {rhs}")
         return GCI(lhs, rhs)
     if keyword == "ri":
-        sub = p.name("a role name", allow_keywords=False)
-        p.take("le")
-        sup = p.name("a role name", allow_keywords=False)
+        sub = p.name("a role name")
+        p.take("<=")
+        sup = p.name("a role name")
         return RI(sub, sup)
     if keyword == "rr":
-        p.take("name", "ran")
-        p.take("punct", "(")
-        role = p.name("a role name", allow_keywords=False)
-        p.take("punct", ")")
-        p.take("le")
-        filler = p.name("a concept name", allow_keywords=False)
+        p.take("ran")
+        p.take("(")
+        role = p.name("a role name")
+        p.take(")")
+        p.take("<=")
+        filler = p.name("a concept name")
         return RR(role, filler)
     if keyword == "ca":
-        tok = p.peek()
-        if tok == ("name", "Top"):
+        if p.peek() == "Top":
             p.i += 1
             concept: Concept = TOP
         else:
-            concept = Atomic(p.name("a concept name", allow_keywords=False))
-        p.take("punct", "(")
-        ind = p.name("an individual name", allow_keywords=False)
-        p.take("punct", ")")
+            concept = Atomic(p.name("a concept name"))
+        p.take("(")
+        ind = p.name("an individual name")
+        p.take(")")
         return CA(concept, ind)
-    role = p.name("a role name", allow_keywords=False)
-    p.take("punct", "(")
-    a = p.name("an individual name", allow_keywords=False)
-    p.take("punct", ",")
-    b = p.name("an individual name", allow_keywords=False)
-    p.take("punct", ")")
+    role = p.name("a role name")
+    p.take("(")
+    a = p.name("an individual name")
+    p.take(",")
+    b = p.name("an individual name")
+    p.take(")")
     return RA(role, a, b)
 
 
 def parse_ontology(text: str) -> AnnotatedOntology:
     """Parse an ontology file; raises ParseError with line:column info.
 
-    A namespace clash is reported at the first token of the line whose
-    axiom completes it.
+    Lines break at ``\\n``, ``\\r\\n`` and ``\\r`` only. A namespace clash is
+    reported at the first token of the line whose axiom completes it.
     """
     axioms: list[AnnotatedAxiom] = []
-    places: list[tuple[int, int]] = []  # per axiom: its line, its first token's column
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    places: list[tuple[int, str]] = []  # per axiom: its line number and text
+    interned = {"1": ONE}
+    for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        if not line:
             continue
         p = _LineParser(line, lineno)
-        axioms.append(AnnotatedAxiom(_parse_axiom(p), p.annotation()))
-        places.append((lineno, p.tokens[0][2]))
+        axioms.append(AnnotatedAxiom(_parse_axiom(p), p.annotation(interned)))
+        places.append((lineno, line))
     try:
         return AnnotatedOntology(axioms)
     except NamespaceError as exc:
         # validation sees a repeated axiom at its first occurrence
-        raise ParseError(str(exc), *places[axioms.index(exc.axiom)]) from exc
+        lineno, line = places[axioms.index(exc.axiom)]
+        raise ParseError(str(exc), lineno, len(line) - len(line.lstrip(" \t")) + 1) from exc
 
 
 def parse_axiom(text: str) -> Axiom:
     """Parse a single un-annotated axiom, e.g. for CLI --axiom arguments."""
     p = _LineParser(text.strip(), 1)
     axiom = _parse_axiom(p)
-    p.finish_without_annotation()
+    p.finish("trailing input after axiom")
     return axiom
 
 
 def parse_iq_target(text: str) -> tuple[Concept, str]:
     """Parse an instance-query target of the form ``iq CONCEPT(IND)``."""
     p = _LineParser(text.strip(), 1)
-    p.take("name", "iq")
+    p.take("iq")
     concept = p.concept()
-    p.take("punct", "(")
-    ind = p.name("an individual name", allow_keywords=False)
-    p.take("punct", ")")
-    p.finish_without_annotation()
+    p.take("(")
+    ind = p.name("an individual name")
+    p.take(")")
+    p.finish("trailing input after axiom")
     return concept, ind

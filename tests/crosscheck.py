@@ -22,11 +22,16 @@ joining rules left out, so a test can show that it needs them.
 ``entails_by_k_saturation`` decides an entailment from the k-saturation
 of the whole probed ontology, k the queried degree, so the library's run
 over the axioms whose annotation divides the monomial can be compared
-with it. They serve the tests only.
+with it. ``parse_ontology_by_kinds``, ``parse_axiom_by_kinds`` and
+``parse_iq_target_by_kinds`` parse on (kind, value, column) tokens, as
+the library did before it read a token's kind off the token itself, so
+the string-token parser can be compared with them. They serve the tests
+only.
 """
 
 from __future__ import annotations
 
+import re
 import time
 from typing import Iterable, Iterator
 
@@ -60,22 +65,29 @@ from elprov.interpretation import (
     term_key,
 )
 from elprov.ontology import (
+    _CONCEPT_KEYWORDS,
     CA,
     GCI,
+    MAX_CONCEPT_DEPTH,
     RA,
+    RESERVED_PREFIX,
     RI,
     RR,
+    TOP,
     AnnotatedAxiom,
     AnnotatedOntology,
     Atomic,
+    Axiom,
     Concept,
     Conj,
     Exists,
     ExistsQ,
     FreshNames,
+    NamespaceError,
+    ParseError,
     Ran,
-    TOP,
     Top,
+    _walk,
     normalize,
 )
 from elprov.provenance import ONE, Monomial, Variable
@@ -565,3 +577,211 @@ def mentions_top(c: Concept) -> bool:
     if isinstance(c, ExistsQ):
         return mentions_top(c.filler)
     return False
+
+
+# --- the parser on (kind, value, column) tokens -------------------------------
+#
+# ``_LineParser`` and ``_parse_axiom`` as they were before the parser read
+# token kinds off plain string tokens, with the three entry points built
+# on them; a differential test compares the library's parser with them.
+
+_LINE_TOKEN = re.compile(r"[ \t]*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<one>1)|(?P<le><=)|(?P<punct>[(),@*]))")
+
+class _LineParser:
+    def __init__(self, line: str, lineno: int):
+        self.line = line
+        self.lineno = lineno
+        self.tokens: list[tuple[str, str, int]] = []
+        pos = 0
+        while pos < len(line):
+            m = _LINE_TOKEN.match(line, pos)
+            if not m:
+                rest = line[pos:].strip()
+                if not rest:
+                    break
+                col = pos + len(line[pos:]) - len(line[pos:].lstrip()) + 1
+                raise ParseError(f"unexpected character {rest[0]!r}", lineno, col)
+            kind = m.lastgroup
+            self.tokens.append((kind, m.group(kind), m.start(kind) + 1))
+            pos = m.end()
+        self.i = 0
+
+    def error(self, message: str) -> ParseError:
+        col = self.tokens[self.i][2] if self.i < len(self.tokens) else len(self.line) + 1
+        return ParseError(message, self.lineno, col)
+
+    def peek(self) -> tuple[str, str] | None:
+        if self.i < len(self.tokens):
+            kind, value, _ = self.tokens[self.i]
+            return kind, value
+        return None
+
+    def take(self, kind: str, value: str | None = None) -> str:
+        tok = self.peek()
+        if tok is None or tok[0] != kind or (value is not None and tok[1] != value):
+            want = value or kind
+            got = tok[1] if tok else "end of line"
+            raise self.error(f"expected {want!r}, got {got!r}")
+        self.i += 1
+        return tok[1]
+
+    def name(self, what: str, allow_keywords: bool = True) -> str:
+        tok = self.peek()
+        if tok is None or tok[0] != "name":
+            got = tok[1] if tok else "end of line"
+            raise self.error(f"expected {what}, got {got!r}")
+        if not allow_keywords and tok[1] in _CONCEPT_KEYWORDS:
+            raise self.error(f"expected {what}, got keyword {tok[1]!r}")
+        if tok[1].startswith(RESERVED_PREFIX):
+            raise self.error(f"names starting with {RESERVED_PREFIX!r} are reserved: {tok[1]!r}")
+        self.i += 1
+        return tok[1]
+
+    def concept(self, depth: int = 0) -> Concept:
+        tok = self.peek()
+        if tok is None:
+            raise self.error("expected a concept")
+        kind, value = tok
+        if kind != "name":
+            raise self.error(f"expected a concept, got {value!r}")
+        if value == "Top":
+            self.i += 1
+            return TOP
+        if depth == MAX_CONCEPT_DEPTH and value in ("and", "some"):
+            raise self.error(f"concept nesting deeper than {MAX_CONCEPT_DEPTH} levels")
+        if value == "and":
+            self.i += 1
+            self.take("punct", "(")
+            left = self.concept(depth + 1)
+            self.take("punct", ",")
+            right = self.concept(depth + 1)
+            self.take("punct", ")")
+            return Conj(left, right)
+        if value == "some":
+            self.i += 1
+            self.take("punct", "(")
+            role = self.name("a role name", allow_keywords=False)
+            nxt = self.peek()
+            if nxt == ("punct", ","):
+                self.i += 1
+                filler = self.concept(depth + 1)
+                self.take("punct", ")")
+                return ExistsQ(role, filler)
+            self.take("punct", ")")
+            return Exists(role)
+        if value == "ran":
+            raise self.error("'ran' is only allowed in 'rr' lines")
+        return Atomic(self.name("a concept name"))
+
+    def annotation(self) -> Monomial:
+        self.take("punct", "@")
+        tok = self.peek()
+        if tok == ("one", "1"):
+            self.i += 1
+            mon = ONE
+        elif tok is not None and tok[0] == "name":
+            mon = Monomial((Variable(self.name("a provenance variable", allow_keywords=False)),))
+        else:
+            got = tok[1] if tok else "end of line"
+            raise self.error(
+                f"annotation must be a single variable or 1, got {got!r}"
+            )
+        if self.i != len(self.tokens):
+            raise self.error("annotation must be a single variable or 1")
+        return mon
+
+    def finish_without_annotation(self) -> None:
+        if self.i != len(self.tokens):
+            raise self.error("trailing input after axiom")
+
+
+def _parse_axiom(p: _LineParser) -> Axiom:
+    """Check the axiom keyword and parse the axiom it starts."""
+    tok = p.peek()
+    if tok is None or tok[0] != "name" or tok[1] not in ("gci", "ri", "rr", "ca", "ra"):
+        got = tok[1] if tok else "end of input"
+        raise p.error(f"expected one of gci/ri/rr/ca/ra, got {got!r}")
+    p.i += 1
+    keyword = tok[1]
+    if keyword == "gci":
+        lhs = p.concept()
+        p.take("le")
+        rhs = p.concept()
+        if not _walk(lhs)[3]:
+            raise p.error(f"left-hand side violates the concept grammar: {lhs}")
+        if not isinstance(rhs, (Atomic, Exists)):
+            raise p.error(f"right-hand side must be a concept name or some(R): {rhs}")
+        return GCI(lhs, rhs)
+    if keyword == "ri":
+        sub = p.name("a role name", allow_keywords=False)
+        p.take("le")
+        sup = p.name("a role name", allow_keywords=False)
+        return RI(sub, sup)
+    if keyword == "rr":
+        p.take("name", "ran")
+        p.take("punct", "(")
+        role = p.name("a role name", allow_keywords=False)
+        p.take("punct", ")")
+        p.take("le")
+        filler = p.name("a concept name", allow_keywords=False)
+        return RR(role, filler)
+    if keyword == "ca":
+        tok = p.peek()
+        if tok == ("name", "Top"):
+            p.i += 1
+            concept: Concept = TOP
+        else:
+            concept = Atomic(p.name("a concept name", allow_keywords=False))
+        p.take("punct", "(")
+        ind = p.name("an individual name", allow_keywords=False)
+        p.take("punct", ")")
+        return CA(concept, ind)
+    role = p.name("a role name", allow_keywords=False)
+    p.take("punct", "(")
+    a = p.name("an individual name", allow_keywords=False)
+    p.take("punct", ",")
+    b = p.name("an individual name", allow_keywords=False)
+    p.take("punct", ")")
+    return RA(role, a, b)
+
+
+def parse_ontology_by_kinds(text: str) -> AnnotatedOntology:
+    """Parse an ontology file; raises ParseError with line:column info.
+
+    A namespace clash is reported at the first token of the line whose
+    axiom completes it.
+    """
+    axioms: list[AnnotatedAxiom] = []
+    places: list[tuple[int, int]] = []  # per axiom: its line, its first token's column
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        p = _LineParser(line, lineno)
+        axioms.append(AnnotatedAxiom(_parse_axiom(p), p.annotation()))
+        places.append((lineno, p.tokens[0][2]))
+    try:
+        return AnnotatedOntology(axioms)
+    except NamespaceError as exc:
+        # validation sees a repeated axiom at its first occurrence
+        raise ParseError(str(exc), *places[axioms.index(exc.axiom)]) from exc
+
+
+def parse_axiom_by_kinds(text: str) -> Axiom:
+    """Parse a single un-annotated axiom, e.g. for CLI --axiom arguments."""
+    p = _LineParser(text.strip(), 1)
+    axiom = _parse_axiom(p)
+    p.finish_without_annotation()
+    return axiom
+
+
+def parse_iq_target_by_kinds(text: str) -> tuple[Concept, str]:
+    """Parse an instance-query target of the form ``iq CONCEPT(IND)``."""
+    p = _LineParser(text.strip(), 1)
+    p.take("name", "iq")
+    concept = p.concept()
+    p.take("punct", "(")
+    ind = p.name("an individual name", allow_keywords=False)
+    p.take("punct", ")")
+    p.finish_without_annotation()
+    return concept, ind

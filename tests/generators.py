@@ -201,3 +201,42 @@ def random_query(
             b = a if rng.random() < 0.15 else term()
             atoms.append(RoleAtom(rng.choice(roles), a, b, Var(f"t{k}")))
     return BCQ(atoms)
+
+
+def _nested_concept(rng: random.Random, depth: int, concepts: int, roles: int) -> str:
+    if depth == 0 or rng.random() < 0.25:
+        return f"K{rng.randrange(concepts)}"
+    if rng.random() < 0.55:
+        left = _nested_concept(rng, depth - 1, concepts, roles)
+        right = _nested_concept(rng, depth - 1, concepts, roles)
+        return f"and({left}, {right})"
+    return f"some(t{rng.randrange(roles)}, {_nested_concept(rng, depth - 1, concepts, roles)})"
+
+
+def ontology_lines(rng: random.Random, n: int, depth: int) -> list[str]:
+    """``n`` axiom lines in the file syntax, of every keyword.
+
+    GCI left-hand sides nest and/some up to ``depth`` levels: depth 1
+    gives the flat names, conjunctions and ``some(R, C)`` of a layered
+    normal-form KB, depth 4 the nested left-hand sides of a large
+    general ontology. Names come from pools of 40 concepts, 6 roles, 30
+    individuals and 100 variables; an annotation is ``1`` one time in ten.
+    """
+    lines = []
+    for _ in range(n):
+        var = "1" if rng.random() < 0.1 else f"u{rng.randrange(100)}"
+        pick = rng.random()
+        if pick < 0.1:
+            lines.append(f"ca K{rng.randrange(40)}(j{rng.randrange(30)}) @ {var}")
+        elif pick < 0.2:
+            a, b = rng.randrange(30), rng.randrange(30)
+            lines.append(f"ra t{rng.randrange(6)}(j{a}, j{b}) @ {var}")
+        elif pick < 0.25:
+            lines.append(f"ri t{rng.randrange(6)} <= t{rng.randrange(6)} @ {var}")
+        elif pick < 0.3:
+            lines.append(f"rr ran(t{rng.randrange(6)}) <= K{rng.randrange(40)} @ {var}")
+        else:
+            lhs = _nested_concept(rng, depth, 40, 6)
+            rhs = f"K{rng.randrange(40)}" if rng.random() < 0.8 else f"some(t{rng.randrange(6)})"
+            lines.append(f"gci {lhs} <= {rhs} @ {var}")
+    return lines

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,12 @@ from elprov.ontology import MAX_CONCEPT_DEPTH, render_axiom
 from elprov.provenance import Monomial, Variable
 from elprov.relevance import relevant_monomial
 
-from generators import random_general_ontology, random_normalized_ontology, random_target
+from generators import (
+    ontology_lines,
+    random_general_ontology,
+    random_normalized_ontology,
+    random_target,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -370,6 +376,50 @@ class TestErrorPaths:
             done = run_fresh(["normalize", "-i", "o.elp"], cwd=tmp_path, seed=seed)
             assert (done.returncode, done.stderr.decode()) == (2, f"o.elp:{err}\n")
 
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            # a form feed ends no line, so 'bad line' is line 3
+            ("# section one\f\nca A(b) @ v\nbad line\n",
+             "3:1: expected one of gci/ri/rr/ca/ra, got 'bad'"),
+            # a line separator ends no comment
+            ("# note \u2028 more\nbad line\n", "2:1: expected one of gci/ri/rr/ca/ra, got 'bad'"),
+            # \r\n and \r do end lines
+            ("ca A(b) @ v\r\nca B(b) @ v\rbad line\n",
+             "3:1: expected one of gci/ri/rr/ca/ra, got 'bad'"),
+            # a blank other than space or tab is named at its own column
+            ("ca A\u00a0(b) @ v\n", "1:5: unexpected character '\\xa0'"),
+            ("ca A(b) @\u2003v\n", "1:10: unexpected character '\\u2003'"),
+        ],
+        ids=["form-feed", "line-separator", "crlf-and-cr", "no-break-space", "em-space"],
+    )
+    def test_line_and_column_of_a_parse_error(self, tmp_path, capsys, text, err):
+        path = tmp_path / "o.elp"
+        path.write_bytes(text.encode())
+        assert main(["normalize", "-i", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"{path}:{err}\n")
+
+    def test_a_commented_out_query_atom_stays_out(self, tmp_path, capsys):
+        path = tmp_path / "q.cq"
+        path.write_bytes("C(?x, ?t0) # was: \u2028& D(?x, ?t1)\n".encode())
+        code, obj = run_json(capsys, ["rewrite", "-q", str(path)], "rewrite")
+        assert (code, obj["atoms"]) == (0, ["C(?x, ?t0)"])
+
+    @pytest.mark.parametrize(
+        "kind, axiom, err",
+        [
+            ("iq", "iq R(a)", "name 'R' used both as role and as concept"),
+            ("gci", "gci A <= R", "name 'R' used both as role and as concept"),
+            ("rr", "rr ran(A) <= A", "name 'A' used both as concept and as role"),
+        ],
+    )
+    def test_a_clash_in_the_probe_is_a_usage_error(self, tmp_path, capsys, kind, axiom, err):
+        path = tmp_path / "o.elp"
+        path.write_text("ra R(a, b) @ v\nca A(a) @ w\n")
+        argv = ["entail", "-i", str(path), "--kind", kind, "--axiom", axiom, "--prov", "v"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
     def test_usage_error(self, capsys):
         assert main(["entail", "--kind", "nope", "-i", "x", "--axiom", "y", "--prov", "1"]) == 2
 
@@ -548,6 +598,20 @@ class TestDeterminism:
             assert done.returncode in (0, 1), done.stderr
             outputs.add((done.returncode, done.stdout))
         assert len(outputs) == 1 and outputs.pop()[1]
+
+    def test_normalized_nested_ontologies_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # the normalized signature is assembled from the input's and the
+        # fresh names; no set order may reach it or the fresh-name numbering
+        rng = random.Random(1409)
+        for i in range(3):
+            path = tmp_path / f"nested-{i}.elp"
+            path.write_text("\n".join(ontology_lines(rng, 200, 4)) + "\n")
+            outputs = set()
+            for seed in ("0", "1", "2"):
+                done = run_fresh(["normalize", "-i", str(path), "--json"], seed=seed)
+                assert done.returncode == 0, done.stderr
+                outputs.add(done.stdout)
+            assert len(outputs) == 1 and b"__nf" in outputs.pop()
 
     def test_one_process_answers_like_fresh_ones(self, capsys, monkeypatch):
         # the parser is built once per process, so a usage error must leave

@@ -1,8 +1,12 @@
 import random
+import re
+import warnings
 from pathlib import Path
 
 import pytest
 
+from elprov import cli
+from elprov.completion import probe
 from elprov.ontology import (
     CA,
     GCI,
@@ -24,6 +28,7 @@ from elprov.ontology import (
     _walk,
     normalize,
     parse_axiom,
+    parse_iq_target,
     parse_ontology,
     render_annotated,
     signature,
@@ -31,8 +36,16 @@ from elprov.ontology import (
 )
 from elprov.provenance import ONE, Monomial, Variable
 
-from crosscheck import check_lhs_grammar, concept_names, mentions_top, role_names
-from generators import random_general_ontology
+from crosscheck import (
+    check_lhs_grammar,
+    concept_names,
+    mentions_top,
+    parse_axiom_by_kinds,
+    parse_iq_target_by_kinds,
+    parse_ontology_by_kinds,
+    role_names,
+)
+from generators import TARGET_KINDS, ontology_lines, random_general_ontology, random_target
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -332,8 +345,6 @@ class TestTranslateGeneralGCI:
 
 
 def test_parse_iq_target():
-    from elprov.ontology import parse_iq_target
-
     concept, ind = parse_iq_target("iq some(predecessor, Mayor)(Brugnaro)")
     assert concept == ExistsQ("predecessor", Atomic("Mayor"))
     assert ind == "Brugnaro"
@@ -347,3 +358,267 @@ def test_fresh_names_avoid_used():
     assert fresh.role() == "__role0"
     with pytest.raises(ValueError):
         fresh.named("plain")
+
+
+# --- the parser against the parser on (kind, value, column) tokens -----------
+
+# what a mutation inserts, deletes or replaces
+PIECES = ("Top", "and", "some", "ran", "__x", "1", "1a", "<=", "@", "(", ",", "#", "\t", "\xa0")
+
+
+def mutate(rng: random.Random, line: str) -> str:
+    """One or two insertions, deletions or replacements of a piece."""
+    for _ in range(rng.randint(1, 2)):
+        spots = [m.span() for piece in PIECES for m in re.finditer(re.escape(piece), line)]
+        op = rng.randrange(3)
+        if op == 0 or not spots:
+            at = rng.randint(0, len(line))
+            line = line[:at] + rng.choice(PIECES) + line[at:]
+        else:
+            start, end = rng.choice(spots)
+            line = line[:start] + (rng.choice(PIECES) if op == 2 else "") + line[end:]
+    return line
+
+
+def outcome(parse, text: str):
+    try:
+        result = parse(text)
+    except ParseError as exc:
+        return ("ParseError", exc.message, exc.line, exc.column)
+    except Exception as exc:  # any other failure has to agree as well
+        return (type(exc).__name__, str(exc))
+    return ("ok", result.axioms if isinstance(result, AnnotatedOntology) else result)
+
+
+def names_the_blank(old, new, line: str) -> bool:
+    """The one intended difference: a blank other than space or tab is
+    named at its own column, where the old parser named the character
+    after the blanks."""
+    if old[0] != "ParseError" or new[0] != "ParseError" or old[2] != new[2]:
+        return False
+    col, old_col = new[3], old[3]
+    blank = line[col - 1]
+    return (
+        blank.isspace()
+        and blank not in " \t"
+        and new[1] == f"unexpected character {blank!r}"
+        and old[1] == f"unexpected character {line[old_col - 1]!r}"
+        and line[col - 1 : old_col - 1].isspace()
+    )
+
+
+def golden_lines() -> list[str]:
+    return [line for path in sorted(GOLDEN.glob("*.elp")) for line in path.read_text().split("\n")]
+
+
+def source_lines(rng: random.Random) -> list[str]:
+    """Every golden line, and generated lines of flat and nested shapes."""
+    return golden_lines() + ontology_lines(rng, 300, 1) + ontology_lines(rng, 300, 4)
+
+
+class TestParserAgainstTheKindTokenParser:
+    def test_golden_files_parse_alike(self):
+        for path in sorted(GOLDEN.glob("*.elp")):
+            text = path.read_text()
+            assert parse_ontology(text).axioms == parse_ontology_by_kinds(text).axioms
+
+    def test_mutated_lines(self):
+        rng = random.Random(1401)
+        seen = {"ok": 0, "ParseError": 0, "blank": 0}
+        for line in source_lines(rng):
+            for _ in range(6):
+                text = mutate(rng, line)
+                old = outcome(parse_ontology_by_kinds, text)
+                new = outcome(parse_ontology, text)
+                if new != old:
+                    assert names_the_blank(old, new, text.split("#", 1)[0]), (text, old, new)
+                    seen["blank"] += 1
+                else:
+                    seen[new[0]] += bool(new[1])  # a blank or comment line counts for neither
+        # both outcomes occur often, and so does the intended difference
+        assert seen["ok"] >= 500 and seen["ParseError"] >= 3000 and seen["blank"] >= 100, seen
+
+    def test_mutated_files(self):
+        # namespace clashes and positions across lines: five lines a file,
+        # some renamed into one pool of names shared by every kind
+        rng = random.Random(1402)
+        lines = source_lines(rng)
+        clashes = 0
+        for _ in range(600):
+            sample = [re.sub(r"\b[Ktju](\d)", r"n\1", line) if rng.random() < 0.5 else line
+                      for line in rng.sample(lines, 5)]
+            text = "\n".join(mutate(rng, line) if rng.random() < 0.3 else line for line in sample)
+            old = outcome(parse_ontology_by_kinds, text)
+            new = outcome(parse_ontology, text)
+            if new != old:
+                line = text.split("\n")[new[2] - 1].split("#", 1)[0]
+                assert names_the_blank(old, new, line), (text, old, new)
+            clashes += "used both as" in str(new)
+        assert clashes >= 30
+
+    @pytest.mark.parametrize(
+        "parse, oracle",
+        [(parse_axiom, parse_axiom_by_kinds), (parse_iq_target, parse_iq_target_by_kinds)],
+        ids=["axiom", "iq"],
+    )
+    def test_mutated_arguments(self, parse, oracle):
+        rng = random.Random(1403)
+        texts = [line.split("#", 1)[0].rpartition(" @ ")[0] for line in source_lines(rng)]
+        if parse is parse_iq_target:
+            texts = [f"iq {t[4:].partition(' <= ')[0]}(j1)" for t in texts if t.startswith("gci ")]
+        seen = {"ok": 0, "ParseError": 0, "blank": 0}
+        for text in texts:
+            for _ in range(4):
+                mutated = mutate(rng, text)
+                old, new = outcome(oracle, mutated), outcome(parse, mutated)
+                if new != old:
+                    assert names_the_blank(old, new, mutated.strip()), (mutated, old, new)
+                    seen["blank"] += 1
+                else:
+                    seen[new[0]] += 1
+        assert seen["ok"] >= 200 and seen["ParseError"] >= 500 and seen["blank"] >= 20, seen
+
+    def test_mutated_arguments_through_the_cli(self, capsys, monkeypatch):
+        rng = random.Random(1404)
+        lines = golden_lines() + ontology_lines(rng, 60, 4)
+        axioms = [line.split("#", 1)[0].rpartition(" @ ")[0] for line in lines]
+        iqs = [f"iq {t[4:].partition(' <= ')[0]}(j1)" for t in axioms if t.startswith("gci ")]
+        argv = ["relevant", "-i", str(GOLDEN / "mayor.elp"), "--axiom"]
+
+        def run(text):
+            with warnings.catch_warnings():
+                warnings.simplefilter("always")
+                code = cli.main([*argv, text])
+            return (code, *capsys.readouterr())
+
+        blanks = 0
+        for text in [t for t in axioms if t] + iqs:
+            mutated = mutate(rng, text)
+            new = run(mutated)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "parse_axiom", parse_axiom_by_kinds)
+                patch.setattr(cli, "parse_iq_target", parse_iq_target_by_kinds)
+                old = run(mutated)
+            if new != old:
+                stripped = mutated.strip()
+                iq = stripped.startswith("iq")
+                error = outcome(parse_iq_target if iq else parse_axiom, stripped)
+                oracle = parse_iq_target_by_kinds if iq else parse_axiom_by_kinds
+                assert names_the_blank(outcome(oracle, stripped), error, stripped), (mutated, old, new)
+                assert new == (2, "", f"--axiom:1:{error[3]}: {error[1]}\n")
+                blanks += 1
+        assert blanks >= 10
+
+
+# --- derived ontologies against direct construction -------------------------
+
+
+def assert_built_alike(derived: AnnotatedOntology, direct: AnnotatedOntology) -> None:
+    assert derived.axioms == direct.axioms
+    assert signature(derived) == signature(direct)
+    assert derived.top_occurs == direct.top_occurs
+    assert derived == direct and hash(derived) == hash(direct)
+    # the name table a further extension starts from
+    assert derived._kinds == direct._kinds
+
+
+def extension_outcome(build):
+    try:
+        return ("ok", build())
+    except NamespaceError as exc:
+        return ("NamespaceError", str(exc), exc.axiom)
+    except (TypeError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def misused_name(rng: random.Random, o: AnnotatedOntology) -> AnnotatedAxiom:
+    """An axiom that uses one of the ontology's names in a random slot,
+    so it clashes when the slot's kind is not the name's."""
+    names = o.concept_names + o.role_names + o.individuals + tuple(v.name for v in o.variables)
+    x = rng.choice(names)
+    pick = rng.randrange(6)
+    if pick == 0:
+        return ann(CA(Atomic(x), "fresh_i"), "fresh_v")
+    if pick == 1:
+        return ann(RA(x, "fresh_i", "fresh_j"), "fresh_v")
+    if pick == 2:
+        return ann(CA(Atomic("Fresh"), x), "fresh_v")
+    if pick == 3:
+        return ann(GCI(ExistsQ(x, TOP), Atomic("Fresh")), "fresh_v")
+    if pick == 4:
+        return ann(RR("fresh_r", x), "fresh_v")
+    return ann(CA(Atomic("Fresh"), "fresh_i"), x)
+
+
+def derivation_sources():
+    """Every golden ontology, seeded general draws and nested generated files."""
+    rng = random.Random(1405)
+    sources = [parse_ontology(path.read_text()) for path in sorted(GOLDEN.glob("*.elp"))]
+    sources += [random_general_ontology(rng, max_axioms=10) for _ in range(60)]
+    sources += [parse_ontology("\n".join(ontology_lines(rng, 80, 4))) for _ in range(4)]
+    return sources
+
+
+class TestDerivedEqualsDirectConstruction:
+    def test_normalize(self):
+        for o in derivation_sources():
+            n = normalize(o)
+            assert_built_alike(n, AnnotatedOntology(list(n.axioms)))
+
+    def test_probes(self):
+        rng = random.Random(1406)
+        probed = 0
+        for o in derivation_sources():
+            for kind in TARGET_KINDS:
+                target = random_target(rng, o, kind)
+                if target is None:
+                    continue
+                extended = probe(o, target)[0]
+                extra = extended.axioms[len(o):]
+                assert_built_alike(o.extended(extra), AnnotatedOntology([*o.axioms, *extra]))
+                n = normalize(extended)
+                assert_built_alike(n, AnnotatedOntology(list(n.axioms)))
+                probed += bool(extra)
+        assert probed >= 200
+
+    def test_extensions_that_repeat_and_add_names(self):
+        # repeated axioms, Top, and new names of every kind, onto a
+        # normalized parent as the model's role probes are
+        rng = random.Random(1407)
+        for o in derivation_sources():
+            base = normalize(o)
+            extra = rng.sample(base.axioms, min(3, len(base))) + [
+                ann(CA(TOP, "fresh_i"), "fresh_v"),
+                ann(GCI(ExistsQ("fresh_r", TOP), Atomic("Fresh")), "fresh_w"),
+                *(ann(RA(r, "__ind0", "__ind1"), f"__var{i}") for i, r in enumerate(base.role_names)),
+            ]
+            rng.shuffle(extra)
+            assert_built_alike(base.extended(extra), AnnotatedOntology([*base.axioms, *extra]))
+
+    def test_a_clash_in_the_added_axioms_raises_the_same_error(self):
+        rng = random.Random(1408)
+        clashes = 0
+        for o in derivation_sources():
+            for _ in range(5):
+                extra = [misused_name(rng, o) for _ in range(rng.randint(1, 3))]
+                derived = extension_outcome(lambda: o.extended(extra))
+                direct = extension_outcome(lambda: AnnotatedOntology([*o.axioms, *extra]))
+                if derived[0] == "ok":
+                    assert direct[0] == "ok"
+                    assert_built_alike(derived[1], direct[1])
+                else:
+                    assert derived == direct
+                    clashes += 1
+        assert clashes >= 150
+
+    def test_grammar_errors_in_the_added_axioms_are_the_same(self):
+        o = parse_ontology(MAYOR)
+        for bad in (
+            ann(GCI(Atomic("A"), ExistsQ("R", Atomic("B"))), "v"),
+            ann(GCI(Exists("R"), Atomic("B")), "v"),
+            ann(CA(Exists("R"), "a"), "v"),
+            "not an axiom",
+        ):
+            derived = extension_outcome(lambda: o.extended([bad]))
+            assert derived[0] != "ok"
+            assert derived == extension_outcome(lambda: AnnotatedOntology([*o.axioms, bad]))
