@@ -169,11 +169,11 @@ class _VarTable:
         mon = self._monomials.get(mask)
         if mon is None:
             vs, rest = [], mask
-            while rest:  # one step per set bit, lowest first
+            while rest:  # one step per set bit, lowest first: in name order
                 low = rest & -rest
                 vs.append(self.vars[low.bit_length() - 1])
                 rest ^= low
-            mon = self._monomials[mask] = Monomial(tuple(vs))
+            mon = self._monomials[mask] = Monomial._canonical(tuple(vs))
         return mon
 
 

@@ -98,16 +98,28 @@ class UnknownIndividualError(QueryError):
 class Named:
     name: str
 
+    def __hash__(self) -> int:
+        return hash(self.name)
+
     def __str__(self) -> str:
         return self.name
 
 
 @dataclass(frozen=True)
 class AuxElement:
-    """Anonymous element recording the role and monomial of its creator edge."""
+    """Anonymous element recording the role and monomial of its creator edge; hashed once."""
 
     role: str
     monomial: Monomial
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.role, self.monomial)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return AuxElement, (self.role, self.monomial)
 
     def __str__(self) -> str:
         return f"_:{self.role}:{self.monomial}"
@@ -119,7 +131,7 @@ DomainElement = Named | AuxElement
 def element_key(e: DomainElement):
     if isinstance(e, Named):
         return (0, e.name)
-    return (1, e.role, e.monomial)
+    return (1, e.role, e.monomial.names)
 
 
 class AnnotatedInterpretation:
@@ -491,7 +503,7 @@ def enumerate_matches(
             stack.append(rows_of(plan[len(stack)]))
             continue
         values = [binding[t] for t in terms]
-        key = tuple((2, v) if isinstance(v, Monomial) else element_key(v) for v in values)
+        key = tuple((2, v.names) if isinstance(v, Monomial) else element_key(v) for v in values)
         results.append((key, Match(tuple(zip(terms, values)))))
     results.sort(key=itemgetter(0))
     for (key, _), (following, _) in zip(results, results[1:]):
@@ -503,12 +515,9 @@ def enumerate_matches(
 def provenance_of_matches(query: BCQ, matches: Iterable[Match]) -> Polynomial:
     """Sum over matches of the product of the matched provenance monomials."""
     terms = []
-    for match in matches:
+    for match in matches:  # a product is canonicalized once, from all its factors' variables
         bound = dict(match.binding)
-        mon = ONE
-        for atom in query.atoms:
-            mon = mon * bound[atom.prov]
-        terms.append((mon, 1))
+        terms.append((Monomial(tuple(v for a in query.atoms for v in bound[a.prov].vars)), 1))
     return Polynomial(terms)
 
 
@@ -516,9 +525,9 @@ def provenance_of_matches(query: BCQ, matches: Iterable[Match]) -> Polynomial:
 #
 # atom  := NAME '(' term ',' term ')' | NAME '(' term ',' term ',' term ')'
 # term  := '?' NAME | NAME        (a '?'-term is an existential variable)
-# query := atom ('&' atom)*       (line breaks are whitespace; '#' comments)
+# query := atom ('&' atom)*       (blanks are space, tab and line break; '#' comments)
 
-_QTOKEN = re.compile(r"\s*(?:(?P<var>\?[A-Za-z_][A-Za-z0-9_]*)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[(),&]))")
+_QTOKEN = re.compile(r"[ \t\n]*(?:(?P<var>\?[A-Za-z_][A-Za-z0-9_]*)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[(),&]))")
 
 
 def parse_query(text: str) -> BCQ:
@@ -528,7 +537,7 @@ def parse_query(text: str) -> BCQ:
     while pos < len(text):
         m = _QTOKEN.match(text, pos)
         if not m:
-            rest = text[pos:].strip()
+            rest = text[pos:].lstrip(" \t\n")
             if not rest:
                 break
             raise QueryError(f"unexpected character {rest[0]!r} in query")

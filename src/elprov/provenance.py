@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 NAME_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_name, _names = attrgetter("name"), attrgetter("names")
 
 
 class MissingAssignmentError(KeyError):
@@ -56,6 +58,9 @@ class Variable:
         if not NAME_PATTERN.match(self.name) or self.name == "1":
             raise ValueError(f"invalid variable name: {self.name!r}")
 
+    def __hash__(self) -> int:
+        return hash(self.name)
+
     def __str__(self) -> str:
         return self.name
 
@@ -67,12 +72,31 @@ class Monomial:
     The constructor canonicalizes: duplicates collapse and variables are
     sorted by name, so equality and hashing coincide with equality of the
     products modulo commutativity, associativity and idempotency.
+    ``names``, the variables' names, sorts like the dataclass order and gives the hash, computed
+    once; a pickle carries only ``vars``, as string hashes differ between processes.
     """
 
     vars: tuple[Variable, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vars", tuple(sorted(set(self.vars))))
+        self._set(tuple(sorted(set(self.vars), key=_name)))
+
+    @classmethod
+    def _canonical(cls, vs: tuple[Variable, ...]) -> "Monomial":
+        """The monomial of ``vs``, which must be duplicate-free and sorted by name."""
+        return object.__new__(cls)._set(vs)
+
+    def _set(self, vs: tuple[Variable, ...]) -> "Monomial":
+        object.__setattr__(self, "vars", vs)
+        object.__setattr__(self, "names", tuple(map(_name, vs)))
+        object.__setattr__(self, "_hash", hash(self.names))
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Monomial, (self.vars,)
 
     @property
     def degree(self) -> int:
@@ -87,6 +111,8 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
+        if not (self.vars and other.vars):  # a factor is 1
+            return self if not other.vars else other
         return Monomial(self.vars + other.vars)
 
     def __iter__(self) -> Iterator[Variable]:
@@ -116,7 +142,7 @@ class Polynomial:
                 raise ValueError(f"negative coefficient {coeff} for {mon}")
             if coeff:
                 acc[mon] = acc.get(mon, 0) + coeff
-        self._terms: dict[Monomial, int] = {m: acc[m] for m in sorted(acc)}
+        self._terms: dict[Monomial, int] = {m: acc[m] for m in sorted(acc, key=_names)}
 
     @classmethod
     def of(cls, *monomials: Monomial) -> "Polynomial":

@@ -25,14 +25,18 @@ over the axioms whose annotation divides the monomial can be compared
 with it. ``parse_ontology_by_kinds``, ``parse_axiom_by_kinds`` and
 ``parse_iq_target_by_kinds`` parse on (kind, value, column) tokens, as
 the library did before it read a token's kind off the token itself, so
-the string-token parser can be compared with them. They serve the tests
-only.
+the string-token parser can be compared with them.
+``dataclass_monomial_key`` and ``dataclass_element_key`` order monomials
+and domain elements by the generated dataclass comparisons the library
+sorted by before it compared tuples of variable names, so the name
+tuples can be compared with them. They serve the tests only.
 """
 
 from __future__ import annotations
 
 import re
 import time
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from elprov.canonical import Fork, RewritingConditions
@@ -60,7 +64,6 @@ from elprov.interpretation import (
     Term,
     UnknownIndividualError,
     Var,
-    element_key,
     evaluate_concept,
     term_key,
 )
@@ -367,11 +370,33 @@ def fixpoint_canonical_model(
     )
 
 
+@dataclass(frozen=True, order=True)
+class _DataclassVariable:
+    name: str
+
+
+@dataclass(frozen=True, order=True)
+class _DataclassMonomial:
+    vars: tuple[_DataclassVariable, ...]
+
+
+def dataclass_monomial_key(mon: Monomial) -> _DataclassMonomial:
+    """``mon`` under the order of ``@dataclass(order=True)`` monomials of variables."""
+    return _DataclassMonomial(tuple(_DataclassVariable(v.name) for v in mon.vars))
+
+
+def dataclass_element_key(e: DomainElement):
+    if isinstance(e, Named):
+        return (0, e.name)
+    return (1, e.role, dataclass_monomial_key(e.monomial))
+
+
 def _binding_sort_key(pairs: dict):
     out = []
     for t in sorted(pairs, key=term_key):
         v = pairs[t]
-        out.append((term_key(t), element_key(v) if isinstance(v, (Named, AuxElement)) else (2, v)))
+        key = (2, dataclass_monomial_key(v)) if isinstance(v, Monomial) else dataclass_element_key(v)
+        out.append((term_key(t), key))
     return out
 
 

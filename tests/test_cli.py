@@ -12,16 +12,22 @@ import pytest
 
 from hypothesis import assume, event, given, settings, strategies as st
 
+from elprov.canonical import answer_query, build_canonical_model
 from elprov.cli import main
 from elprov.completion import UnknownNameWarning, entails
-from elprov.ontology import MAX_CONCEPT_DEPTH, render_axiom
-from elprov.provenance import Monomial, Variable
+from elprov.interpretation import AuxElement, UnknownIndividualError
+from elprov.ontology import GCI, MAX_CONCEPT_DEPTH, AnnotatedAxiom, Atomic, Exists, render_axiom
+from elprov.provenance import Monomial, Polynomial, Variable
 from elprov.relevance import relevant_monomial
 
 from generators import (
+    CONCEPTS,
+    INDS,
+    ROLES,
     ontology_lines,
     random_general_ontology,
     random_normalized_ontology,
+    random_query,
     random_target,
 )
 
@@ -76,14 +82,17 @@ def schema(name):
     return json.loads(ref.read_text())
 
 
-def run_fresh(argv, cwd=GOLDEN, seed="0") -> subprocess.CompletedProcess:
-    """``elprov`` in a new interpreter with the given string hash seed."""
+def python_fresh(args, cwd=GOLDEN, seed="0") -> subprocess.CompletedProcess:
+    """A new interpreter on this checkout's ``src`` with the given string hash seed."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONHASHSEED": seed}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "elprov.cli", *argv], cwd=cwd, env=env, capture_output=True
-    )
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True)
+
+
+def run_fresh(argv, cwd=GOLDEN, seed="0") -> subprocess.CompletedProcess:
+    """``elprov`` in a new interpreter with the given string hash seed."""
+    return python_fresh(["-m", "elprov.cli", *argv], cwd, seed)
 
 
 def run_json(capsys, argv, schema_name):
@@ -254,6 +263,38 @@ class TestQuery:
         assert code == 0
         assert obj["matches"] == 1 and obj["query_provenance"] == "v1"
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_json_agrees_with_the_library(self, rng):
+        o = random_normalized_ontology(rng, 10)
+        q = random_query(rng, CONCEPTS, ROLES, INDS, max_atoms=4)
+        try:
+            found = answer_query(o, q, Polynomial()).provenance.terms()
+        except UnknownIndividualError:
+            found = ()
+        # a term of the query provenance makes an entailed answer likely
+        pool = [*(m for m, _ in found), *(Monomial((v,)) for v in o.variables), Monomial()]
+        pool.append(Monomial((Variable("foreign"),)))
+        prov = Polynomial((m, rng.randint(1, 2)) for m in rng.sample(pool, rng.randint(0, 2)))
+        try:
+            answer = answer_query(o, q, prov)
+            expected = (
+                0 if answer.entailed else 1,
+                [answer.entailed, len(answer.matches), str(answer.provenance)],
+            )
+        except UnknownIndividualError:
+            expected = (2, None)
+        with tempfile.TemporaryDirectory() as tmp:  # tmp_path is per test, not per example
+            path, query, out = Path(tmp) / "o.elp", Path(tmp) / "q.cq", Path(tmp) / "out.json"
+            path.write_text(o.render())
+            query.write_text(f"{q}\n")
+            argv = ["query", "-i", str(path), "-q", str(query), "--prov", str(prov), "--json"]
+            code = main([*argv, "-o", str(out)])
+            obj = json.loads(out.read_text()) if code != 2 else None
+        printed = obj and [obj["entailed"], obj["matches"], obj["query_provenance"]]
+        event(f"exit {code}")
+        assert (code, printed) == expected, (o.render(), str(q), str(prov))
+
 
 class TestOtherCommands:
     def test_normalize_json(self, capsys, tmp_path):
@@ -398,6 +439,31 @@ class TestErrorPaths:
         path.write_bytes(text.encode())
         assert main(["normalize", "-i", str(path)]) == 2
         assert capsys.readouterr() == ("", f"{path}:{err}\n")
+
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ("C(?x,\u00a0?t0) &\fD(?x, ?t1)\n", "unexpected character '\\xa0' in query"),
+            ("C(?x, ?t0) &\fD(?x, ?t1)\n", "unexpected character '\\x0c' in query"),
+            ("C(?x, ?t0)\u2003\n", "unexpected character '\\u2003' in query"),
+            # space, tab and the line breaks \r\n, \r and \n are blanks
+            ("C(?x,\t?t0)\r\n&  D(?x,\r?t1)\n", None),
+        ],
+        ids=["no-break-space", "form-feed", "trailing-em-space", "space-tab-line-breaks"],
+    )
+    @pytest.mark.parametrize("command", ["rewrite", "query"])
+    def test_query_blanks_are_space_tab_and_line_break(self, tmp_path, capsys, command, text, err):
+        path = tmp_path / "q.cq"
+        path.write_bytes(text.encode())
+        argv = [command, "-q", str(path), "--json"]
+        if command == "query":
+            argv += ["-i", str(GOLDEN / "mayor.elp"), "--prov", "v1"]
+        code, captured = main(argv), capsys.readouterr()
+        if err is None:  # read as with single spaces
+            path.write_text("C(?x, ?t0) & D(?x, ?t1)\n")
+            assert (code, captured) == (main(argv), capsys.readouterr())
+        else:
+            assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
 
     def test_a_commented_out_query_atom_stays_out(self, tmp_path, capsys):
         path = tmp_path / "q.cq"
@@ -612,6 +678,49 @@ class TestDeterminism:
                 assert done.returncode == 0, done.stderr
                 outputs.add(done.stdout)
             assert len(outputs) == 1 and b"__nf" in outputs.pop()
+
+    def test_query_and_model_on_generated_ontologies_do_not_depend_on_the_hash_seed(
+        self, tmp_path
+    ):
+        # the models have anonymous elements, whose hashes mix names and
+        # monomials; one query has a cycle with a tail, the other a fork
+        rng = random.Random(1503)
+        (tmp_path / "cyclic.cq").write_text("R(?x, ?y, ?t0) & R(?y, ?x, ?t1) & S(?x, ?z, ?t2)\n")
+        (tmp_path / "forked.cq").write_text("R(?x, ?z, ?t0) & S(?y, ?z, ?t1) & B(?z, ?t2)\n")
+        argvs = []
+        for i in range(3):
+            o = random_normalized_ontology(rng, 16, min_axioms=12).extended(
+                AnnotatedAxiom(
+                    GCI(Atomic(rng.choice(CONCEPTS)), Exists(rng.choice(ROLES))),
+                    Monomial((Variable("v5"),)),
+                )
+                for _ in range(2)
+            )
+            assert any(isinstance(e, AuxElement) for e in build_canonical_model(o).domain)
+            path = tmp_path / f"generated-{i}.elp"
+            path.write_text(o.render())
+            argvs.append(["model", "-i", path.name])
+            for q in ("cyclic.cq", "forked.cq"):
+                argvs.append(["query", "-i", path.name, "-q", q, "--json", "--prov", "v1 + v2*v5"])
+        script = (
+            "import io, json, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from elprov.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with redirect_stdout(out):\n"
+            "        code = main(argv)\n"
+            "    print(json.dumps([code, out.getvalue()]))\n"
+        )
+        outputs = set()
+        for seed in ("0", "1", "2"):
+            done = python_fresh(["-c", script, json.dumps(argvs)], cwd=tmp_path, seed=seed)
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
+        runs = [json.loads(line) for line in outputs.pop().splitlines()]
+        assert all(code in (0, 1) for code, _ in runs)
+        assert any(json.loads(out).get("matches") for _, out in runs)
 
     def test_one_process_answers_like_fresh_ones(self, capsys, monkeypatch):
         # the parser is built once per process, so a usage error must leave

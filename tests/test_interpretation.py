@@ -1,5 +1,13 @@
-import pytest
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given, strategies as st
+
+from crosscheck import dataclass_element_key
 from elprov.interpretation import (
     AnnotatedInterpretation,
     AuxElement,
@@ -11,6 +19,7 @@ from elprov.interpretation import (
     RoleAtom,
     UnknownIndividualError,
     Var,
+    element_key,
     enumerate_matches,
     parse_query,
     provenance_of_matches,
@@ -89,6 +98,45 @@ def loop_model():
         },
         individuals=["a"],
     )
+
+
+monomials = st.lists(st.sampled_from(("v2", "v10", "V", "a", "ab")), max_size=4).map(
+    lambda names: Monomial(tuple(Variable(n) for n in names))
+)
+elements = st.one_of(
+    st.sampled_from(("a", "B", "a_", "b")).map(Named),
+    st.builds(AuxElement, st.sampled_from(("R", "S", "r")), monomials),
+)
+
+
+class TestDomainElements:
+    @given(st.lists(elements, max_size=10))
+    def test_element_key_sorts_like_the_dataclass_order(self, els):
+        assert sorted(els, key=element_key) == sorted(els, key=dataclass_element_key)
+        interp = AnnotatedInterpretation(els, {}, {})
+        assert interp.domain == tuple(sorted(set(els), key=dataclass_element_key))
+
+    def test_no_cached_hash_crosses_a_process(self):
+        mon = Monomial((Variable("v2"), Variable("v1")))
+        check = (
+            "import pickle, sys\n"
+            "from elprov.interpretation import AuxElement\n"
+            "from elprov.provenance import Monomial, Variable\n"
+            "mon = Monomial((Variable('v1'), Variable('v2')))\n"
+            "fresh = {mon, AuxElement('R', mon)}\n"
+            "sys.exit(not all(v in fresh for v in pickle.loads(sys.stdin.buffer.read())))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for seed in ("1", "2"):  # at least one differs from this process's seed
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", check],
+                input=pickle.dumps((mon, AuxElement("R", mon))),
+                env=env,
+                capture_output=True,
+            )
+            assert done.returncode == 0, (seed, done.stderr)
 
 
 class TestExtendConcept:

@@ -1,6 +1,11 @@
+from functools import reduce
+from operator import attrgetter, or_
+
 import pytest
 from hypothesis import given, strategies as st
 
+from crosscheck import dataclass_monomial_key
+from elprov.completion import _VarTable
 from elprov.provenance import (
     BOOLEAN,
     FUZZY,
@@ -70,6 +75,39 @@ class TestMonomial:
             Variable("2x")
         with pytest.raises(ValueError):
             Variable("a-b")
+
+
+# names whose order is not the order they are made in: case, digits, prefixes
+NAMED = tuple(Variable(n) for n in ("v2", "v10", "V", "a", "_z", "ab", "a_", "v1"))
+name_lists = st.lists(st.sampled_from(NAMED), max_size=8)
+
+
+class TestConstructionPaths:
+    @given(name_lists, name_lists, st.permutations(NAMED))
+    def test_every_path_gives_one_value_and_hash(self, vs, ws, order):
+        whole = Monomial(tuple(vs + ws))
+        assert whole.vars == tuple(sorted(set(vs + ws)))
+        table = _VarTable([Monomial((v,)) for v in order])
+        mask = reduce(or_, (table.bits[v] for v in vs + ws), 0)
+        built = [
+            parse_monomial("*".join(v.name for v in vs + ws) or "1"),
+            table.monomial(mask),
+            table.monomial(mask),
+            whole * ONE,
+            ONE * whole,
+            Monomial(tuple(vs)) * Monomial(tuple(ws)),
+        ]
+        for mon in built:
+            assert (mon, mon.vars, mon.names, hash(mon)) == (
+                whole, whole.vars, whole.names, hash(whole)
+            )
+
+    @given(st.lists(name_lists.map(lambda vs: Monomial(tuple(vs))), max_size=8))
+    def test_name_tuples_sort_like_the_dataclass_order(self, mons):
+        assert sorted(mons, key=attrgetter("names")) == sorted(mons, key=dataclass_monomial_key)
+        assert sorted(mons) == sorted(mons, key=dataclass_monomial_key)
+        poly = Polynomial((m, 1) for m in mons)
+        assert poly.monomials() == tuple(sorted(set(mons), key=dataclass_monomial_key))
 
 
 class TestPolynomial:
