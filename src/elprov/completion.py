@@ -669,7 +669,7 @@ def probe(
     if isinstance(target, (CA, RA)):
         return ontology, target, ONE, False
     fresh = FreshNames(ontology.all_names())
-    if isinstance(target, tuple):
+    if type(target) is tuple:  # not a syntax node, which is a tuple subclass
         concept, ind = target
         name = Atomic(fresh.named("__iq"))
         extended = ontology.extended([AnnotatedAxiom(GCI(concept, name), ONE)])

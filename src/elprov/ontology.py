@@ -22,15 +22,15 @@ File grammar (UTF-8, line oriented, ``#`` comments):
 Names beginning with ``__`` are reserved for internally generated
 symbols and rejected in user input.
 
-The front end does each job once. One ``findall`` splits a line into
-plain string tokens whose kind is read off the token; a column is computed
-only for an error. One iterative walk over a concept (``_walk``) serves
-the parser, validation and ``translate_general_gci``. An ontology hashes
-each axiom once, into the dict that deduplicates it and answers
+Concepts and axioms are tuples tagged with their class name, so ``==``
+and ``hash`` run in C. The front end does each job once. One ``findall``
+splits a line into string tokens whose kind is read off the token; a
+column is computed only for an error. The parser reads a concept in one
+loop and checks the left-hand side grammar as it builds it. An ontology
+hashes each axiom once, into the dict that deduplicates it and answers
 membership and equality. A derived ontology (``extended``, ``normalize``)
-copies its parent's dict and name-to-kind table and validates only the
-axioms it adds; ``normalize`` returns a normal-form ontology as is and
-passes a GCI through when ``_is_normal_gci`` holds.
+validates only the axioms it adds; ``normalize`` rewrites GCIs as
+``(lhs, rhs, annotation)`` triples and builds only the axioms it outputs.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .provenance import ONE, Monomial, Variable
@@ -107,61 +108,77 @@ class NamespaceError(ValueError):
 # --- concepts -------------------------------------------------------------
 
 
-class Concept:
+class _Node(tuple):
+    """A syntax node: a tuple of its class name and then its fields, so
+    ``==`` and ``hash`` run in C and hashing does not recurse in Python.
+    A class names its ``fields``: its constructor takes them and
+    ``property(itemgetter(i))`` reads them. ``repr`` is dataclass-style and
+    a pickle carries the fields. ``_text``, where a class has it, is the
+    node in the file syntax, ``%``-formatted with the fields."""
+
     __slots__ = ()
 
+    def __init_subclass__(cls, fields: tuple[str, ...] = (), **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__match_args__ = fields
+        for i, name in enumerate(fields, 1):
+            setattr(cls, name, property(itemgetter(i)))
+        # a constructor taking the fields, made as collections.namedtuple makes
+        # its own: a plain call is what the parser and normalize pay per node
+        args, scope = "".join(f"{f}, " for f in fields), {"new": tuple.__new__}
+        exec(f"def __new__(cls, {args}):\n    return new(cls, ({cls.__name__!r}, {args}))", scope)
+        cls.__new__ = scope["__new__"]
 
-@dataclass(frozen=True)
-class Top(Concept):
+    def __getnewargs__(self) -> tuple:
+        return self[1:]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self[1:]))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Concept(_Node):
+    __slots__ = ()
+
     def __str__(self) -> str:
-        return "Top"
+        return self._text % self[1:]
+
+
+class Top(Concept):
+    __slots__ = ()
+    _text = "Top"
 
 
 TOP = Top()
 
 
-@dataclass(frozen=True)
-class Atomic(Concept):
-    name: str
+class Atomic(Concept, fields=("name",)):
+    __slots__ = ()
 
-    def __str__(self) -> str:
+    def __str__(self) -> str:  # the most printed concept, without formatting
         return self.name
 
 
-@dataclass(frozen=True)
-class Conj(Concept):
-    left: Concept
-    right: Concept
-
-    def __str__(self) -> str:
-        return f"and({self.left}, {self.right})"
+class Conj(Concept, fields=("left", "right")):
+    __slots__ = ()
+    _text = "and(%s, %s)"
 
 
-@dataclass(frozen=True)
-class Exists(Concept):
-    role: str
-
-    def __str__(self) -> str:
-        return f"some({self.role})"
+class Exists(Concept, fields=("role",)):
+    __slots__ = ()
+    _text = "some(%s)"
 
 
-@dataclass(frozen=True)
-class ExistsQ(Concept):
-    role: str
-    filler: Concept
-
-    def __str__(self) -> str:
-        return f"some({self.role}, {self.filler})"
+class ExistsQ(Concept, fields=("role", "filler")):
+    __slots__ = ()
+    _text = "some(%s, %s)"
 
 
-@dataclass(frozen=True)
-class Ran(Concept):
+class Ran(Concept, fields=("role",)):
     """Range of a role; usable as an evaluable concept, not in GCIs."""
 
-    role: str
-
-    def __str__(self) -> str:
-        return f"ran({self.role})"
+    __slots__ = ()
+    _text = "ran(%s)"
 
 
 def is_atomic_or_top(c: Concept) -> bool:
@@ -200,62 +217,46 @@ def _walk(c: Concept) -> tuple[list[str], list[str], bool, bool]:
 # --- axioms ---------------------------------------------------------------
 
 
-class Axiom:
+class Axiom(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GCI(Axiom):
-    lhs: Concept
-    rhs: Concept
+class GCI(Axiom, fields=("lhs", "rhs")):
+    __slots__ = ()
+    _text = "gci %s <= %s"
 
 
-@dataclass(frozen=True)
-class RI(Axiom):
-    sub: str
-    sup: str
+class RI(Axiom, fields=("sub", "sup")):
+    __slots__ = ()
+    _text = "ri %s <= %s"
 
 
-@dataclass(frozen=True)
-class RR(Axiom):
-    role: str
-    filler: str
+class RR(Axiom, fields=("role", "filler")):
+    __slots__ = ()
+    _text = "rr ran(%s) <= %s"
 
 
-@dataclass(frozen=True)
-class CA(Axiom):
-    concept: Concept  # Atomic, or Top in derived sets
-    ind: str
+class CA(Axiom, fields=("concept", "ind")):  # the concept is Atomic, or Top in derived sets
+    __slots__ = ()
+    _text = "ca %s(%s)"
 
 
-@dataclass(frozen=True)
-class RA(Axiom):
-    role: str
-    a: str
-    b: str
+class RA(Axiom, fields=("role", "a", "b")):
+    __slots__ = ()
+    _text = "ra %s(%s, %s)"
 
 
-@dataclass(frozen=True)
-class AnnotatedAxiom:
-    axiom: Axiom
-    annotation: Monomial
+class AnnotatedAxiom(_Node, fields=("axiom", "annotation")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return render_annotated(self)
 
 
 def render_axiom(ax: Axiom) -> str:
-    if isinstance(ax, GCI):
-        return f"gci {ax.lhs} <= {ax.rhs}"
-    if isinstance(ax, RI):
-        return f"ri {ax.sub} <= {ax.sup}"
-    if isinstance(ax, RR):
-        return f"rr ran({ax.role}) <= {ax.filler}"
-    if isinstance(ax, CA):
-        return f"ca {ax.concept}({ax.ind})"
-    if isinstance(ax, RA):
-        return f"ra {ax.role}({ax.a}, {ax.b})"
-    raise TypeError(f"not an axiom: {ax!r}")
+    if not isinstance(ax, Axiom):
+        raise TypeError(f"not an axiom: {ax!r}")
+    return ax._text % ax[1:]
 
 
 def render_annotated(ann: AnnotatedAxiom) -> str:
@@ -411,7 +412,8 @@ class AnnotatedOntology:
         return self._derived(index, kinds, _claim(index, extra, kinds))
 
     def is_normal_form(self) -> bool:
-        return all(_is_normal_gci(a.axiom) for a in self.axioms if isinstance(a.axiom, GCI))
+        gcis = (a.axiom for a in self.axioms if isinstance(a.axiom, GCI))
+        return all(_is_normal_gci(ax.lhs, ax.rhs) for ax in gcis)
 
     def render(self) -> str:
         return "\n".join(render_annotated(ann) for ann in self.axioms) + ("\n" if self.axioms else "")
@@ -424,8 +426,7 @@ def signature(ontology: AnnotatedOntology) -> Signature:
     return ontology._sig
 
 
-def _is_normal_gci(ax: GCI) -> bool:
-    lhs, rhs = ax.lhs, ax.rhs
+def _is_normal_gci(lhs: Concept, rhs: Concept) -> bool:
     if isinstance(rhs, Atomic):
         if is_atomic_or_top(lhs):
             return True
@@ -490,40 +491,44 @@ def normalize(ontology: AnnotatedOntology) -> AnnotatedOntology:
     right conjunct, else a non-atomic left conjunct, else a non-atomic
     existential filler, else (the right-hand side is ``some(R)``) the
     whole left-hand side. Fresh names are memoized per concept structure
-    so repeated subconcepts share one definition. A normal-form ontology
-    is returned as is, with no new construction.
+    so repeated subconcepts share one definition. The rewrites run on one
+    FIFO queue, which fixes the order of the fresh names and of the output.
+    A normal-form ontology is returned as is, with no new construction.
     """
-    if ontology.is_normal_form():
+    out: list[AnnotatedAxiom] = []
+    work: deque[tuple[Concept, Concept, Monomial]] = deque()  # GCIs to rewrite, unbuilt
+    for ann in ontology.axioms:
+        ax = ann.axiom
+        if isinstance(ax, GCI) and not _is_normal_gci(ax.lhs, ax.rhs):
+            work.append((ax.lhs, ax.rhs, ann.annotation))
+        else:
+            out.append(ann)
+    if not work:
         return ontology
     fresh = FreshNames(ontology.all_names())
     memo: dict[Concept, Atomic] = {}
-    out: list[AnnotatedAxiom] = []
-    work: deque[AnnotatedAxiom] = deque(ontology.axioms)
 
     def name_for(c: Concept) -> Atomic:
         a = memo.get(c)
         if a is None:
-            a = Atomic(fresh.concept())
-            memo[c] = a
-            work.append(AnnotatedAxiom(GCI(c, a), ONE))
+            a = memo[c] = Atomic(fresh.concept())
+            work.append((c, a, ONE))
         return a
 
     while work:
-        ann = work.popleft()
-        ax = ann.axiom
-        if not isinstance(ax, GCI) or _is_normal_gci(ax):
-            out.append(ann)
-            continue
-        lhs = ax.lhs
+        lhs, rhs, annotation = work.popleft()
         if isinstance(lhs, Conj) and not is_atomic_or_top(lhs.right):
             lhs = Conj(lhs.left, name_for(lhs.right))
         elif isinstance(lhs, Conj) and not is_atomic_or_top(lhs.left):
             lhs = Conj(name_for(lhs.left), lhs.right)
         elif isinstance(lhs, ExistsQ) and not is_atomic_or_top(lhs.filler):
             lhs = ExistsQ(lhs.role, name_for(lhs.filler))
+        elif isinstance(rhs, Atomic) or is_atomic_or_top(lhs):  # normal; queued GCIs are valid
+            out.append(AnnotatedAxiom(GCI(lhs, rhs), annotation))
+            continue
         else:
             lhs = name_for(lhs)
-        work.append(AnnotatedAxiom(GCI(lhs, ax.rhs), ann.annotation))
+        work.append((lhs, rhs, annotation))
     # the output is valid and names the input's names and the fresh ones
     kinds = dict(ontology._kinds)
     kinds.update((a.name, "concept") for a in memo.values())
@@ -604,32 +609,35 @@ def translate_general_gci(
 # but space and tab is an error, and _COVERED ends just before the first
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|1|<=|[(),@*]")
 _COVERED = re.compile(rf"(?:[ \t]*(?:{_TOKEN.pattern}))*[ \t]*")
-_NOT_NAMES = frozenset(("1", "<=", "(", ")", ",", "@", "*"))
+_NOT_NAMES = frozenset(("1", "<=", "(", ")", ",", "@", "*", None))  # None ends a line's tokens
 # lines break at \n, \r\n and \r only, unlike str.splitlines
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 _CONCEPT_KEYWORDS = {"Top", "and", "some", "ran"}
+_NOT_ROLES = _NOT_NAMES | _CONCEPT_KEYWORDS
 
-# Deepest and/some nesting the parser accepts. Grammar checks and name
-# collection are one iterative walk, but hashing, printing, normalizing
-# and the probes still recurse once per level, so a bound well under the
-# interpreter's recursion limit keeps them all safe, in-process callers'
-# frames included.
+# Deepest and/some nesting the parser accepts. Parsing, the grammar and
+# name walk, hashing and normalizing no longer recurse in Python, but
+# ``str``, ``==`` between distinct trees and the GCI probe still do, once
+# per level; a bound well under the interpreter's recursion limit keeps
+# them safe, in-process callers' frames included.
 MAX_CONCEPT_DEPTH = 200
 
 
 class _LineParser:
-    """Recursive descent over one line's tokens, plain strings whose kind is
-    read off the token; columns are computed only for an error."""
+    """Parser of one line's tokens, plain strings whose kind is read off the
+    token, then ``None``; columns are computed only for an error. Axioms are
+    read by recursive descent, a concept by one loop (``concept``)."""
 
     def __init__(self, line: str, lineno: int):
         self.line = line
         self.lineno = lineno
-        self.tokens: list[str] = _TOKEN.findall(line)
+        self.tokens: list[str | None] = _TOKEN.findall(line)
         # the tokens, spaces and tabs have to cover the whole line
         if sum(map(len, self.tokens)) + line.count(" ") + line.count("\t") != len(line):
             col = _COVERED.match(line).end() + 1
             raise ParseError(f"unexpected character {line[col - 1]!r}", lineno, col)
+        self.tokens.append(None)
         self.i = 0
 
     def error(self, message: str) -> ParseError:
@@ -637,19 +645,21 @@ class _LineParser:
         columns = [m.start() + 1 for m in _TOKEN.finditer(self.line)] + [len(self.line) + 1]
         return ParseError(message, self.lineno, columns[self.i])
 
-    def peek(self) -> str | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def at(self, i: int) -> "_LineParser":
+        """This parser moved to token ``i``, to raise an error there."""
+        self.i = i
+        return self
 
     def take(self, value: str) -> None:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok != value:
             want = "le" if value == "<=" else value
             raise self.error(f"expected {want!r}, got {tok or 'end of line'!r}")
         self.i += 1
 
     def name(self, what: str) -> str:
-        tok = self.peek()
-        if tok is None or tok in _NOT_NAMES:
+        tok = self.tokens[self.i]
+        if tok in _NOT_NAMES:
             raise self.error(f"expected {what}, got {tok or 'end of line'!r}")
         if tok in _CONCEPT_KEYWORDS:
             raise self.error(f"expected {what}, got keyword {tok!r}")
@@ -658,47 +668,73 @@ class _LineParser:
         self.i += 1
         return tok
 
-    def concept(self, depth: int = 0) -> Concept:
-        tok = self.peek()
-        if tok is None or tok in _NOT_NAMES:
-            raise self.error(f"expected a concept, got {tok!r}" if tok else "expected a concept")
-        if tok == "Top":
-            self.i += 1
-            return TOP
-        if depth == MAX_CONCEPT_DEPTH and tok in ("and", "some"):
-            raise self.error(f"concept nesting deeper than {MAX_CONCEPT_DEPTH} levels")
-        if tok == "and":
-            self.i += 1
-            self.take("(")
-            left = self.concept(depth + 1)
-            self.take(",")
-            right = self.concept(depth + 1)
-            self.take(")")
-            return Conj(left, right)
-        if tok == "some":
-            self.i += 1
-            self.take("(")
-            role = self.name("a role name")
-            if self.peek() == ",":
-                self.i += 1
-                filler = self.concept(depth + 1)
-                self.take(")")
-                return ExistsQ(role, filler)
-            self.take(")")
-            return Exists(role)
-        if tok == "ran":
-            raise self.error("'ran' is only allowed in 'rr' lines")
-        return Atomic(self.name("a concept name"))
+    def concept(self) -> tuple[Concept, bool]:
+        """The concept at the current token, and whether it is in the
+        left-hand side grammar (has no ``some(R)``). One loop: ``enclosing``
+        holds the open ``("and", None)``, ``("and", left)`` and ``("some",
+        role)``, innermost last. Errors are a recursive descent's."""
+        tokens, i = self.tokens, self.i
+        enclosing: list[tuple[str, object]] = []
+        lhs = True
+        while True:
+            tok = tokens[i]
+            if tok in _NOT_NAMES:
+                raise self.at(i).error("expected a concept" + (f", got {tok!r}" if tok else ""))
+            if tok not in _CONCEPT_KEYWORDS:
+                if tok.startswith(RESERVED_PREFIX):
+                    self.at(i).name("a concept name")
+                c: Concept = Atomic(tok)
+            elif tok == "Top":
+                c = TOP
+            elif tok == "ran":
+                raise self.at(i).error("'ran' is only allowed in 'rr' lines")
+            elif len(enclosing) == MAX_CONCEPT_DEPTH:  # and, some
+                raise self.at(i).error(f"concept nesting deeper than {MAX_CONCEPT_DEPTH} levels")
+            else:
+                if tokens[i + 1] != "(":
+                    self.at(i + 1).take("(")
+                i += 2
+                if tok == "and":
+                    enclosing.append(("and", None))
+                    continue
+                role = tokens[i]
+                if role in _NOT_ROLES or role.startswith(RESERVED_PREFIX):
+                    self.at(i).name("a role name")
+                if tokens[i + 1] == ",":
+                    enclosing.append(("some", role))
+                    i += 2
+                    continue
+                if tokens[i + 1] != ")":
+                    self.at(i + 1).take(")")
+                c, lhs = Exists(role), False
+                i += 1
+            i += 1
+            while enclosing:  # close every construct that ``c`` completes
+                kind, held = enclosing[-1]
+                if kind == "and" and held is None:
+                    if tokens[i] != ",":
+                        self.at(i).take(",")
+                    enclosing[-1] = ("and", c)
+                    i += 1
+                    break
+                if tokens[i] != ")":
+                    self.at(i).take(")")
+                enclosing.pop()
+                i += 1
+                c = Conj(held, c) if kind == "and" else ExistsQ(held, c)
+            else:
+                self.i = i
+                return c, lhs
 
     def annotation(self, interned: dict[str, Monomial]) -> Monomial:
         """The ``@`` annotation ending the line; ``interned`` maps ``1`` and
         the variable names seen so far in a file to their monomials."""
         self.take("@")
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok in interned:
             self.i += 1
             mon = interned[tok]
-        elif tok is not None and tok not in _NOT_NAMES:
+        elif tok not in _NOT_NAMES:
             mon = interned[tok] = Monomial((Variable(self.name("a provenance variable")),))
         else:
             got = tok or "end of line"
@@ -707,21 +743,21 @@ class _LineParser:
         return mon
 
     def finish(self, message: str) -> None:
-        if self.i != len(self.tokens):
+        if self.tokens[self.i] is not None:
             raise self.error(message)
 
 
 def _parse_axiom(p: _LineParser) -> Axiom:
     """Check the axiom keyword and parse the axiom it starts."""
-    keyword = p.peek()
+    keyword = p.tokens[p.i]
     if keyword not in ("gci", "ri", "rr", "ca", "ra"):
         raise p.error(f"expected one of gci/ri/rr/ca/ra, got {keyword or 'end of input'!r}")
     p.i += 1
     if keyword == "gci":
-        lhs = p.concept()
+        lhs, in_grammar = p.concept()
         p.take("<=")
-        rhs = p.concept()
-        if not _walk(lhs)[3]:
+        rhs = p.concept()[0]
+        if not in_grammar:
             raise p.error(f"left-hand side violates the concept grammar: {lhs}")
         if not isinstance(rhs, (Atomic, Exists)):
             raise p.error(f"right-hand side must be a concept name or some(R): {rhs}")
@@ -740,7 +776,7 @@ def _parse_axiom(p: _LineParser) -> Axiom:
         filler = p.name("a concept name")
         return RR(role, filler)
     if keyword == "ca":
-        if p.peek() == "Top":
+        if p.tokens[p.i] == "Top":
             p.i += 1
             concept: Concept = TOP
         else:
@@ -794,7 +830,7 @@ def parse_iq_target(text: str) -> tuple[Concept, str]:
     """Parse an instance-query target of the form ``iq CONCEPT(IND)``."""
     p = _LineParser(text.strip(), 1)
     p.take("iq")
-    concept = p.concept()
+    concept = p.concept()[0]
     p.take("(")
     ind = p.name("an individual name")
     p.take(")")

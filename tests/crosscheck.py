@@ -26,6 +26,12 @@ with it. ``parse_ontology_by_kinds``, ``parse_axiom_by_kinds`` and
 ``parse_iq_target_by_kinds`` parse on (kind, value, column) tokens, as
 the library did before it read a token's kind off the token itself, so
 the string-token parser can be compared with them.
+``parse_ontology_recursive``, ``parse_axiom_recursive`` and
+``parse_iq_target_recursive`` are the recursive-descent parser that the
+one-loop concept parser replaced. ``normalize_dataclasses`` is
+``normalize`` as it was on the frozen-dataclass syntax (``Dataclass*``)
+that tagged tuples replaced; ``to_dataclass`` and ``from_dataclass``
+convert between the two, so both can be compared axiom by axiom.
 ``dataclass_monomial_key`` and ``dataclass_element_key`` order monomials
 and domain elements by the generated dataclass comparisons the library
 sorted by before it compared tuples of variable names, so the name
@@ -36,7 +42,8 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
 from elprov.canonical import Fork, RewritingConditions
@@ -69,6 +76,10 @@ from elprov.interpretation import (
 )
 from elprov.ontology import (
     _CONCEPT_KEYWORDS,
+    _COVERED,
+    _LINE_BREAK,
+    _NOT_NAMES,
+    _TOKEN,
     CA,
     GCI,
     MAX_CONCEPT_DEPTH,
@@ -606,13 +617,14 @@ def mentions_top(c: Concept) -> bool:
 
 # --- the parser on (kind, value, column) tokens -------------------------------
 #
-# ``_LineParser`` and ``_parse_axiom`` as they were before the parser read
-# token kinds off plain string tokens, with the three entry points built
-# on them; a differential test compares the library's parser with them.
+# ``_KindLineParser`` and ``_parse_axiom_by_kinds`` are the parser as it
+# was before it read token kinds off plain string tokens, with the three
+# entry points built on them; a differential test compares the recursive
+# parser below with them.
 
 _LINE_TOKEN = re.compile(r"[ \t]*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<one>1)|(?P<le><=)|(?P<punct>[(),@*]))")
 
-class _LineParser:
+class _KindLineParser:
     def __init__(self, line: str, lineno: int):
         self.line = line
         self.lineno = lineno
@@ -720,7 +732,7 @@ class _LineParser:
             raise self.error("trailing input after axiom")
 
 
-def _parse_axiom(p: _LineParser) -> Axiom:
+def _parse_axiom_by_kinds(p: _KindLineParser) -> Axiom:
     """Check the axiom keyword and parse the axiom it starts."""
     tok = p.peek()
     if tok is None or tok[0] != "name" or tok[1] not in ("gci", "ri", "rr", "ca", "ra"):
@@ -782,8 +794,8 @@ def parse_ontology_by_kinds(text: str) -> AnnotatedOntology:
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        p = _LineParser(line, lineno)
-        axioms.append(AnnotatedAxiom(_parse_axiom(p), p.annotation()))
+        p = _KindLineParser(line, lineno)
+        axioms.append(AnnotatedAxiom(_parse_axiom_by_kinds(p), p.annotation()))
         places.append((lineno, p.tokens[0][2]))
     try:
         return AnnotatedOntology(axioms)
@@ -794,15 +806,15 @@ def parse_ontology_by_kinds(text: str) -> AnnotatedOntology:
 
 def parse_axiom_by_kinds(text: str) -> Axiom:
     """Parse a single un-annotated axiom, e.g. for CLI --axiom arguments."""
-    p = _LineParser(text.strip(), 1)
-    axiom = _parse_axiom(p)
+    p = _KindLineParser(text.strip(), 1)
+    axiom = _parse_axiom_by_kinds(p)
     p.finish_without_annotation()
     return axiom
 
 
 def parse_iq_target_by_kinds(text: str) -> tuple[Concept, str]:
     """Parse an instance-query target of the form ``iq CONCEPT(IND)``."""
-    p = _LineParser(text.strip(), 1)
+    p = _KindLineParser(text.strip(), 1)
     p.take("name", "iq")
     concept = p.concept()
     p.take("punct", "(")
@@ -810,3 +822,366 @@ def parse_iq_target_by_kinds(text: str) -> tuple[Concept, str]:
     p.take("punct", ")")
     p.finish_without_annotation()
     return concept, ind
+
+
+# --- the recursive-descent parser on string tokens ---------------------------
+#
+# ``_RecursiveLineParser`` and ``_parse_axiom_recursive`` are the parser as it
+# was before it read a concept in one loop over the tokens and checked the
+# left-hand side grammar while building it, with the three entry points
+# built on them; a differential test compares the library's parser with
+# them, and no difference is allowed.
+
+class _RecursiveLineParser:
+    """Recursive descent over one line's tokens, plain strings whose kind is
+    read off the token; columns are computed only for an error."""
+
+    def __init__(self, line: str, lineno: int):
+        self.line = line
+        self.lineno = lineno
+        self.tokens: list[str] = _TOKEN.findall(line)
+        # the tokens, spaces and tabs have to cover the whole line
+        if sum(map(len, self.tokens)) + line.count(" ") + line.count("\t") != len(line):
+            col = _COVERED.match(line).end() + 1
+            raise ParseError(f"unexpected character {line[col - 1]!r}", lineno, col)
+        self.i = 0
+
+    def error(self, message: str) -> ParseError:
+        """An error at the current token, or just past the line's end."""
+        columns = [m.start() + 1 for m in _TOKEN.finditer(self.line)] + [len(self.line) + 1]
+        return ParseError(message, self.lineno, columns[self.i])
+
+    def peek(self) -> str | None:
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def take(self, value: str) -> None:
+        tok = self.peek()
+        if tok != value:
+            want = "le" if value == "<=" else value
+            raise self.error(f"expected {want!r}, got {tok or 'end of line'!r}")
+        self.i += 1
+
+    def name(self, what: str) -> str:
+        tok = self.peek()
+        if tok is None or tok in _NOT_NAMES:
+            raise self.error(f"expected {what}, got {tok or 'end of line'!r}")
+        if tok in _CONCEPT_KEYWORDS:
+            raise self.error(f"expected {what}, got keyword {tok!r}")
+        if tok.startswith(RESERVED_PREFIX):
+            raise self.error(f"names starting with {RESERVED_PREFIX!r} are reserved: {tok!r}")
+        self.i += 1
+        return tok
+
+    def concept(self, depth: int = 0) -> Concept:
+        tok = self.peek()
+        if tok is None or tok in _NOT_NAMES:
+            raise self.error(f"expected a concept, got {tok!r}" if tok else "expected a concept")
+        if tok == "Top":
+            self.i += 1
+            return TOP
+        if depth == MAX_CONCEPT_DEPTH and tok in ("and", "some"):
+            raise self.error(f"concept nesting deeper than {MAX_CONCEPT_DEPTH} levels")
+        if tok == "and":
+            self.i += 1
+            self.take("(")
+            left = self.concept(depth + 1)
+            self.take(",")
+            right = self.concept(depth + 1)
+            self.take(")")
+            return Conj(left, right)
+        if tok == "some":
+            self.i += 1
+            self.take("(")
+            role = self.name("a role name")
+            if self.peek() == ",":
+                self.i += 1
+                filler = self.concept(depth + 1)
+                self.take(")")
+                return ExistsQ(role, filler)
+            self.take(")")
+            return Exists(role)
+        if tok == "ran":
+            raise self.error("'ran' is only allowed in 'rr' lines")
+        return Atomic(self.name("a concept name"))
+
+    def annotation(self, interned: dict[str, Monomial]) -> Monomial:
+        """The ``@`` annotation ending the line; ``interned`` maps ``1`` and
+        the variable names seen so far in a file to their monomials."""
+        self.take("@")
+        tok = self.peek()
+        if tok in interned:
+            self.i += 1
+            mon = interned[tok]
+        elif tok is not None and tok not in _NOT_NAMES:
+            mon = interned[tok] = Monomial((Variable(self.name("a provenance variable")),))
+        else:
+            got = tok or "end of line"
+            raise self.error(f"annotation must be a single variable or 1, got {got!r}")
+        self.finish("annotation must be a single variable or 1")
+        return mon
+
+    def finish(self, message: str) -> None:
+        if self.i != len(self.tokens):
+            raise self.error(message)
+
+
+def _parse_axiom_recursive(p: _RecursiveLineParser) -> Axiom:
+    """Check the axiom keyword and parse the axiom it starts."""
+    keyword = p.peek()
+    if keyword not in ("gci", "ri", "rr", "ca", "ra"):
+        raise p.error(f"expected one of gci/ri/rr/ca/ra, got {keyword or 'end of input'!r}")
+    p.i += 1
+    if keyword == "gci":
+        lhs = p.concept()
+        p.take("<=")
+        rhs = p.concept()
+        if not _walk(lhs)[3]:
+            raise p.error(f"left-hand side violates the concept grammar: {lhs}")
+        if not isinstance(rhs, (Atomic, Exists)):
+            raise p.error(f"right-hand side must be a concept name or some(R): {rhs}")
+        return GCI(lhs, rhs)
+    if keyword == "ri":
+        sub = p.name("a role name")
+        p.take("<=")
+        sup = p.name("a role name")
+        return RI(sub, sup)
+    if keyword == "rr":
+        p.take("ran")
+        p.take("(")
+        role = p.name("a role name")
+        p.take(")")
+        p.take("<=")
+        filler = p.name("a concept name")
+        return RR(role, filler)
+    if keyword == "ca":
+        if p.peek() == "Top":
+            p.i += 1
+            concept: Concept = TOP
+        else:
+            concept = Atomic(p.name("a concept name"))
+        p.take("(")
+        ind = p.name("an individual name")
+        p.take(")")
+        return CA(concept, ind)
+    role = p.name("a role name")
+    p.take("(")
+    a = p.name("an individual name")
+    p.take(",")
+    b = p.name("an individual name")
+    p.take(")")
+    return RA(role, a, b)
+
+
+def parse_ontology_recursive(text: str) -> AnnotatedOntology:
+    """Parse an ontology file; raises ParseError with line:column info.
+
+    Lines break at ``\\n``, ``\\r\\n`` and ``\\r`` only. A namespace clash is
+    reported at the first token of the line whose axiom completes it.
+    """
+    axioms: list[AnnotatedAxiom] = []
+    places: list[tuple[int, str]] = []  # per axiom: its line number and text
+    interned = {"1": ONE}
+    for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line:
+            continue
+        p = _RecursiveLineParser(line, lineno)
+        axioms.append(AnnotatedAxiom(_parse_axiom_recursive(p), p.annotation(interned)))
+        places.append((lineno, line))
+    try:
+        return AnnotatedOntology(axioms)
+    except NamespaceError as exc:
+        # validation sees a repeated axiom at its first occurrence
+        lineno, line = places[axioms.index(exc.axiom)]
+        raise ParseError(str(exc), lineno, len(line) - len(line.lstrip(" \t")) + 1) from exc
+
+
+def parse_axiom_recursive(text: str) -> Axiom:
+    """Parse a single un-annotated axiom, e.g. for CLI --axiom arguments."""
+    p = _RecursiveLineParser(text.strip(), 1)
+    axiom = _parse_axiom_recursive(p)
+    p.finish("trailing input after axiom")
+    return axiom
+
+
+def parse_iq_target_recursive(text: str) -> tuple[Concept, str]:
+    """Parse an instance-query target of the form ``iq CONCEPT(IND)``."""
+    p = _RecursiveLineParser(text.strip(), 1)
+    p.take("iq")
+    concept = p.concept()
+    p.take("(")
+    ind = p.name("an individual name")
+    p.take(")")
+    p.finish("trailing input after axiom")
+    return concept, ind
+
+
+# --- the syntax as frozen dataclasses, and normalize on them ------------------
+#
+# The concept and axiom types as they were before they became tuples, and
+# ``normalize`` as it was on them: one FIFO queue of annotated axioms, each
+# rewrite building a new ``GCI`` and ``AnnotatedAxiom``. ``to_dataclass`` and
+# ``from_dataclass`` convert between the two representations.
+
+
+class DataclassConcept:
+    __slots__ = ()
+
+
+@dataclass(frozen=True)
+class DataclassTop(DataclassConcept):
+    pass
+
+
+@dataclass(frozen=True)
+class DataclassAtomic(DataclassConcept):
+    name: str
+
+
+@dataclass(frozen=True)
+class DataclassConj(DataclassConcept):
+    left: DataclassConcept
+    right: DataclassConcept
+
+
+@dataclass(frozen=True)
+class DataclassExists(DataclassConcept):
+    role: str
+
+
+@dataclass(frozen=True)
+class DataclassExistsQ(DataclassConcept):
+    role: str
+    filler: DataclassConcept
+
+
+@dataclass(frozen=True)
+class DataclassRan(DataclassConcept):
+    role: str
+
+
+@dataclass(frozen=True)
+class DataclassGCI:
+    lhs: DataclassConcept
+    rhs: DataclassConcept
+
+
+@dataclass(frozen=True)
+class DataclassRI:
+    sub: str
+    sup: str
+
+
+@dataclass(frozen=True)
+class DataclassRR:
+    role: str
+    filler: str
+
+
+@dataclass(frozen=True)
+class DataclassCA:
+    concept: DataclassConcept
+    ind: str
+
+
+@dataclass(frozen=True)
+class DataclassRA:
+    role: str
+    a: str
+    b: str
+
+
+@dataclass(frozen=True)
+class DataclassAnnotatedAxiom:
+    axiom: object
+    annotation: Monomial
+
+
+_DATACLASS_OF = {
+    Top: DataclassTop,
+    Atomic: DataclassAtomic,
+    Conj: DataclassConj,
+    Exists: DataclassExists,
+    ExistsQ: DataclassExistsQ,
+    Ran: DataclassRan,
+    GCI: DataclassGCI,
+    RI: DataclassRI,
+    RR: DataclassRR,
+    CA: DataclassCA,
+    RA: DataclassRA,
+    AnnotatedAxiom: DataclassAnnotatedAxiom,
+}
+_NODE_OF = {dc: node for node, dc in _DATACLASS_OF.items()}
+
+
+def to_dataclass(node):
+    """A syntax node as the dataclass of the same name; fields that are not
+    nodes (names, monomials) are shared."""
+    cls = _DATACLASS_OF.get(type(node))
+    return node if cls is None else cls(*map(to_dataclass, node[1:]))
+
+
+def from_dataclass(dc):
+    cls = _NODE_OF.get(type(dc))
+    if cls is None:
+        return dc
+    return cls(*(from_dataclass(getattr(dc, f.name)) for f in fields(dc)))
+
+
+def _dc_atomic_or_top(c) -> bool:
+    return isinstance(c, (DataclassAtomic, DataclassTop))
+
+
+def _dc_is_normal_gci(ax: DataclassGCI) -> bool:
+    lhs, rhs = ax.lhs, ax.rhs
+    if isinstance(rhs, DataclassAtomic):
+        if _dc_atomic_or_top(lhs):
+            return True
+        if isinstance(lhs, DataclassConj):
+            return _dc_atomic_or_top(lhs.left) and _dc_atomic_or_top(lhs.right)
+        if isinstance(lhs, DataclassExistsQ):
+            return _dc_atomic_or_top(lhs.filler)
+        return False
+    if isinstance(rhs, DataclassExists):
+        return _dc_atomic_or_top(lhs)
+    return False
+
+
+def normalize_dataclasses(
+    axioms: Iterable[DataclassAnnotatedAxiom], used: Iterable[str]
+) -> tuple[DataclassAnnotatedAxiom, ...]:
+    """The normalized axioms of deduplicated ``axioms`` in output order, fresh
+    names avoiding ``used``; the axioms themselves when they are normal."""
+    axioms = tuple(axioms)
+    if all(_dc_is_normal_gci(a.axiom) for a in axioms if isinstance(a.axiom, DataclassGCI)):
+        return axioms
+    fresh = FreshNames(used)
+    memo: dict = {}
+    out: list[DataclassAnnotatedAxiom] = []
+    work = deque(axioms)
+
+    def name_for(c) -> DataclassAtomic:
+        a = memo.get(c)
+        if a is None:
+            a = DataclassAtomic(fresh.concept())
+            memo[c] = a
+            work.append(DataclassAnnotatedAxiom(DataclassGCI(c, a), ONE))
+        return a
+
+    while work:
+        ann = work.popleft()
+        ax = ann.axiom
+        if not isinstance(ax, DataclassGCI) or _dc_is_normal_gci(ax):
+            out.append(ann)
+            continue
+        lhs = ax.lhs
+        if isinstance(lhs, DataclassConj) and not _dc_atomic_or_top(lhs.right):
+            lhs = DataclassConj(lhs.left, name_for(lhs.right))
+        elif isinstance(lhs, DataclassConj) and not _dc_atomic_or_top(lhs.left):
+            lhs = DataclassConj(name_for(lhs.left), lhs.right)
+        elif isinstance(lhs, DataclassExistsQ) and not _dc_atomic_or_top(lhs.filler):
+            lhs = DataclassExistsQ(lhs.role, name_for(lhs.filler))
+        else:
+            lhs = name_for(lhs)
+        work.append(DataclassAnnotatedAxiom(DataclassGCI(lhs, ax.rhs), ann.annotation))
+    return tuple(dict.fromkeys(out))

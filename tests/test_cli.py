@@ -16,7 +16,17 @@ from elprov.canonical import answer_query, build_canonical_model
 from elprov.cli import main
 from elprov.completion import UnknownNameWarning, entails
 from elprov.interpretation import AuxElement, UnknownIndividualError
-from elprov.ontology import GCI, MAX_CONCEPT_DEPTH, AnnotatedAxiom, Atomic, Exists, render_axiom
+from elprov.ontology import (
+    GCI,
+    MAX_CONCEPT_DEPTH,
+    AnnotatedAxiom,
+    Atomic,
+    Exists,
+    normalize,
+    parse_ontology,
+    render_annotated,
+    render_axiom,
+)
 from elprov.provenance import Monomial, Polynomial, Variable
 from elprov.relevance import relevant_monomial
 
@@ -24,6 +34,7 @@ from generators import (
     CONCEPTS,
     INDS,
     ROLES,
+    TARGET_KINDS,
     ontology_lines,
     random_general_ontology,
     random_normalized_ontology,
@@ -93,6 +104,29 @@ def python_fresh(args, cwd=GOLDEN, seed="0") -> subprocess.CompletedProcess:
 def run_fresh(argv, cwd=GOLDEN, seed="0") -> subprocess.CompletedProcess:
     """``elprov`` in a new interpreter with the given string hash seed."""
     return python_fresh(["-m", "elprov.cli", *argv], cwd, seed)
+
+
+# one interpreter runs every argv through ``main``, printing [code, stdout] a line
+_MAIN_LOOP = (
+    "import io, json, sys\n"
+    "from contextlib import redirect_stdout\n"
+    "from elprov.cli import main\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    out = io.StringIO()\n"
+    "    with redirect_stdout(out):\n"
+    "        code = main(argv)\n"
+    "    print(json.dumps([code, out.getvalue()]))\n"
+)
+
+
+def outputs_under_hash_seeds(argvs, cwd) -> set[bytes]:
+    """The distinct stdouts of ``_MAIN_LOOP`` over ``argvs`` under hash seeds 0, 1 and 2."""
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        done = python_fresh(["-c", _MAIN_LOOP, json.dumps(argvs)], cwd=cwd, seed=seed)
+        assert done.returncode == 0, done.stderr
+        outputs.add(done.stdout)
+    return outputs
 
 
 def run_json(capsys, argv, schema_name):
@@ -387,6 +421,23 @@ class TestOtherCommands:
         code, obj = run_json(capsys, ["rewrite", "-q", loop_query_file], "rewrite")
         assert code == 0
         assert obj["cyc"] == ["?x", "?z"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_normalize_json_agrees_with_the_library(self, seed, nested):
+        # an ontology built in-process, or generated lines with nested
+        # left-hand sides; the file is the library's rendering of it
+        rng = random.Random(seed)
+        if nested:
+            o = parse_ontology("\n".join(ontology_lines(rng, rng.randint(1, 60), 4)))
+        else:
+            o = random_general_ontology(rng, max_axioms=rng.randint(2, 30))
+        expected = sorted(render_annotated(a) for a in normalize(o).axioms)
+        with tempfile.TemporaryDirectory() as tmp:  # tmp_path is per test, not per example
+            path, out = Path(tmp) / "o.elp", Path(tmp) / "out.json"
+            path.write_text(o.render())
+            code = main(["normalize", "-i", str(path), "--json", "-o", str(out)])
+            assert (code, json.loads(out.read_text())) == (0, {"axioms": expected}), o.render()
 
 
 class TestErrorPaths:
@@ -702,25 +753,41 @@ class TestDeterminism:
             argvs.append(["model", "-i", path.name])
             for q in ("cyclic.cq", "forked.cq"):
                 argvs.append(["query", "-i", path.name, "-q", q, "--json", "--prov", "v1 + v2*v5"])
-        script = (
-            "import io, json, sys\n"
-            "from contextlib import redirect_stdout\n"
-            "from elprov.cli import main\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    out = io.StringIO()\n"
-            "    with redirect_stdout(out):\n"
-            "        code = main(argv)\n"
-            "    print(json.dumps([code, out.getvalue()]))\n"
-        )
-        outputs = set()
-        for seed in ("0", "1", "2"):
-            done = python_fresh(["-c", script, json.dumps(argvs)], cwd=tmp_path, seed=seed)
-            assert done.returncode == 0, done.stderr
-            outputs.add(done.stdout)
+        outputs = outputs_under_hash_seeds(argvs, tmp_path)
         assert len(outputs) == 1
         runs = [json.loads(line) for line in outputs.pop().splitlines()]
         assert all(code in (0, 1) for code, _ in runs)
         assert any(json.loads(out).get("matches") for _, out in runs)
+
+    def test_saturate_and_entail_on_generated_ontologies_do_not_depend_on_the_hash_seed(
+        self, tmp_path
+    ):
+        # general ontologies, so normalization's fresh names take part, and
+        # one entail target of every kind
+        rng = random.Random(1601)
+        argvs = []
+        for i in range(4):
+            o = random_general_ontology(rng, max_axioms=14)
+            path = tmp_path / f"general-{i}.elp"
+            path.write_text(o.render())
+            argvs += [["saturate", "-i", path.name, "--json"],
+                      ["saturate", "-i", path.name, "--json", "--k", "2"]]
+            for kind in TARGET_KINDS:
+                target = random_target(rng, o, kind)
+                if target is None:
+                    continue
+                pool = [v.name for v in o.variables]
+                prov = "*".join(rng.sample(pool, rng.randint(0, min(2, len(pool))))) or "1"
+                cli_kind = next(k for k, kinds in _CLI_KINDS.items() if kind in kinds)
+                text = f"iq {target[0]}({target[1]})" if kind == "iq" else render_axiom(target)
+                argvs.append(["entail", "-i", path.name, "--json", "--kind", cli_kind,
+                              "--axiom", text, "--prov", prov])
+        outputs = outputs_under_hash_seeds(argvs, tmp_path)
+        assert len(outputs) == 1
+        runs = [json.loads(line) for line in outputs.pop().splitlines()]
+        assert len(runs) == len(argvs) >= 25
+        assert {code for code, _ in runs} == {0, 1}
+        assert all(json.loads(out) for _, out in runs)
 
     def test_one_process_answers_like_fresh_ones(self, capsys, monkeypatch):
         # the parser is built once per process, so a usage error must leave

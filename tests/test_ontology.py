@@ -1,12 +1,18 @@
+import copy
+import os
+import pickle
 import random
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elprov import cli
-from elprov.completion import probe
+from elprov.completion import _fact, probe
 from elprov.ontology import (
     CA,
     GCI,
@@ -39,11 +45,17 @@ from elprov.provenance import ONE, Monomial, Variable
 from crosscheck import (
     check_lhs_grammar,
     concept_names,
+    from_dataclass,
     mentions_top,
+    normalize_dataclasses,
     parse_axiom_by_kinds,
+    parse_axiom_recursive,
     parse_iq_target_by_kinds,
+    parse_iq_target_recursive,
     parse_ontology_by_kinds,
+    parse_ontology_recursive,
     role_names,
+    to_dataclass,
 )
 from generators import TARGET_KINDS, ontology_lines, random_general_ontology, random_target
 
@@ -293,6 +305,127 @@ class TestNormalize:
         assert fresh == ["__nf0"]
 
 
+def with_top_on_the_left(line: str) -> str:
+    """A generated line with the concept names K0 to K4 of a GCI's
+    left-hand side replaced by Top."""
+    if not line.startswith("gci "):
+        return line
+    lhs, _, rest = line.partition(" <= ")
+    return re.sub(r"\bK[0-4]\b", "Top", lhs) + " <= " + rest
+
+
+class TestNormalizeAgainstTheDataclassNormalize:
+    """``normalize`` against the one on the dataclass syntax it replaced:
+    the same axioms in the same order, fresh names included."""
+
+    @staticmethod
+    def check(o: AnnotatedOntology) -> None:
+        old = normalize_dataclasses(map(to_dataclass, o.axioms), o.all_names())
+        assert normalize(o).axioms == tuple(map(from_dataclass, old))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(100, 240), st.booleans())
+    def test_generated_nested_ontologies(self, seed, n, top):
+        # a seed, not st.randoms(): the lines draw too much for Hypothesis
+        lines = ontology_lines(random.Random(seed), n, 4)
+        self.check(parse_ontology("\n".join(map(with_top_on_the_left, lines) if top else lines)))
+
+    def test_golden_and_general_ontologies(self):
+        for o in derivation_sources():
+            self.check(o)
+
+
+def deep_conj(depth: int) -> Conj:
+    c = Atomic("A")
+    for i in range(depth):
+        c = Conj(c, Atomic(f"B{i % 3}"))
+    return c
+
+
+# one node of every syntax type
+NODES = (
+    TOP,
+    Atomic("A"),
+    Conj(Atomic("A"), ExistsQ("R", TOP)),
+    Exists("R"),
+    ExistsQ("R", Atomic("A")),
+    Ran("R"),
+    GCI(Conj(Atomic("A"), TOP), Exists("R")),
+    RI("R", "S"),
+    RR("R", "A"),
+    CA(Atomic("A"), "a"),
+    RA("R", "a", "b"),
+    AnnotatedAxiom(GCI(ExistsQ("R", Atomic("A")), Atomic("B")), Monomial((Variable("v"),))),
+)
+
+
+class TestSyntaxNodes:
+    def test_every_type_is_covered(self):
+        assert {type(n) for n in NODES} == {
+            Top, Atomic, Conj, Exists, ExistsQ, Ran, GCI, RI, RR, CA, RA, AnnotatedAxiom
+        }
+
+    def test_deep_trees_hash(self):
+        # tuple hashing runs in C, far below the interpreter's recursion limit
+        deep = deep_conj(3000)
+        gci = GCI(deep, Atomic("E"))
+        held = AnnotatedAxiom(gci, ONE)
+        for node in (deep, gci, held):
+            assert hash(node) == hash(node) and node in {node}
+        assert len({held, AnnotatedAxiom(gci, ONE)}) == 1
+
+    def test_a_node_is_its_tag_and_fields(self):
+        assert Atomic("A") == ("Atomic", "A") and hash(Atomic("A")) == hash(("Atomic", "A"))
+        assert list(RA("R", "a", "b")) == ["RA", "R", "a", "b"] and len(TOP) == 1
+        assert GCI(lhs=TOP, rhs=Atomic("A")).rhs == Atomic("A")
+
+    def test_equal_fields_of_other_types_differ(self):
+        assert RI("a", "b") != RR("a", "b")
+        assert Atomic("A") != Exists("A") and Exists("R") != Ran("R")
+        assert len({RI("a", "b"), RR("a", "b"), Atomic("A"), Exists("A"), Ran("A")}) == 5
+
+    def test_no_node_equals_an_engine_fact(self):
+        seen = 0
+        for path in sorted(GOLDEN.glob("*.elp")):
+            for a in normalize(parse_ontology(path.read_text())):
+                fact = _fact(a.axiom)
+                assert fact is not None
+                assert fact != a.axiom and fact not in set(NODES) | {a, a.axiom}
+                seen += 1
+        assert seen > 100
+
+    @settings(max_examples=200)
+    @given(st.randoms(use_true_random=False))
+    def test_equality_and_repr_agree_with_the_dataclasses(self, rng):
+        a, b = random_concept(rng, rng.randrange(4)), random_concept(rng, rng.randrange(4))
+        for x, y in ((a, b), (GCI(a, b), GCI(b, a)), (a, a), (Conj(a, b), Conj(a, b))):
+            assert (x == y) == (to_dataclass(x) == to_dataclass(y))
+            assert repr(x) == repr(to_dataclass(x)).replace("Dataclass", "")
+
+    @pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+    def test_pickle_and_deepcopy_round_trips(self, node):
+        copies = [pickle.loads(pickle.dumps(node, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for back in [*copies, copy.deepcopy(node)]:
+            assert back == node and type(back) is type(node) and repr(back) == repr(node)
+
+    def test_a_pickled_gci_is_found_under_another_hash_seed(self):
+        gci = GCI(Conj(Atomic("A"), ExistsQ("R", Atomic("B"))), Exists("S"))
+        check = (
+            "import pickle, sys\n"
+            "from elprov.ontology import GCI, Atomic, Conj, Exists, ExistsQ\n"
+            "fresh = {GCI(Conj(Atomic('A'), ExistsQ('R', Atomic('B'))), Exists('S'))}\n"
+            "sys.exit(pickle.loads(sys.stdin.buffer.read()) not in fresh)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for seed in ("1", "2"):  # at least one differs from this process's seed
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", check], input=pickle.dumps(gci), env=env, capture_output=True
+            )
+            assert done.returncode == 0, (seed, done.stderr)
+
+
 class TestTranslateGeneralGCI:
     def setup_method(self):
         self.fresh = FreshNames()
@@ -416,11 +549,28 @@ def source_lines(rng: random.Random) -> list[str]:
     return golden_lines() + ontology_lines(rng, 300, 1) + ontology_lines(rng, 300, 4)
 
 
+FILE_PARSERS = (parse_ontology, parse_ontology_recursive, parse_ontology_by_kinds)
+
+
 class TestParserAgainstTheKindTokenParser:
+    """The parser against the recursive-descent parser it replaced, with no
+    difference allowed, and that one against the parser on (kind, value,
+    column) tokens before it, which differs in naming a blank other than
+    space or tab at its own column."""
+
+    @staticmethod
+    def outcomes(text: str, parse, recursive, by_kinds):
+        """The outcomes of the kind-token parser and of the library's, which
+        has to agree with the recursive parser."""
+        new = outcome(parse, text)
+        assert new == outcome(recursive, text), text
+        return outcome(by_kinds, text), new
+
     def test_golden_files_parse_alike(self):
         for path in sorted(GOLDEN.glob("*.elp")):
             text = path.read_text()
-            assert parse_ontology(text).axioms == parse_ontology_by_kinds(text).axioms
+            axioms = parse_ontology(text).axioms
+            assert axioms == parse_ontology_recursive(text).axioms == parse_ontology_by_kinds(text).axioms
 
     def test_mutated_lines(self):
         rng = random.Random(1401)
@@ -428,8 +578,7 @@ class TestParserAgainstTheKindTokenParser:
         for line in source_lines(rng):
             for _ in range(6):
                 text = mutate(rng, line)
-                old = outcome(parse_ontology_by_kinds, text)
-                new = outcome(parse_ontology, text)
+                old, new = self.outcomes(text, *FILE_PARSERS)
                 if new != old:
                     assert names_the_blank(old, new, text.split("#", 1)[0]), (text, old, new)
                     seen["blank"] += 1
@@ -448,8 +597,7 @@ class TestParserAgainstTheKindTokenParser:
             sample = [re.sub(r"\b[Ktju](\d)", r"n\1", line) if rng.random() < 0.5 else line
                       for line in rng.sample(lines, 5)]
             text = "\n".join(mutate(rng, line) if rng.random() < 0.3 else line for line in sample)
-            old = outcome(parse_ontology_by_kinds, text)
-            new = outcome(parse_ontology, text)
+            old, new = self.outcomes(text, *FILE_PARSERS)
             if new != old:
                 line = text.split("\n")[new[2] - 1].split("#", 1)[0]
                 assert names_the_blank(old, new, line), (text, old, new)
@@ -457,20 +605,23 @@ class TestParserAgainstTheKindTokenParser:
         assert clashes >= 30
 
     @pytest.mark.parametrize(
-        "parse, oracle",
-        [(parse_axiom, parse_axiom_by_kinds), (parse_iq_target, parse_iq_target_by_kinds)],
+        "parsers",
+        [
+            (parse_axiom, parse_axiom_recursive, parse_axiom_by_kinds),
+            (parse_iq_target, parse_iq_target_recursive, parse_iq_target_by_kinds),
+        ],
         ids=["axiom", "iq"],
     )
-    def test_mutated_arguments(self, parse, oracle):
+    def test_mutated_arguments(self, parsers):
         rng = random.Random(1403)
         texts = [line.split("#", 1)[0].rpartition(" @ ")[0] for line in source_lines(rng)]
-        if parse is parse_iq_target:
+        if parsers[0] is parse_iq_target:
             texts = [f"iq {t[4:].partition(' <= ')[0]}(j1)" for t in texts if t.startswith("gci ")]
         seen = {"ok": 0, "ParseError": 0, "blank": 0}
         for text in texts:
             for _ in range(4):
                 mutated = mutate(rng, text)
-                old, new = outcome(oracle, mutated), outcome(parse, mutated)
+                old, new = self.outcomes(mutated, *parsers)
                 if new != old:
                     assert names_the_blank(old, new, mutated.strip()), (mutated, old, new)
                     seen["blank"] += 1
@@ -485,8 +636,11 @@ class TestParserAgainstTheKindTokenParser:
         iqs = [f"iq {t[4:].partition(' <= ')[0]}(j1)" for t in axioms if t.startswith("gci ")]
         argv = ["relevant", "-i", str(GOLDEN / "mayor.elp"), "--axiom"]
 
-        def run(text):
-            with warnings.catch_warnings():
+        def run(text, parsers=None):
+            with monkeypatch.context() as patch, warnings.catch_warnings():
+                if parsers:
+                    patch.setattr(cli, "parse_axiom", parsers[0])
+                    patch.setattr(cli, "parse_iq_target", parsers[1])
                 warnings.simplefilter("always")
                 code = cli.main([*argv, text])
             return (code, *capsys.readouterr())
@@ -495,10 +649,8 @@ class TestParserAgainstTheKindTokenParser:
         for text in [t for t in axioms if t] + iqs:
             mutated = mutate(rng, text)
             new = run(mutated)
-            with monkeypatch.context() as patch:
-                patch.setattr(cli, "parse_axiom", parse_axiom_by_kinds)
-                patch.setattr(cli, "parse_iq_target", parse_iq_target_by_kinds)
-                old = run(mutated)
+            assert new == run(mutated, (parse_axiom_recursive, parse_iq_target_recursive)), mutated
+            old = run(mutated, (parse_axiom_by_kinds, parse_iq_target_by_kinds))
             if new != old:
                 stripped = mutated.strip()
                 iq = stripped.startswith("iq")
