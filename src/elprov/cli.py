@@ -2,8 +2,11 @@
 
 Subcommands: normalize, saturate, entail, relevant, query, model,
 rewrite. Exit codes: 0 entailed/success, 1 not entailed, 2 usage or
-parse error, 3 resource cap exceeded. A library warning (a queried
-assertion over unknown names) is one ``warning: ...`` line on stderr.
+parse error, 3 resource cap exceeded. A parse error of an ontology file,
+a query file, ``--axiom`` or ``--prov`` is one ``SOURCE:LINE:COL:
+message`` line on stderr, ``SOURCE`` the file or the option; any other
+error is one ``error: ...`` line. A library warning (a queried assertion
+over unknown names) is one ``warning: ...`` line.
 ``--json`` switches every subcommand to machine-readable output
 validating against the schemas shipped in ``elprov/schemas``. The
 environment variable ``ELPROV_MAX_AXIOMS`` overrides the derived-axiom
@@ -58,14 +61,23 @@ def _limits() -> Limits:
     return Limits(max_axioms=int(cap))
 
 
+def _parsed(parse, text: str, source: str):
+    """``parse(text)``; a parse error names ``source``, a file or an option."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        exc.source = source
+        raise
+
+
 def _load_ontology(path: str) -> AnnotatedOntology:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_ontology(fh.read())
+        return _parsed(parse_ontology, fh.read(), path)
 
 
 def _load_query(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_query(fh.read())
+        return _parsed(parse_query, fh.read(), path)
 
 
 def _emit(args, text: str) -> None:
@@ -110,19 +122,10 @@ _KINDS = {
 }
 
 
-def _parse_axiom_arg(text: str, iq: bool):
-    """``--axiom`` as an ``iq`` target or an axiom; a parse error names ``--axiom``."""
-    try:
-        return parse_iq_target(text) if iq else parse_axiom(text)
-    except ParseError as exc:
-        exc.source = "--axiom"
-        raise
-
-
 def _entail_target(kind: str, text: str):
     if kind == "iq":
-        return _parse_axiom_arg(text, iq=True)
-    axiom = _parse_axiom_arg(text, iq=False)
+        return _parsed(parse_iq_target, text, "--axiom")
+    axiom = _parsed(parse_axiom, text, "--axiom")
     types, expected = _KINDS[kind]
     if not isinstance(axiom, types):
         raise ValueError(f"--kind {kind} expects {expected}")
@@ -131,7 +134,7 @@ def _entail_target(kind: str, text: str):
 
 def _cmd_entail(args) -> int:
     ontology = _load_ontology(args.input)
-    mon = parse_monomial(args.prov)
+    mon = _parsed(parse_monomial, args.prov, "--prov")
     limits = _limits()
     entailed = entails(ontology, _entail_target(args.kind, args.axiom), mon, limits)
     if args.json:
@@ -147,7 +150,7 @@ def _cmd_entail(args) -> int:
 def _cmd_relevant(args) -> int:
     ontology = _load_ontology(args.input)
     text = args.axiom.strip()
-    target = _parse_axiom_arg(text, iq=text.startswith("iq"))
+    target = _parsed(parse_iq_target if text.startswith("iq") else parse_axiom, text, "--axiom")
     merged = relevant_monomial(ontology, target, _limits())
     names = [v.name for v in merged.vars] if merged is not None else []
     if args.json:
@@ -162,7 +165,7 @@ def _cmd_relevant(args) -> int:
 def _cmd_query(args) -> int:
     ontology = _load_ontology(args.input)
     query = _load_query(args.query)
-    prov = parse_polynomial(args.prov)
+    prov = _parsed(parse_polynomial, args.prov, "--prov")
     answer = answer_query(ontology, query, prov, _limits())
     if args.json:
         _emit_json(
@@ -283,8 +286,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ParseError as exc:
-        source = exc.source or getattr(args, "input", None) or "<input>"
-        print(f"{source}:{exc}", file=sys.stderr)
+        print(f"{exc.source}:{exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

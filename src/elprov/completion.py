@@ -549,12 +549,6 @@ class SaturatedSet:
         # a mask of None (a variable outside the run) is in no entry
         return self.table.mask(mon) in self.facts.get(_fact(axiom), ())
 
-    def monomials(self, axiom: Axiom) -> tuple[Monomial, ...]:
-        return tuple(map(self.table.monomial, self.facts.get(_fact(axiom), ())))
-
-    def assertions(self) -> tuple[AnnotatedAxiom, ...]:
-        return tuple(ann for ann in self.axioms if isinstance(ann.axiom, (CA, RA)))
-
     def dump_lines(self) -> list[str]:
         return [render_annotated(ann) for ann in self.axioms]
 

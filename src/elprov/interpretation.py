@@ -27,7 +27,6 @@ stack allows any number of atoms; the ``Limits`` time budget applies.
 from __future__ import annotations
 
 import heapq
-import re
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -49,9 +48,9 @@ from .ontology import (
     RR,
     Ran,
     Top,
-    _LINE_BREAK,
 )
 from .provenance import ONE, Monomial, Polynomial
+from .syntax import QUERY_TOKENS, Scanner, file_lines
 
 if TYPE_CHECKING:  # pragma: no cover - only for annotations
     from .canonical import RewritingConditions
@@ -513,81 +512,58 @@ def enumerate_matches(
 
 
 def provenance_of_matches(query: BCQ, matches: Iterable[Match]) -> Polynomial:
-    """Sum over matches of the product of the matched provenance monomials."""
-    terms = []
+    """Sum over matches of the product of the matched provenance monomials.
+
+    The matches bind the same terms in the same order, as ``enumerate_matches``
+    gives them, so the provenance variables' places are read off the first."""
+    terms, places = [], None
     for match in matches:  # a product is canonicalized once, from all its factors' variables
-        bound = dict(match.binding)
-        terms.append((Monomial(tuple(v for a in query.atoms for v in bound[a.prov].vars)), 1))
+        binding = match.binding
+        if places is None:
+            places = [[t for t, _ in binding].index(a.prov) for a in query.atoms]
+        terms.append((Monomial(tuple(v for i in places for v in binding[i][1].vars)), 1))
     return Polynomial(terms)
 
 
 # --- query text format -------------------------------------------------------
 #
+# query := atom ('&' atom)* '&'?
 # atom  := NAME '(' term ',' term ')' | NAME '(' term ',' term ',' term ')'
 # term  := '?' NAME | NAME        (a '?'-term is an existential variable)
-# query := atom ('&' atom)*       (blanks are space, tab and line break; '#' comments)
+#
+# Blanks, comments, line breaks and error positions are those of
+# ``elprov.syntax``; a query may run over several lines.
 
-_QTOKEN = re.compile(r"[ \t\n]*(?:(?P<var>\?[A-Za-z_][A-Za-z0-9_]*)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[(),&]))")
+
+def _term(p: Scanner) -> Term:
+    tok = p.tokens[p.i]
+    if tok is not None and tok[0] == "?":
+        p.i += 1
+        return Var(tok[1:])
+    return Ind(p.name("a term"))
 
 
 def parse_query(text: str) -> BCQ:
-    text = "\n".join(line.split("#", 1)[0] for line in _LINE_BREAK.split(text))
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        m = _QTOKEN.match(text, pos)
-        if not m:
-            rest = text[pos:].lstrip(" \t\n")
-            if not rest:
-                break
-            raise QueryError(f"unexpected character {rest[0]!r} in query")
-        tokens.append((m.lastgroup, m.group(m.lastgroup)))
-        pos = m.end()
-
-    def term(tok: tuple[str, str]) -> Term:
-        kind, value = tok
-        if kind == "var":
-            return Var(value[1:])
-        if kind == "name":
-            return Ind(value)
-        raise QueryError(f"expected a term, got {value!r}")
-
+    """Parse a query file; a syntax error is a ``ParseError`` with line and
+    column, a query that is not in standard form a ``NonStandardQueryError``."""
+    p = Scanner(QUERY_TOKENS, file_lines(text))
     atoms: list[Atom] = []
-    i = 0
-    while i < len(tokens):
-        kind, pred = tokens[i]
-        if kind != "name":
-            raise QueryError(f"expected a predicate name, got {pred!r}")
-        if i + 1 >= len(tokens) or tokens[i + 1] != ("punct", "("):
-            raise QueryError(f"expected '(' after predicate {pred!r}")
-        args: list[Term] = []
-        i += 2
-        while True:
-            if i >= len(tokens):
-                raise QueryError("unterminated atom")
-            args.append(term(tokens[i]))
-            i += 1
-            if i >= len(tokens):
-                raise QueryError("unterminated atom")
-            if tokens[i] == ("punct", ","):
-                i += 1
-                continue
-            if tokens[i] == ("punct", ")"):
-                i += 1
-                break
-            raise QueryError(f"expected ',' or ')', got {tokens[i][1]!r}")
-        if len(args) == 2:
-            if not isinstance(args[1], Var):
-                raise NonStandardQueryError("the last atom argument must be a ?-variable")
-            atoms.append(ConceptAtom(pred, args[0], args[1]))
-        elif len(args) == 3:
-            if not isinstance(args[2], Var):
-                raise NonStandardQueryError("the last atom argument must be a ?-variable")
-            atoms.append(RoleAtom(pred, args[0], args[1], args[2]))
-        else:
-            raise QueryError(f"atoms take 2 or 3 arguments, got {len(args)}")
-        if i < len(tokens):
-            if tokens[i] != ("punct", "&"):
-                raise QueryError(f"expected '&' between atoms, got {tokens[i][1]!r}")
-            i += 1
+    while p.tokens[p.i] is not None:
+        start = p.i
+        pred = p.name("a predicate name")
+        p.take("(")
+        args = [_term(p)]
+        while p.tokens[p.i] == ",":
+            p.i += 1
+            args.append(_term(p))
+        if p.tokens[p.i] != ")":
+            raise p.error(f"expected ',' or ')', got {p.tokens[p.i] or 'end of line'!r}")
+        p.i += 1
+        if len(args) not in (2, 3):
+            raise p.at(start).error(f"atoms take 2 or 3 arguments, got {len(args)}")
+        if not isinstance(args[-1], Var):
+            raise NonStandardQueryError("the last atom argument must be a ?-variable")
+        atoms.append(ConceptAtom(pred, *args) if len(args) == 2 else RoleAtom(pred, *args))
+        if p.tokens[p.i] is not None:
+            p.take("&")
     return BCQ(atoms)

@@ -8,7 +8,8 @@ assertions complete the axiom sorts. Every axiom carries a provenance
 annotation; in input files the annotation is a single variable or ``1``,
 while derived axiom sets may carry arbitrary monomials.
 
-File grammar (UTF-8, line oriented, ``#`` comments):
+File grammar (UTF-8, one axiom per line, ``#`` starts a comment; the
+blanks, line breaks and error positions are those of ``elprov.syntax``):
 
     concept := 'Top' | NAME | 'and(' concept ',' concept ')'
              | 'some(' NAME ',' concept ')' | 'some(' NAME ')'
@@ -19,23 +20,25 @@ File grammar (UTF-8, line oriented, ``#`` comments):
              | 'ra' NAME '(' NAME ',' NAME ')' '@' annot
     annot   := NAME | '1'
 
-Names beginning with ``__`` are reserved for internally generated
-symbols and rejected in user input.
+An ``--axiom`` argument is one such line without ``'@' annot``, and an
+instance-query target is ``'iq' concept '(' NAME ')'``; both are read with
+their ends stripped. Names beginning with ``__`` are reserved for
+internally generated symbols and rejected in user input.
 
 Concepts and axioms are tuples tagged with their class name, so ``==``
-and ``hash`` run in C. The front end does each job once. One ``findall``
-splits a line into string tokens whose kind is read off the token; a
-column is computed only for an error. The parser reads a concept in one
-loop and checks the left-hand side grammar as it builds it. An ontology
-hashes each axiom once, into the dict that deduplicates it and answers
-membership and equality. A derived ontology (``extended``, ``normalize``)
-validates only the axioms it adds; ``normalize`` rewrites GCIs as
-``(lhs, rhs, annotation)`` triples and builds only the axioms it outputs.
+and ``hash`` run in C. The front end does each job once. A
+``syntax.Scanner`` per line splits it into string tokens whose kind is
+read off the token; a column is computed only for an error. The parser
+reads a concept in one loop and checks the left-hand side grammar as it
+builds it. An ontology hashes each axiom once, into the dict that
+deduplicates it and answers membership and equality. A derived ontology
+(``extended``, ``normalize``) validates only the axioms it adds;
+``normalize`` rewrites GCIs as ``(lhs, rhs, annotation)`` triples and
+builds only the axioms it outputs.
 """
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
@@ -43,6 +46,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .provenance import ONE, Monomial, Variable
+from .syntax import ONTOLOGY_TOKENS, ParseError, Scanner, file_lines
 
 __all__ = [
     "Concept",
@@ -70,28 +74,12 @@ __all__ = [
     "parse_iq_target",
     "normalize",
     "translate_general_gci",
-    "signature",
     "render_axiom",
     "render_annotated",
     "is_atomic_or_top",
 ]
 
 RESERVED_PREFIX = "__"
-
-
-class ParseError(ValueError):
-    """Syntax or well-formedness error with source position.
-
-    ``source`` names where the text came from when the caller knows better
-    than the parser (the CLI sets it for ``--axiom``).
-    """
-
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{line}:{column}: {message}")
-        self.message = message
-        self.line = line
-        self.column = column
-        self.source: str | None = None
 
 
 class NamespaceError(ValueError):
@@ -411,19 +399,8 @@ class AnnotatedOntology:
         index, kinds = dict(self._index), dict(self._kinds)
         return self._derived(index, kinds, _claim(index, extra, kinds))
 
-    def is_normal_form(self) -> bool:
-        gcis = (a.axiom for a in self.axioms if isinstance(a.axiom, GCI))
-        return all(_is_normal_gci(ax.lhs, ax.rhs) for ax in gcis)
-
-    def render(self) -> str:
-        return "\n".join(render_annotated(ann) for ann in self.axioms) + ("\n" if self.axioms else "")
-
     def __repr__(self) -> str:
         return f"AnnotatedOntology({len(self.axioms)} axioms)"
-
-
-def signature(ontology: AnnotatedOntology) -> Signature:
-    return ontology._sig
 
 
 def _is_normal_gci(lhs: Concept, rhs: Concept) -> bool:
@@ -605,13 +582,7 @@ def translate_general_gci(
 
 # --- parser ---------------------------------------------------------------
 
-# one token: a name, ``1``, ``<=`` or punctuation; any other character
-# but space and tab is an error, and _COVERED ends just before the first
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|1|<=|[(),@*]")
-_COVERED = re.compile(rf"(?:[ \t]*(?:{_TOKEN.pattern}))*[ \t]*")
 _NOT_NAMES = frozenset(("1", "<=", "(", ")", ",", "@", "*", None))  # None ends a line's tokens
-# lines break at \n, \r\n and \r only, unlike str.splitlines
-_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 _CONCEPT_KEYWORDS = {"Top", "and", "some", "ran"}
 _NOT_ROLES = _NOT_NAMES | _CONCEPT_KEYWORDS
@@ -624,38 +595,12 @@ _NOT_ROLES = _NOT_NAMES | _CONCEPT_KEYWORDS
 MAX_CONCEPT_DEPTH = 200
 
 
-class _LineParser:
-    """Parser of one line's tokens, plain strings whose kind is read off the
-    token, then ``None``; columns are computed only for an error. Axioms are
-    read by recursive descent, a concept by one loop (``concept``)."""
+class _LineParser(Scanner):
+    """A scanner over one line of the ontology grammar. Axioms are read by
+    recursive descent, a concept by one loop (``concept``); ``name`` also
+    rejects keywords and reserved names."""
 
-    def __init__(self, line: str, lineno: int):
-        self.line = line
-        self.lineno = lineno
-        self.tokens: list[str | None] = _TOKEN.findall(line)
-        # the tokens, spaces and tabs have to cover the whole line
-        if sum(map(len, self.tokens)) + line.count(" ") + line.count("\t") != len(line):
-            col = _COVERED.match(line).end() + 1
-            raise ParseError(f"unexpected character {line[col - 1]!r}", lineno, col)
-        self.tokens.append(None)
-        self.i = 0
-
-    def error(self, message: str) -> ParseError:
-        """An error at the current token, or just past the line's end."""
-        columns = [m.start() + 1 for m in _TOKEN.finditer(self.line)] + [len(self.line) + 1]
-        return ParseError(message, self.lineno, columns[self.i])
-
-    def at(self, i: int) -> "_LineParser":
-        """This parser moved to token ``i``, to raise an error there."""
-        self.i = i
-        return self
-
-    def take(self, value: str) -> None:
-        tok = self.tokens[self.i]
-        if tok != value:
-            want = "le" if value == "<=" else value
-            raise self.error(f"expected {want!r}, got {tok or 'end of line'!r}")
-        self.i += 1
+    __slots__ = ()
 
     def name(self, what: str) -> str:
         tok = self.tokens[self.i]
@@ -742,10 +687,6 @@ class _LineParser:
         self.finish("annotation must be a single variable or 1")
         return mon
 
-    def finish(self, message: str) -> None:
-        if self.tokens[self.i] is not None:
-            raise self.error(message)
-
 
 def _parse_axiom(p: _LineParser) -> Axiom:
     """Check the axiom keyword and parse the axiom it starts."""
@@ -803,13 +744,14 @@ def parse_ontology(text: str) -> AnnotatedOntology:
     axioms: list[AnnotatedAxiom] = []
     places: list[tuple[int, str]] = []  # per axiom: its line number and text
     interned = {"1": ONE}
-    for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
-        line = raw.split("#", 1)[0].rstrip()
+    for lineno, line in file_lines(text):
+        line = line.rstrip()
         if not line:
             continue
-        p = _LineParser(line, lineno)
+        place = (lineno, line)
+        p = _LineParser(ONTOLOGY_TOKENS, (place,))
         axioms.append(AnnotatedAxiom(_parse_axiom(p), p.annotation(interned)))
-        places.append((lineno, line))
+        places.append(place)
     try:
         return AnnotatedOntology(axioms)
     except NamespaceError as exc:
@@ -820,7 +762,7 @@ def parse_ontology(text: str) -> AnnotatedOntology:
 
 def parse_axiom(text: str) -> Axiom:
     """Parse a single un-annotated axiom, e.g. for CLI --axiom arguments."""
-    p = _LineParser(text.strip(), 1)
+    p = _LineParser(ONTOLOGY_TOKENS, ((1, text.strip()),))
     axiom = _parse_axiom(p)
     p.finish("trailing input after axiom")
     return axiom
@@ -828,7 +770,7 @@ def parse_axiom(text: str) -> Axiom:
 
 def parse_iq_target(text: str) -> tuple[Concept, str]:
     """Parse an instance-query target of the form ``iq CONCEPT(IND)``."""
-    p = _LineParser(text.strip(), 1)
+    p = _LineParser(ONTOLOGY_TOKENS, ((1, text.strip()),))
     p.take("iq")
     concept = p.concept()[0]
     p.take("(")

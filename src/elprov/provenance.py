@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
+from .syntax import PROVENANCE_TOKENS, Scanner
+
 __all__ = [
     "Variable",
     "Monomial",
@@ -144,11 +146,6 @@ class Polynomial:
                 acc[mon] = acc.get(mon, 0) + coeff
         self._terms: dict[Monomial, int] = {m: acc[m] for m in sorted(acc, key=_names)}
 
-    @classmethod
-    def of(cls, *monomials: Monomial) -> "Polynomial":
-        """Sum of monomial occurrences; repeats add up."""
-        return cls((m, 1) for m in monomials)
-
     def terms(self) -> tuple[tuple[Monomial, int], ...]:
         return tuple(self._terms.items())
 
@@ -244,76 +241,50 @@ def evaluate(p: Polynomial, assignment: Mapping[Variable, object], semiring: Sem
 # monomial   := '1' | NAME ('*' NAME)*
 # polynomial := '0' | term ('+' term)*
 # term       := INT? monomial        (integer coefficient prefix, e.g. "2 v1*v2")
+#
+# The text is read with its ends stripped, as one line of ``elprov.syntax``:
+# space and tab are the blanks, and an error is a ``ParseError``.
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<op>[*+]))")
 
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"unexpected character {text[pos:].strip()[0]!r} in {text!r}")
-            break
-        pos = m.end()
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind)))
-    return tokens
+def _monomial(p: Scanner) -> Monomial:
+    """The monomial at the scanner's place; a ``*`` is always followed by a name."""
+    tok = p.tokens[p.i]
+    if tok is not None and tok.isdigit():
+        if tok != "1":
+            raise p.error(f"{tok!r} is not a monomial (only the unit '1' is numeric)")
+        p.i += 1
+        return ONE
+    names = [p.name("a variable name")]
+    while p.tokens[p.i] == "*":
+        p.i += 1
+        names.append(p.name("a variable name after '*'"))
+    return Monomial(tuple(map(Variable, names)))
 
 
 def parse_monomial(text: str) -> Monomial:
-    tokens = _tokenize(text)
-    mon, rest = _parse_monomial_tokens(tokens)
-    if rest:
-        raise ValueError(f"trailing input after monomial in {text!r}")
+    p = Scanner(PROVENANCE_TOKENS, ((1, text.strip()),))
+    mon = _monomial(p)
+    p.finish("trailing input after monomial")
     return mon
 
 
-def _parse_monomial_tokens(tokens: list[tuple[str, str]]) -> tuple[Monomial, list[tuple[str, str]]]:
-    if not tokens:
-        raise ValueError("empty monomial")
-    kind, value = tokens[0]
-    if kind == "int":
-        if value != "1":
-            raise ValueError(f"{value!r} is not a monomial (only the unit '1' is numeric)")
-        return ONE, tokens[1:]
-    if kind != "name":
-        raise ValueError(f"expected a variable name, got {value!r}")
-    names = [value]
-    rest = tokens[1:]
-    while len(rest) >= 2 and rest[0] == ("op", "*"):
-        kind, value = rest[1]
-        if kind != "name":
-            raise ValueError(f"expected a variable name after '*', got {value!r}")
-        names.append(value)
-        rest = rest[2:]
-    return Monomial(tuple(Variable(n) for n in names)), rest
-
-
 def parse_polynomial(text: str) -> Polynomial:
-    tokens = _tokenize(text)
-    if tokens == [("int", "0")]:
+    p = Scanner(PROVENANCE_TOKENS, ((1, text.strip()),))
+    tokens = p.tokens
+    if tokens == ["0", None]:
         return ZERO
     terms: list[tuple[Monomial, int]] = []
     while True:
-        coeff = 1
-        if (
-            tokens
-            and tokens[0][0] == "int"
-            and len(tokens) > 1
-            and (tokens[1][0] == "name" or tokens[1] == ("int", "1"))
-        ):
-            coeff = int(tokens[0][1])
-            if coeff == 0:
-                raise ValueError("zero coefficient is not allowed; use '0' for the zero polynomial")
-            tokens = tokens[1:]
-        mon, tokens = _parse_monomial_tokens(tokens)
-        terms.append((mon, coeff))
-        if not tokens:
-            break
-        if tokens[0] != ("op", "+"):
-            raise ValueError(f"expected '+', got {tokens[0][1]!r}")
-        tokens = tokens[1:]
-    return Polynomial(terms)
+        coeff, tok = 1, tokens[p.i]
+        if tok is not None and tok.isdigit():
+            # an integer is a coefficient when a name or the unit '1' follows it
+            following = tokens[p.i + 1]
+            if following == "1" or following is not None and following.isidentifier():
+                coeff = int(tok)
+                if coeff == 0:
+                    raise p.error("zero coefficient is not allowed; use '0' for the zero polynomial")
+                p.i += 1
+        terms.append((_monomial(p), coeff))
+        if tokens[p.i] is None:
+            return Polynomial(terms)
+        p.take("+")

@@ -32,7 +32,13 @@ one-loop concept parser replaced. ``normalize_dataclasses`` is
 ``normalize`` as it was on the frozen-dataclass syntax (``Dataclass*``)
 that tagged tuples replaced; ``to_dataclass`` and ``from_dataclass``
 convert between the two, so both can be compared axiom by axiom.
-``dataclass_monomial_key`` and ``dataclass_element_key`` order monomials
+``is_normal_form`` tells whether every GCI of an ontology is in normal
+form, as ``AnnotatedOntology.is_normal_form`` did before ``normalize``
+sorted its input itself. ``parse_query_by_kinds``,
+``parse_monomial_by_kinds`` and ``parse_polynomial_by_kinds`` are the
+query and provenance parsers as they were before the three grammars
+shared ``elprov.syntax.Scanner``, so the new parsers can be compared with
+them. ``dataclass_monomial_key`` and ``dataclass_element_key`` order monomials
 and domain elements by the generated dataclass comparisons the library
 sorted by before it compared tuples of variable names, so the name
 tuples can be compared with them. They serve the tests only.
@@ -61,6 +67,7 @@ from elprov.completion import (
 )
 from elprov.interpretation import (
     BCQ,
+    Atom,
     AnnotatedInterpretation,
     AuxElement,
     ConceptAtom,
@@ -68,6 +75,9 @@ from elprov.interpretation import (
     Ind,
     Match,
     Named,
+    NonStandardQueryError,
+    QueryError,
+    RoleAtom,
     Term,
     UnknownIndividualError,
     Var,
@@ -76,10 +86,7 @@ from elprov.interpretation import (
 )
 from elprov.ontology import (
     _CONCEPT_KEYWORDS,
-    _COVERED,
-    _LINE_BREAK,
     _NOT_NAMES,
-    _TOKEN,
     CA,
     GCI,
     MAX_CONCEPT_DEPTH,
@@ -101,10 +108,18 @@ from elprov.ontology import (
     ParseError,
     Ran,
     Top,
+    _is_normal_gci,
     _walk,
     normalize,
 )
-from elprov.provenance import ONE, Monomial, Variable
+from elprov.provenance import ONE, ZERO, Monomial, Polynomial, Variable
+from elprov.syntax import LINE_BREAK as _LINE_BREAK, ONTOLOGY_TOKENS as _TOKEN
+
+
+def is_normal_form(ontology: AnnotatedOntology) -> bool:
+    """Whether every GCI of the ontology is in normal form."""
+    gcis = (a.axiom for a in ontology if isinstance(a.axiom, GCI))
+    return all(_is_normal_gci(ax.lhs, ax.rhs) for ax in gcis)
 
 
 def reduce_ca_to_gci(
@@ -116,7 +131,7 @@ def reduce_ca_to_gci(
     for ``ind``: a concept assertion B(ind) is entailed with monomial m
     iff the encoding entails C_ind <= B or Top <= B with m.
     """
-    if not ontology.is_normal_form():
+    if not is_normal_form(ontology):
         raise ValueError("reduction requires a normal-form ontology")
 
     def c_of(a: str) -> str:
@@ -335,12 +350,12 @@ def fixpoint_canonical_model(
 
     rules = [ann for ann in base.axioms if isinstance(ann.axiom, (GCI, RI, RR))]
     individuals = set(base.individuals)
-    for ann in sat.assertions():
+    for ann in sat.axioms:
         ax, m = ann.axiom, ann.annotation
         if isinstance(ax, RA):
             if ax.a in individuals:  # a probe edge joins fresh individuals only
                 add(role_ext, ax.role, (Named(ax.a), Named(ax.b), m))
-        elif isinstance(ax.concept, Atomic):
+        elif isinstance(ax, CA) and isinstance(ax.concept, Atomic):
             name = ax.concept.name
             if ax.ind in individuals:
                 add(concept_ext, name, (Named(ax.ind), m))
@@ -832,6 +847,9 @@ def parse_iq_target_by_kinds(text: str) -> tuple[Concept, str]:
 # built on them; a differential test compares the library's parser with
 # them, and no difference is allowed.
 
+_COVERED = re.compile(rf"(?:[ \t]*(?:{_TOKEN.pattern}))*[ \t]*")
+
+
 class _RecursiveLineParser:
     """Recursive descent over one line's tokens, plain strings whose kind is
     read off the token; columns are computed only for an error."""
@@ -1185,3 +1203,154 @@ def normalize_dataclasses(
             lhs = name_for(lhs)
         work.append(DataclassAnnotatedAxiom(DataclassGCI(lhs, ax.rhs), ann.annotation))
     return tuple(dict.fromkeys(out))
+
+
+# --- the query and provenance parsers on (kind, value) tokens -----------------
+#
+# ``parse_query_by_kinds`` is the query parser as it was before query files
+# were read by ``elprov.syntax.Scanner``: one regex loop over the lines
+# joined by ``\n``, a hand-indexed loop over the tokens and ``QueryError``
+# without a position. ``parse_monomial_by_kinds`` and
+# ``parse_polynomial_by_kinds`` are the provenance parsers as they were,
+# with any Unicode whitespace as a blank and a token list sliced after
+# every token read. A differential test compares the library's parsers
+# with them.
+
+_QTOKEN = re.compile(r"[ \t\n]*(?:(?P<var>\?[A-Za-z_][A-Za-z0-9_]*)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[(),&]))")
+
+
+def parse_query_by_kinds(text: str) -> BCQ:
+    text = "\n".join(line.split("#", 1)[0] for line in _LINE_BREAK.split(text))
+    tokens: list[tuple[str, str]] = []
+    pos = 0
+    while pos < len(text):
+        m = _QTOKEN.match(text, pos)
+        if not m:
+            rest = text[pos:].lstrip(" \t\n")
+            if not rest:
+                break
+            raise QueryError(f"unexpected character {rest[0]!r} in query")
+        tokens.append((m.lastgroup, m.group(m.lastgroup)))
+        pos = m.end()
+
+    def term(tok: tuple[str, str]) -> Term:
+        kind, value = tok
+        if kind == "var":
+            return Var(value[1:])
+        if kind == "name":
+            return Ind(value)
+        raise QueryError(f"expected a term, got {value!r}")
+
+    atoms: list[Atom] = []
+    i = 0
+    while i < len(tokens):
+        kind, pred = tokens[i]
+        if kind != "name":
+            raise QueryError(f"expected a predicate name, got {pred!r}")
+        if i + 1 >= len(tokens) or tokens[i + 1] != ("punct", "("):
+            raise QueryError(f"expected '(' after predicate {pred!r}")
+        args: list[Term] = []
+        i += 2
+        while True:
+            if i >= len(tokens):
+                raise QueryError("unterminated atom")
+            args.append(term(tokens[i]))
+            i += 1
+            if i >= len(tokens):
+                raise QueryError("unterminated atom")
+            if tokens[i] == ("punct", ","):
+                i += 1
+                continue
+            if tokens[i] == ("punct", ")"):
+                i += 1
+                break
+            raise QueryError(f"expected ',' or ')', got {tokens[i][1]!r}")
+        if len(args) == 2:
+            if not isinstance(args[1], Var):
+                raise NonStandardQueryError("the last atom argument must be a ?-variable")
+            atoms.append(ConceptAtom(pred, args[0], args[1]))
+        elif len(args) == 3:
+            if not isinstance(args[2], Var):
+                raise NonStandardQueryError("the last atom argument must be a ?-variable")
+            atoms.append(RoleAtom(pred, args[0], args[1], args[2]))
+        else:
+            raise QueryError(f"atoms take 2 or 3 arguments, got {len(args)}")
+        if i < len(tokens):
+            if tokens[i] != ("punct", "&"):
+                raise QueryError(f"expected '&' between atoms, got {tokens[i][1]!r}")
+            i += 1
+    return BCQ(atoms)
+
+
+_PROV_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<op>[*+]))")
+
+
+def _prov_tokenize(text: str) -> list[tuple[str, str]]:
+    tokens: list[tuple[str, str]] = []
+    pos = 0
+    while pos < len(text):
+        m = _PROV_TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise ValueError(f"unexpected character {text[pos:].strip()[0]!r} in {text!r}")
+            break
+        pos = m.end()
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind)))
+    return tokens
+
+
+def parse_monomial_by_kinds(text: str) -> Monomial:
+    tokens = _prov_tokenize(text)
+    mon, rest = _monomial_by_kinds(tokens)
+    if rest:
+        raise ValueError(f"trailing input after monomial in {text!r}")
+    return mon
+
+
+def _monomial_by_kinds(tokens: list[tuple[str, str]]) -> tuple[Monomial, list[tuple[str, str]]]:
+    if not tokens:
+        raise ValueError("empty monomial")
+    kind, value = tokens[0]
+    if kind == "int":
+        if value != "1":
+            raise ValueError(f"{value!r} is not a monomial (only the unit '1' is numeric)")
+        return ONE, tokens[1:]
+    if kind != "name":
+        raise ValueError(f"expected a variable name, got {value!r}")
+    names = [value]
+    rest = tokens[1:]
+    while len(rest) >= 2 and rest[0] == ("op", "*"):
+        kind, value = rest[1]
+        if kind != "name":
+            raise ValueError(f"expected a variable name after '*', got {value!r}")
+        names.append(value)
+        rest = rest[2:]
+    return Monomial(tuple(Variable(n) for n in names)), rest
+
+
+def parse_polynomial_by_kinds(text: str) -> Polynomial:
+    tokens = _prov_tokenize(text)
+    if tokens == [("int", "0")]:
+        return ZERO
+    terms: list[tuple[Monomial, int]] = []
+    while True:
+        coeff = 1
+        if (
+            tokens
+            and tokens[0][0] == "int"
+            and len(tokens) > 1
+            and (tokens[1][0] == "name" or tokens[1] == ("int", "1"))
+        ):
+            coeff = int(tokens[0][1])
+            if coeff == 0:
+                raise ValueError("zero coefficient is not allowed; use '0' for the zero polynomial")
+            tokens = tokens[1:]
+        mon, tokens = _monomial_by_kinds(tokens)
+        terms.append((mon, coeff))
+        if not tokens:
+            break
+        if tokens[0] != ("op", "+"):
+            raise ValueError(f"expected '+', got {tokens[0][1]!r}")
+        tokens = tokens[1:]
+    return Polynomial(terms)

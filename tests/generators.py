@@ -27,6 +27,11 @@ INDS = ("a", "b", "c")
 VARS = tuple(Variable(f"v{i}") for i in range(1, 5))
 
 
+def render_ontology(o: AnnotatedOntology) -> str:
+    """An ontology in the file syntax, one annotated axiom a line."""
+    return "".join(f"{ann}\n" for ann in o)
+
+
 def _annotation(rng: random.Random, pool: tuple[Variable, ...] = VARS) -> Monomial:
     if rng.random() < 0.15:
         return ONE

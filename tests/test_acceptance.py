@@ -89,7 +89,7 @@ def blowup_ontology(n):
 
 def named_facts_of_saturation(sat, concepts, roles, max_degree=None):
     cas, ras = set(), set()
-    for ann in sat.assertions():
+    for ann in sat.axioms:
         ax, m = ann.axiom, ann.annotation
         if max_degree is not None and m.degree > max_degree:
             continue
@@ -128,7 +128,7 @@ def test_criterion_02_conjunction_dependent_gci():
 def test_criterion_03_annotation_family_blowup():
     n = 3
     sat = saturate(normalize(blowup_ontology(n)))
-    got = set(sat.monomials(GCI(Atomic("B"), Atomic("A"))))
+    got = {ann.annotation for ann in sat.axioms if ann.axiom == GCI(Atomic("B"), Atomic("A"))}
     expected = set()
     for size in range(n + 1):
         for subset in itertools.combinations(range(1, n + 1), size):
@@ -157,7 +157,7 @@ def test_criterion_04_merged_saturation_and_union_equivalence():
     full = saturate(instance)
     assert set(merged.entries) == {ann.axiom for ann in full.axioms}
     for axiom, entry in merged.entries.items():
-        union = frozenset(v for mm in full.monomials(axiom) for v in mm.vars)
+        union = frozenset(v for a in full.axioms if a.axiom == axiom for v in a.annotation.vars)
         assert frozenset(entry.vars) == union
 
     rng = random.Random(2024)
@@ -168,7 +168,7 @@ def test_criterion_04_merged_saturation_and_union_equivalence():
         axioms = {ann.axiom for ann in sat.axioms}
         assert set(merged.entries) == axioms
         for axiom in axioms:
-            union = frozenset(v for mm in sat.monomials(axiom) for v in mm.vars)
+            union = frozenset(v for a in sat.axioms if a.axiom == axiom for v in a.annotation.vars)
             assert frozenset(merged.entries[axiom].vars) == union, axiom
     print("ACCEPTANCE PASS [4]: merged saturation collapses the blowup family "
           "to one monomial and matches the full-saturation variable union on "

@@ -12,13 +12,15 @@ import pytest
 
 from hypothesis import assume, event, given, settings, strategies as st
 
-from elprov.canonical import answer_query, build_canonical_model
+from elprov.canonical import answer_query, build_canonical_model, compute_rewriting
 from elprov.cli import main
 from elprov.completion import UnknownNameWarning, entails
-from elprov.interpretation import AuxElement, UnknownIndividualError
+from elprov.interpretation import AuxElement, UnknownIndividualError, parse_query
 from elprov.ontology import (
+    CA,
     GCI,
     MAX_CONCEPT_DEPTH,
+    RA,
     AnnotatedAxiom,
     Atomic,
     Exists,
@@ -40,6 +42,7 @@ from generators import (
     random_normalized_ontology,
     random_query,
     random_target,
+    render_ontology,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -260,14 +263,14 @@ class TestEntail:
             text = render_axiom(target)
         with tempfile.TemporaryDirectory() as tmp:  # tmp_path is per test, not per example
             path, out = Path(tmp) / "o.elp", Path(tmp) / "out.txt"
-            path.write_text(o.render())
+            path.write_text(render_ontology(o))
             argv = ["entail", "-i", str(path), "--kind", kind, "--axiom", text, "--prov", str(mon)]
             code = main([*argv, "-o", str(out)])
             entailed = entails(o, target, mon)
             event(f"{kind}: {'entailed' if entailed else 'not entailed'}")
             assert (code, out.read_text()) == (
                 (0, "entailed\n") if entailed else (1, "not entailed\n")
-            ), (o.render(), argv)
+            ), (render_ontology(o), argv)
 
 
 class TestQuery:
@@ -320,14 +323,14 @@ class TestQuery:
             expected = (2, None)
         with tempfile.TemporaryDirectory() as tmp:  # tmp_path is per test, not per example
             path, query, out = Path(tmp) / "o.elp", Path(tmp) / "q.cq", Path(tmp) / "out.json"
-            path.write_text(o.render())
+            path.write_text(render_ontology(o))
             query.write_text(f"{q}\n")
             argv = ["query", "-i", str(path), "-q", str(query), "--prov", str(prov), "--json"]
             code = main([*argv, "-o", str(out)])
             obj = json.loads(out.read_text()) if code != 2 else None
         printed = obj and [obj["entailed"], obj["matches"], obj["query_provenance"]]
         event(f"exit {code}")
-        assert (code, printed) == expected, (o.render(), str(q), str(prov))
+        assert (code, printed) == expected, (render_ontology(o), str(q), str(prov))
 
 
 class TestOtherCommands:
@@ -435,9 +438,71 @@ class TestOtherCommands:
         expected = sorted(render_annotated(a) for a in normalize(o).axioms)
         with tempfile.TemporaryDirectory() as tmp:  # tmp_path is per test, not per example
             path, out = Path(tmp) / "o.elp", Path(tmp) / "out.json"
-            path.write_text(o.render())
+            path.write_text(render_ontology(o))
             code = main(["normalize", "-i", str(path), "--json", "-o", str(out)])
-            assert (code, json.loads(out.read_text())) == (0, {"axioms": expected}), o.render()
+            got = (code, json.loads(out.read_text()))
+            assert got == (0, {"axioms": expected}), render_ontology(o)
+
+
+    @staticmethod
+    def rewriting_json(q) -> dict:
+        """What ``rewrite --json`` prints for ``q``, from the library's rewriting."""
+        rc = compute_rewriting(q)
+        forks = [
+            {
+                "pre": [str(t) for t in fork.pre],
+                "class": sorted(str(t) for t in fork.cls),
+                "representative": str(fork.representative),
+            }
+            for fork in rc.forks
+        ]
+        return {
+            "atoms": [str(a) for a in q.atoms],
+            "classes": [sorted(str(t) for t in cls) for cls in rc.classes],
+            "cyc": sorted(str(v) for v in rc.cyc),
+            "forks": forks,
+        }
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_rewrite_json_agrees_with_the_library(self, rng):
+        q = random_query(rng, CONCEPTS, ROLES, INDS, max_atoms=6)
+        # the atoms over several lines, with comments and every line break
+        separators = (" & ", "\n& ", " &\r\n", "\t&  # and\r", "\n\n&\t")
+        text = "".join(f"{a}{rng.choice(separators)}" for a in q.atoms).rstrip("& \t\r\n")
+        parsed = parse_query(text)
+        assert parsed.atoms == q.atoms
+        expected = self.rewriting_json(parsed)
+        event(f"forks: {bool(expected['forks'])}, cyc: {bool(expected['cyc'])}")
+        with tempfile.TemporaryDirectory() as tmp:  # tmp_path is per test, not per example
+            path, out = Path(tmp) / "q.cq", Path(tmp) / "out.json"
+            path.write_bytes(text.encode())
+            code = main(["rewrite", "-q", str(path), "--json", "-o", str(out)])
+            assert (code, json.loads(out.read_text())) == (0, expected), text
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(TARGET_KINDS), st.booleans())
+    def test_relevant_json_agrees_with_the_library(self, rng, kind, general):
+        o = random_general_ontology(rng) if general else random_normalized_ontology(rng)
+        target = random_target(rng, o, kind)
+        assume(target is not None)
+        text = f"iq {target[0]}({target[1]})" if kind == "iq" else render_axiom(target)
+        merged = relevant_monomial(o, target)
+        expected = {
+            "axiom": text,
+            "relevant": [v.name for v in merged.vars] if merged is not None else [],
+            # the merged annotation is reported for atomic assertions only
+            "merged_annotation": (
+                str(merged) if merged is not None and isinstance(target, (CA, RA)) else None
+            ),
+        }
+        event(f"{kind}: {'relevant' if expected['relevant'] else 'none'}")
+        with tempfile.TemporaryDirectory() as tmp:  # tmp_path is per test, not per example
+            path, out = Path(tmp) / "o.elp", Path(tmp) / "out.json"
+            path.write_text(render_ontology(o))
+            code = main(["relevant", "-i", str(path), "--axiom", text, "--json", "-o", str(out)])
+            got = (code, json.loads(out.read_text()))
+            assert got == (0, expected), render_ontology(o)
 
 
 class TestErrorPaths:
@@ -494,9 +559,9 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "text, err",
         [
-            ("C(?x,\u00a0?t0) &\fD(?x, ?t1)\n", "unexpected character '\\xa0' in query"),
-            ("C(?x, ?t0) &\fD(?x, ?t1)\n", "unexpected character '\\x0c' in query"),
-            ("C(?x, ?t0)\u2003\n", "unexpected character '\\u2003' in query"),
+            ("C(?x,\u00a0?t0) &\fD(?x, ?t1)\n", "1:6: unexpected character '\\xa0'"),
+            ("C(?x, ?t0) &\fD(?x, ?t1)\n", "1:13: unexpected character '\\x0c'"),
+            ("C(?x, ?t0)\u2003\n", "1:11: unexpected character '\\u2003'"),
             # space, tab and the line breaks \r\n, \r and \n are blanks
             ("C(?x,\t?t0)\r\n&  D(?x,\r?t1)\n", None),
         ],
@@ -514,7 +579,52 @@ class TestErrorPaths:
             path.write_text("C(?x, ?t0) & D(?x, ?t1)\n")
             assert (code, captured) == (main(argv), capsys.readouterr())
         else:
-            assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
+            assert (code, captured.out, captured.err) == (2, "", f"{path}:{err}\n")
+
+    @pytest.mark.parametrize(
+        "command, prov, err",
+        [
+            # a blank other than space or tab is named at its own column
+            ("entail", "v1\u00a0*\x0cv4", "1:3: unexpected character '\\xa0'"),
+            ("query", "v1 +\u2003v2", "1:5: unexpected character '\\u2003'"),
+            # the ends are stripped, as for --axiom
+            ("entail", " v1 *\tv4 +", "1:9: trailing input after monomial"),
+            ("query", "0 v1", "1:1: zero coefficient is not allowed; use '0' for the zero polynomial"),
+        ],
+        ids=["entail-no-break-space", "query-em-space", "entail-trailing", "query-zero"],
+    )
+    def test_a_prov_error_names_the_option(self, tmp_path, capsys, command, prov, err):
+        query = tmp_path / "q.cq"
+        query.write_text("Mayor(?x, ?t)\n")
+        argv = [command, "-i", str(GOLDEN / "mayor.elp"), "--prov", prov]
+        if command == "entail":
+            argv += ["--kind", "assertion", "--axiom", "ca Mayor(Orsoni)"]
+        else:
+            argv += ["-q", str(query)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"--prov:{err}\n")
+
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ("D(?x ?t1)\n", "1:6: expected ',' or ')', got '?t1'"),
+            ("C(?x, ?t0) & # one\n\n  D(?x ?t1)\n", "3:8: expected ',' or ')', got '?t1'"),
+            ("C(?x, ?t0)\r\nD(?x, ?t1)\n", "2:1: expected '&', got 'D'"),
+            ("C(?x, ?t0, ?t1, ?t2)\n", "1:1: atoms take 2 or 3 arguments, got 4"),
+        ],
+        ids=["missing-comma", "third-line", "missing-and", "arity"],
+    )
+    @pytest.mark.parametrize("command", ["rewrite", "query"])
+    def test_a_query_syntax_error_names_file_line_and_column(
+        self, tmp_path, capsys, command, text, err
+    ):
+        path = tmp_path / "q.cq"
+        path.write_bytes(text.encode())
+        argv = [command, "-q", str(path)]
+        if command == "query":
+            argv += ["-i", str(GOLDEN / "mayor.elp"), "--prov", "v1"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"{path}:{err}\n")
 
     def test_a_commented_out_query_atom_stays_out(self, tmp_path, capsys):
         path = tmp_path / "q.cq"
@@ -624,6 +734,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("text", ["A(", "R(a,"])
     @pytest.mark.parametrize("command", ["rewrite", "query"])
     def test_truncated_query_atom_is_a_usage_error(self, tmp_path, capsys, command, text):
+        # the error is just past the end of the last line with a token
         path = tmp_path / "truncated.cq"
         path.write_text(text + "\n")
         argv = [command, "-q", str(path)]
@@ -632,7 +743,8 @@ class TestErrorPaths:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: unterminated atom\n"
+        col = len(text) + 1
+        assert captured.err == f"{path}:1:{col}: expected a term, got 'end of line'\n"
 
     def test_query_unknown_individual_checked_before_the_model(self, capsys, monkeypatch):
         # the cap would trip while building the model; the individual is
@@ -749,7 +861,7 @@ class TestDeterminism:
             )
             assert any(isinstance(e, AuxElement) for e in build_canonical_model(o).domain)
             path = tmp_path / f"generated-{i}.elp"
-            path.write_text(o.render())
+            path.write_text(render_ontology(o))
             argvs.append(["model", "-i", path.name])
             for q in ("cyclic.cq", "forked.cq"):
                 argvs.append(["query", "-i", path.name, "-q", q, "--json", "--prov", "v1 + v2*v5"])
@@ -769,7 +881,7 @@ class TestDeterminism:
         for i in range(4):
             o = random_general_ontology(rng, max_axioms=14)
             path = tmp_path / f"general-{i}.elp"
-            path.write_text(o.render())
+            path.write_text(render_ontology(o))
             argvs += [["saturate", "-i", path.name, "--json"],
                       ["saturate", "-i", path.name, "--json", "--k", "2"]]
             for kind in TARGET_KINDS:
@@ -788,6 +900,34 @@ class TestDeterminism:
         assert len(runs) == len(argvs) >= 25
         assert {code for code, _ in runs} == {0, 1}
         assert all(json.loads(out) for _, out in runs)
+
+    def test_relevant_and_rewrite_on_generated_inputs_do_not_depend_on_the_hash_seed(
+        self, tmp_path
+    ):
+        # general ontologies with a target of every kind, and queries with
+        # cycles, forks and individuals
+        rng = random.Random(1801)
+        argvs = []
+        for i in range(4):
+            o = random_general_ontology(rng, max_axioms=14)
+            path = tmp_path / f"general-{i}.elp"
+            path.write_text(render_ontology(o))
+            for kind in TARGET_KINDS:
+                target = random_target(rng, o, kind)
+                if target is not None:
+                    text = f"iq {target[0]}({target[1]})" if kind == "iq" else render_axiom(target)
+                    argvs.append(["relevant", "-i", path.name, "--json", "--axiom", text])
+            for j in range(3):
+                query = tmp_path / f"q-{i}-{j}.cq"
+                query.write_text(f"{random_query(rng, CONCEPTS, ROLES, INDS, max_atoms=6)}\n")
+                argvs += [["rewrite", "-q", query.name], ["rewrite", "-q", query.name, "--json"]]
+        outputs = outputs_under_hash_seeds(argvs, tmp_path)
+        assert len(outputs) == 1
+        runs = [json.loads(line) for line in outputs.pop().splitlines()]
+        assert len(runs) == len(argvs) >= 40 and {code for code, _ in runs} == {0}
+        printed = [json.loads(out) for (_, out), argv in zip(runs, argvs) if "--json" in argv]
+        assert any(obj.get("relevant") for obj in printed)
+        assert any(obj.get("forks") for obj in printed) and any(obj.get("cyc") for obj in printed)
 
     def test_one_process_answers_like_fresh_ones(self, capsys, monkeypatch):
         # the parser is built once per process, so a usage error must leave

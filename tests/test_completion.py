@@ -87,7 +87,7 @@ class TestSaturate:
 
     def test_blowup_family_n2(self):
         sat = saturate(normalize(blowup_ontology(2)))
-        got = set(sat.monomials(GCI(Atomic("B"), Atomic("A"))))
+        got = {ann.annotation for ann in sat.axioms if ann.axiom == GCI(Atomic("B"), Atomic("A"))}
         assert got == {mono("u"), mono("u*u1*v1"), mono("u*u2*v2"), mono("u*u1*v1*u2*v2")}
 
     def test_requires_normal_form(self):
@@ -252,9 +252,11 @@ class TestLargerOntologies:
             # sat is the full saturation
             merged = merged_saturate(o).entries
             assert set(merged) == {ann.axiom for ann in sat.axioms}
+            unions: dict = {}
+            for ann in sat.axioms:
+                unions.setdefault(ann.axiom, set()).update(ann.annotation.vars)
             for axiom, mon in merged.items():
-                union = {v for m in sat.monomials(axiom) for v in m.vars}
-                assert set(mon.vars) == union, axiom
+                assert set(mon.vars) == unions[axiom], axiom
 
 
 class TestTimeBudget:
@@ -283,12 +285,13 @@ class TestMonomialBoundary:
         )
         sat = saturate(o, k=1)
         assert sat.contains(CA(Atomic("A"), "a"), mono("v1*v2*v3"))
-        assert sat.monomials(CA(Atomic("A"), "a")) == (mono("v1*v2*v3"),)
-        assert sat.monomials(CA(Atomic("B"), "a")) == ()
+        a_of = [ann.annotation for ann in sat.axioms if ann.axiom == CA(Atomic("A"), "a")]
+        assert a_of == [mono("v1*v2*v3")]
+        assert all(ann.axiom != CA(Atomic("B"), "a") for ann in sat.axioms)
         assert saturate(o, k=4).contains(CA(Atomic("B"), "a"), mono("u*v1*v2*v3"))
         parsed = saturate(parse_ontology("ca A(a) @ v\ngci A <= B @ u"), k=0)
         assert parsed.contains(CA(Atomic("A"), "a"), mono("v"))
-        assert parsed.monomials(CA(Atomic("B"), "a")) == ()
+        assert all(ann.axiom != CA(Atomic("B"), "a") for ann in parsed.axioms)
 
     def test_contains_variable_outside_ontology(self):
         sat = saturate(parse_ontology("ca A(a) @ v\ngci A <= B @ u"))
@@ -309,7 +312,7 @@ class TestMonomialBoundary:
         ):
             assert not sat.contains(axiom, ONE)
             assert not sat.contains(axiom, mono("u*v"))
-            assert sat.monomials(axiom) == ()
+            assert all(ann.axiom != axiom for ann in sat.axioms)
 
     def test_monomials_keep_name_order_past_one_word(self):
         names = [f"v{i}" for i in range(70)]
@@ -319,7 +322,7 @@ class TestMonomialBoundary:
         )
         full = Monomial(tuple(Variable(v) for v in names))
         sat = saturate(o)
-        assert sat.monomials(CA(Atomic("A70"), "a")) == (full,)
+        assert [ann.annotation for ann in sat.axioms if ann.axiom == CA(Atomic("A70"), "a")] == [full]
 
 
 class TestEntailsAssertion:
@@ -536,13 +539,13 @@ class TestOracleAgreement:
             result = chase(o)
             got_ca = {
                 (ax.concept.name, ax.ind, ann.annotation)
-                for ann in sat.assertions()
+                for ann in sat.axioms
                 for ax in [ann.axiom]
                 if isinstance(ax, CA) and isinstance(ax.concept, Atomic)
             }
             got_ra = {
                 (ax.role, ax.a, ax.b, ann.annotation)
-                for ann in sat.assertions()
+                for ann in sat.axioms
                 for ax in [ann.axiom]
                 if isinstance(ax, RA)
             }

@@ -5,9 +5,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
-from crosscheck import dataclass_element_key
+from crosscheck import dataclass_element_key, parse_query_by_kinds
 from elprov.interpretation import (
     AnnotatedInterpretation,
     AuxElement,
@@ -16,6 +16,7 @@ from elprov.interpretation import (
     Ind,
     Named,
     NonStandardQueryError,
+    QueryError,
     RoleAtom,
     UnknownIndividualError,
     Var,
@@ -39,6 +40,9 @@ from elprov.ontology import (
     TOP,
 )
 from elprov.provenance import ONE, Monomial, Polynomial, Variable, parse_monomial
+from elprov.syntax import LINE_BREAK, ParseError
+
+from generators import CONCEPTS, INDS, ROLES, random_query
 
 
 def mono(text):
@@ -263,7 +267,7 @@ class TestMatches:
 
     def test_single_atom_provenance_sums_extension(self, mayor_model):
         q = parse_query("Mayor(?x, ?t)")
-        expected = Polynomial.of(*(m for _, m in mayor_model.concept_pairs("Mayor")))
+        expected = Polynomial((m, 1) for _, m in mayor_model.concept_pairs("Mayor"))
         matches = enumerate_matches(mayor_model, q)
         assert provenance_of_matches(q, matches) == expected
 
@@ -305,3 +309,56 @@ class TestQueryValidation:
     def test_individuals_listed(self):
         q = parse_query("R(a, ?y, ?t) & A(b, ?t2)")
         assert q.individuals() == ("a", "b")
+
+
+# pieces of query text: names, variables, punctuation, whole atoms, the
+# blanks and line breaks, blanks of no grammar and a comment
+QUERY_PIECES = (
+    "A", "R", "a", "?x", "?t", "?t1", "?", "1", "(", ")", ",", "&", "A(?x, ?t)", "R(?x, a, ?t2)",
+    " & ", " ", "\t", "\n", "\r\n", "\r", "# note\n", "\xa0", "\x0c", "\u2003",
+)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return exc
+
+
+class TestQueryParserAgainstTheKindTokenParser:
+    """``parse_query`` on the shared scanner against the parser it replaced
+    (``crosscheck.parse_query_by_kinds``). Both take space, tab and line
+    breaks as blanks, so they accept the same texts, with the same atoms.
+    Where the old one raises, the new one raises a ``ParseError`` inside the
+    text, or a ``QueryError`` of the same kind."""
+
+    @staticmethod
+    def check(text: str) -> str:
+        old, new = outcome(parse_query_by_kinds, text), outcome(parse_query, text)
+        if not isinstance(old, ValueError):
+            assert not isinstance(new, ValueError), (text, new)
+            assert new.atoms == old.atoms
+            return "ok"
+        assert isinstance(new, (ParseError, QueryError)), (text, old, new)
+        assert isinstance(new, NonStandardQueryError) == isinstance(old, NonStandardQueryError)
+        if isinstance(new, ParseError):
+            line = LINE_BREAK.split(text)[new.line - 1].split("#", 1)[0]
+            assert 1 <= new.column <= len(line) + 1, (text, new)
+        return type(new).__name__
+
+    @settings(max_examples=400)
+    @given(st.lists(st.sampled_from(QUERY_PIECES), max_size=14).map("".join))
+    @example("C(?x, # c\n ?t0) &\r\nD(a,\r?t1)\t&")
+    def test_pieces(self, text):
+        event(self.check(text))
+
+    @settings(max_examples=300)
+    @given(st.randoms(use_true_random=False), st.integers(0, 3))
+    def test_generated_queries_and_mutations(self, rng, edits):
+        text = str(random_query(rng, CONCEPTS, ROLES, INDS, max_atoms=5))
+        for _ in range(edits):  # a piece replaces a character, or is put between two
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(QUERY_PIECES) + text[i + rng.randrange(2):]
+        event(self.check(text))
+

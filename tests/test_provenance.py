@@ -1,10 +1,11 @@
+import re
 from functools import reduce
 from operator import attrgetter, or_
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
-from crosscheck import dataclass_monomial_key
+from crosscheck import dataclass_monomial_key, parse_monomial_by_kinds, parse_polynomial_by_kinds
 from elprov.completion import _VarTable
 from elprov.provenance import (
     BOOLEAN,
@@ -20,6 +21,7 @@ from elprov.provenance import (
     parse_monomial,
     parse_polynomial,
 )
+from elprov.syntax import ParseError
 
 u, v, w = Variable("u"), Variable("v"), Variable("w")
 v1, v2, v3 = Variable("v1"), Variable("v2"), Variable("v3")
@@ -28,6 +30,10 @@ n_ = Variable("n")
 
 def mono(*vs):
     return Monomial(vs)
+
+
+def poly(*monomials):
+    return Polynomial((m, 1) for m in monomials)
 
 
 variables = st.sampled_from([u, v, w, v1])
@@ -112,38 +118,38 @@ class TestConstructionPaths:
 
 class TestPolynomial:
     def test_sum_keeps_multiplicity(self):
-        p = Polynomial.of(mono(v1, v2)) + Polynomial.of(mono(v1, v2))
+        p = poly(mono(v1, v2)) + poly(mono(v1, v2))
         assert p.coefficient(mono(v1, v2)) == 2
 
     def test_zero_is_neutral(self):
-        p = Polynomial.of(mono(u), mono(v))
+        p = poly(mono(u), mono(v))
         assert p + ZERO == p
 
     def test_distinct_monomials(self):
-        p = Polynomial.of(mono(u)) + Polynomial.of(mono(v))
+        p = poly(mono(u)) + poly(mono(v))
         assert p.terms() == ((mono(u), 1), (mono(v), 1))
 
     def test_product_distributes(self):
-        p = Polynomial.of(mono(u), mono(v)) * Polynomial.of(mono(w))
-        assert p == Polynomial.of(mono(u, w), mono(v, w))
+        p = poly(mono(u), mono(v)) * poly(mono(w))
+        assert p == poly(mono(u, w), mono(v, w))
 
     def test_product_idempotent_monomial(self):
-        p = Polynomial.of(mono(v1)) * Polynomial.of(mono(v1))
-        assert p == Polynomial.of(mono(v1))
+        p = poly(mono(v1)) * poly(mono(v1))
+        assert p == poly(mono(v1))
 
     def test_product_collapses_after_distribution(self):
-        p = Polynomial.of(mono(v1), mono(v2)) * Polynomial.of(mono(v1))
-        assert p == Polynomial.of(mono(v1), mono(v1, v2))
+        p = poly(mono(v1), mono(v2)) * poly(mono(v1))
+        assert p == poly(mono(v1), mono(v1, v2))
 
     def test_contains_multiset(self):
         big = Polynomial({mono(v1, v2): 2})
-        assert Polynomial.of(mono(v1, v2), mono(v1, v2)).contained_in(big)
-        assert not Polynomial({mono(v1, v2): 2}).contained_in(Polynomial.of(mono(v1, v2)))
-        assert Polynomial.of(mono(u, v)).contained_in(Polynomial.of(mono(v, u), mono(w)))
+        assert poly(mono(v1, v2), mono(v1, v2)).contained_in(big)
+        assert not Polynomial({mono(v1, v2): 2}).contained_in(poly(mono(v1, v2)))
+        assert poly(mono(u, v)).contained_in(poly(mono(v, u), mono(w)))
 
     def test_zero_contained_in_everything(self):
         assert ZERO.contained_in(ZERO)
-        assert ZERO.contained_in(Polynomial.of(mono(u)))
+        assert ZERO.contained_in(poly(mono(u)))
 
     @given(polynomials, polynomials, polynomials)
     def test_semiring_laws(self, p, q, r):
@@ -153,7 +159,7 @@ class TestPolynomial:
         assert (p * q) * r == p * (q * r)
         assert p * (q + r) == p * q + p * r
         assert p + ZERO == p
-        assert p * Polynomial.of(ONE) == p
+        assert p * poly(ONE) == p
         assert p * ZERO == ZERO
 
     @given(polynomials, polynomials)
@@ -170,16 +176,16 @@ class TestPolynomial:
 
 class TestEvaluate:
     def test_boolean(self):
-        p = Polynomial.of(mono(v1, v3), mono(v2, v3))
+        p = poly(mono(v1, v3), mono(v2, v3))
         env = {v1: True, v2: True, v3: True}
         assert evaluate(p, env, BOOLEAN) is True
 
     def test_unit_monomial_maps_to_one(self):
-        assert evaluate(Polynomial.of(ONE), {}, BOOLEAN) is True
-        assert evaluate(Polynomial.of(ONE), {}, FUZZY) == 1.0
+        assert evaluate(poly(ONE), {}, BOOLEAN) is True
+        assert evaluate(poly(ONE), {}, FUZZY) == 1.0
 
     def test_fuzzy(self):
-        p = Polynomial.of(mono(v1, v3), mono(v2, v3))
+        p = poly(mono(v1, v3), mono(v2, v3))
         env = {v1: 0.5, v2: 0.9, v3: 0.8}
         assert evaluate(p, env, FUZZY) == pytest.approx(0.8)
 
@@ -188,7 +194,7 @@ class TestEvaluate:
 
     def test_missing_assignment(self):
         with pytest.raises(MissingAssignmentError) as exc:
-            evaluate(Polynomial.of(mono(u, v)), {u: True}, BOOLEAN)
+            evaluate(poly(mono(u, v)), {u: True}, BOOLEAN)
         assert exc.value.variable == v
 
     @given(polynomials, polynomials)
@@ -227,8 +233,65 @@ class TestParsing:
             parse_monomial("2")
 
 
+# pieces of provenance text: names, integers, operators, whole terms, the
+# blanks and blanks of no grammar
+PROV_PIECES = (
+    "v1", "u", "_w", "1", "0", "2", "10", "*", "+", "-", "2 v1*u", " + ",
+    " ", "\t", "\n", "\xa0", "\x0c", "\u2003",
+)
+PARSERS = [(parse_monomial, parse_monomial_by_kinds), (parse_polynomial, parse_polynomial_by_kinds)]
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("parsers", PARSERS, ids=["monomial", "polynomial"])
+class TestParsersAgainstTheKindTokenParsers:
+    """``parse_monomial`` and ``parse_polynomial`` on the shared scanner
+    against the parsers they replaced (``crosscheck.*_by_kinds``): the same
+    value wherever both accept, a ``ParseError`` wherever the old one raises,
+    and a new error only at a blank other than space or tab inside the text,
+    which the old ones took as any other blank."""
+
+    @staticmethod
+    def check(parsers, text: str) -> str:
+        parse, by_kinds = parsers
+        old, new = outcome(by_kinds, text), outcome(parse, text)
+        if not isinstance(new, ValueError):
+            assert new == old, (text, old)
+            return "ok"
+        assert isinstance(new, ParseError), (text, new)
+        if isinstance(old, ValueError):
+            return "error"
+        stripped = text.strip()
+        blank = stripped[new.column - 1]
+        assert blank.isspace() and blank not in " \t", (text, new)
+        assert new.message == f"unexpected character {blank!r}"
+        assert parse(re.sub(r"[^\S \t]", " ", stripped)) == old
+        return "blank"
+
+    @settings(max_examples=300)
+    @given(text=st.lists(st.sampled_from(PROV_PIECES), max_size=10).map("".join))
+    @example(text=" 2 v1\xa0*\x0cv4\n")
+    def test_pieces(self, parsers, text):
+        event(self.check(parsers, text))
+
+    @settings(max_examples=200)
+    @given(rng=st.randoms(use_true_random=False), p=polynomials, edits=st.integers(0, 2))
+    def test_printed_values_and_mutations(self, parsers, rng, p, edits):
+        text = str(p.monomials()[0] if p and parsers[0] is parse_monomial else p)
+        for _ in range(edits):  # a piece replaces a character, or is put between two
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(PROV_PIECES) + text[i + rng.randrange(2):]
+        event(self.check(parsers, text))
+
+
 def test_custom_semiring_spec():
     clearance = SemiringSpec(zero=0.0, one=float("inf"), add=max, mul=min)
-    p = Polynomial.of(mono(u), mono(v))
+    p = poly(mono(u), mono(v))
     assert evaluate(p, {u: 4, v: 7}, clearance) == 7
-    assert evaluate(Polynomial.of(mono(u, v)), {u: 4, v: 7}, clearance) == 4
+    assert evaluate(poly(mono(u, v)), {u: 4, v: 7}, clearance) == 4

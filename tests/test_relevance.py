@@ -116,11 +116,11 @@ class TestRelevantVariables:
             o = normalize(random_normalized_ontology(rng))
             merged = merged_saturate(o)
             sat = saturate(o)
-            assertions = {ann.axiom for ann in sat.assertions()}
-            for axiom in assertions:
-                union = frozenset(
-                    v for mon in sat.monomials(axiom) for v in mon.vars
-                )
+            unions: dict = {}
+            for ann in sat.axioms:
+                if isinstance(ann.axiom, (CA, RA)):
+                    unions.setdefault(ann.axiom, set()).update(ann.annotation.vars)
+            for axiom, union in unions.items():
                 entry = merged.monomial(axiom)
                 assert entry is not None
                 assert frozenset(entry.vars) == union
