@@ -44,7 +44,6 @@ from .ontology import (
     parse_ontology,
     render_annotated,
     render_axiom,
-    translate_general_gci,
 )
 from .completion import (
     Limits,

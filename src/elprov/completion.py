@@ -1,8 +1,8 @@
 """Saturation of normalized annotated ontologies and entailment decisions.
 
 The saturation engine closes an ontology under seventeen completion
-rules. Two only seed (reflexive inclusions for every name, and a Top
-membership for every individual); the others are rows of one table,
+rules. Two only seed (reflexive inclusions for the names a run needs,
+and a Top membership for every individual); the others are rows of one table,
 ``_RULES``: two to five premise patterns over the eight normal-form
 shapes and a conclusion pattern, e.g. ``sub A B, sub B C -> sub A C``,
 whose monomial is the product of the premises' monomials. At import each
@@ -44,14 +44,51 @@ queued merge that has grown again before it is taken is dropped: the
 grown one is still queued and covers it.
 
 Entailment of annotated assertions is membership in the saturation of
-the axioms whose annotation divides the queried monomial
-(``entails_assertion``, the only place that normalizes, saturates and
-tests membership): a derivation's monomial is the union of its axioms'
-variables, so no other axiom can take part. ``probe`` reduces every
-other target (GCI, role inclusion, range restriction, instance query)
-to an assertion over the ontology extended by a small probe with
-reserved (``__``-prefixed) helper names; ``entails`` decides any target
-through it, and the relevance algorithm reuses the same probe.
+the axioms whose annotation divides the queried monomial and that can
+reach the queried fact (``entails_assertion``, the only place that
+normalizes, saturates and tests membership): a derivation's monomial is
+the union of its axioms' variables, so no axiom outside that cut can
+take part, and ``_module`` (the reachability module of Suntisrivaraporn,
+ESWC 2008) keeps of the cut what can. A fact has a head name, what it
+concludes about, and body names, what it needs; Top counts as a name:
+``ri R S``: S from R; ``rr R B``: B from R; ``sub A B``: B from A;
+``exr A R``: R from A; ``conj A B C``: C from A and B; ``exq R A B``: B
+from R and A; ``ca A a``: A; ``ra R a b``: R. From the queried fact's
+head, every input seed with a needed head is kept and makes its body
+names needed. Call a fact closed when its body names are needed if its
+head is. Per seed rule, and per row of ``_RULES`` given closed premises,
+a conclusion with a needed head has premises with needed heads (read
+"X: p" as "X is needed, so premise p has a needed head") and is closed:
+
+- reflexivity (sub A A, ri R R): seeded for needed names only; body A, R.
+- top-instance (ca Top a): seeded for every individual, as in every run; no body.
+- role-chain: T: ri S T; S: ri R S; body R.
+- range-of-subrole: B: rr S B; S: ri R S; body R.
+- existential-subrole: S: ri R S; R: exr A R; body A.
+- concept-chain: C: sub B C; B: sub A B; body A.
+- chain-into-existential: R: exr B R; B: sub A B; body A.
+- conjunction-subsumption: C: conj B1 B2 C; B1, B2: sub A B1, sub A B2; body A.
+- range-conjunction: D: conj C1 C2 D; C1, C2: sub B1 C1, sub B2 C2;
+  B1, B2: rr R B1, rr R B2; body R.
+- top-conjunct-elim (sub Top B, conj A B C): C: conj A B C; B: sub Top B; body A.
+- top-conjunct-elim (sub Top B, conj B A C): C: conj B A C; B: sub Top B; body A.
+- existential-composition: D: exq R C D; R, C: ri S R, sub B C; S, B:
+  exr A S, rr S B; body A.
+- existential-top-composition: C: exq R B C; R, B: exr A R, sub Top B; body A.
+- role-fact-hierarchy: S: ri R S; R: ra R a b.
+- instance-chain: B: sub A B; A: ca A a.
+- instance-conjunction: B: conj A1 A2 B; A1, A2: ca A1 a, ca A2 a.
+- instance-existential: B: exq R A B; R, A: ra R a b, ca A b.
+- instance-range: B: rr R B; R: ra R a b.
+
+By induction over derivations, every derivation of a fact with a needed
+head uses kept seeds only: for every such fact, the queried one
+included, the run stores exactly the monomials of the run over the cut.
+``probe`` reduces every other target (GCI, role inclusion, range
+restriction, instance query) to an assertion over the ontology extended
+by a small probe with reserved (``__``-prefixed) helper names;
+``entails`` decides any target through it, and the relevance algorithm
+reuses the same probe.
 """
 
 from __future__ import annotations
@@ -378,17 +415,17 @@ _PLANS, _INDEXED = _compile_rules()
 
 
 class _Saturator:
-    """One run over a normal-form ontology; with ``within``, over the
-    axioms whose annotation divides that monomial only."""
+    """One run over a normal-form ontology; with ``question``, a fact and
+    a monomial, over the monomial's cut that can reach the fact only."""
 
-    def __init__(self, ontology, store, limits, track, within: Monomial | None = None):
+    def __init__(self, ontology, store, limits, track, question=None):
         self.store = store
         self.plans = _PLANS
         self.limits = limits or Limits()
         self.track = track
         self.stats = SaturationStats()
         self.table = _VarTable(
-            (within,) if within is not None else (ann.annotation for ann in ontology.axioms)
+            (question[1],) if question else (ann.annotation for ann in ontology.axioms)
         )
         self.derivations: dict[tuple[tuple, int], Counter] = {}
         self.queue: deque[tuple[tuple, int]] = deque()
@@ -402,7 +439,7 @@ class _Saturator:
         self.index: list[dict] = [{} for plans in _INDEXED.values() for _ in plans]
         # the fact being joined: its taken monomials and its monomial
         self.delta: tuple[list[int], int] = ([], 0)
-        self._seed(ontology)
+        self._seed(ontology, question)
 
     def _tick(self) -> None:
         self._ticks += 1
@@ -427,19 +464,31 @@ class _Saturator:
         self.stats.added[rule] += 1
         self.queue.append((fact, stored))
 
-    def _seed(self, ontology: AnnotatedOntology) -> None:
+    def _seed(self, ontology: AnnotatedOntology, question) -> None:
+        masks: dict[Monomial, int | None] = {}  # annotations repeat, as one object per file
+        seeds = []
         for ann in ontology.axioms:
             fact = _fact(ann.axiom)
             if fact is None:
                 raise ValueError(f"axiom is not in normal form: {render_axiom(ann.axiom)}")
-            mask = self.table.mask(ann.annotation)
+            mon = ann.annotation
+            mask = masks[mon] if mon in masks else masks.setdefault(mon, self.table.mask(mon))
             if mask is not None:  # None: a variable outside the run
-                self._add(fact, mask, "input", seed=True)
-        for name in ontology.concept_names:
+                seeds.append((fact, mask))
+        concepts, roles = ontology.concept_names, ontology.role_names
+        top = ontology.top_occurs or bool(ontology.individuals)
+        if question is not None:
+            seeds, needed = _module(seeds, question[0][2])
+            concepts = [name for name in concepts if name in needed]
+            roles = [role for role in roles if role in needed]
+            top = top and None in needed
+        for fact, mask in seeds:
+            self._add(fact, mask, "input", seed=True)
+        for name in concepts:
             self._add(("sub", None, name, name), 0, "reflexivity", seed=True)
-        for role in ontology.role_names:
+        for role in roles:
             self._add(("ri", None, role, role), 0, "reflexivity", seed=True)
-        if ontology.top_occurs or ontology.individuals:
+        if top:
             self._add(("sub", None, None, None), 0, "reflexivity", seed=True)
         for ind in ontology.individuals:
             self._add(("ca", None, None, ind), 0, "top-instance", seed=True)
@@ -635,9 +684,32 @@ def entails_assertion(
             stacklevel=2,
         )
         return False
+    goal = _fact(assertion)
+    if goal is None:  # over a concept that is neither a name nor Top: in no run
+        return False
     store = _SetStore(None)
-    run = _Saturator(normalize(ontology), store, limits, track=False, within=mon)
-    return SaturatedSet(store, run.table, None, run.run(), None).contains(assertion, mon)
+    run = _Saturator(normalize(ontology), store, limits, track=False, question=(goal, mon))
+    run.run()
+    return run.table.mask(mon) in store.by_fact.get(goal, ())
+
+
+def _module(seeds: list[tuple[tuple, int]], goal: str | None):
+    """The seeds that can take part in deriving a fact about ``goal``, in
+    their order, and the names they need; Top is None. A seed is kept when
+    its head is needed, and its body names are then needed too."""
+    heads = [fact[2] if fact[0] in ("ca", "ra") else fact[-1] for fact, _ in seeds]
+    by_head = defaultdict(list)
+    for (fact, _), head in zip(seeds, heads):
+        if fact[0] not in ("ca", "ra"):
+            by_head[head].append(fact[2:-1])
+    needed, todo = {goal}, [goal]
+    while todo:
+        for body in by_head.pop(todo.pop(), ()):
+            for name in body:
+                if name not in needed:
+                    needed.add(name)
+                    todo.append(name)
+    return [seed for seed, head in zip(seeds, heads) if head in needed], needed
 
 
 def probe(

@@ -65,7 +65,6 @@ __all__ = [
     "RA",
     "AnnotatedAxiom",
     "AnnotatedOntology",
-    "Signature",
     "FreshNames",
     "ParseError",
     "NamespaceError",
@@ -73,7 +72,6 @@ __all__ = [
     "parse_axiom",
     "parse_iq_target",
     "normalize",
-    "translate_general_gci",
     "render_axiom",
     "render_annotated",
     "is_atomic_or_top",
@@ -252,7 +250,7 @@ def render_annotated(ann: AnnotatedAxiom) -> str:
 
 
 @dataclass(frozen=True)
-class Signature:
+class _Signature:
     concepts: tuple[str, ...]
     roles: tuple[str, ...]
     individuals: tuple[str, ...]
@@ -333,7 +331,7 @@ class AnnotatedOntology:
     def __init__(self, axioms: Iterable[AnnotatedAxiom]):
         index: dict[AnnotatedAxiom, None] = {}
         kinds: dict[str, str] = {}
-        self._fill(index, kinds, 0, Signature((), (), (), ()), _claim(index, axioms, kinds))
+        self._fill(index, kinds, 0, _Signature((), (), (), ()), _claim(index, axioms, kinds))
 
     def _derived(self, index: dict, kinds: dict, top: bool) -> "AnnotatedOntology":
         """The ontology over ``index`` and ``kinds``, which extend this one's."""
@@ -341,7 +339,7 @@ class AnnotatedOntology:
         out._fill(index, kinds, len(self._kinds), self._sig, top or self._top_occurs)
         return out
 
-    def _fill(self, index: dict, kinds: dict, known: int, sig: Signature, top: bool) -> None:
+    def _fill(self, index: dict, kinds: dict, known: int, sig: _Signature, top: bool) -> None:
         # the dedup dict also answers membership and equality, so each
         # axiom is hashed once per construction; the names ``kinds`` lists
         # after its first ``known`` are merged into the signature ``sig``
@@ -352,7 +350,7 @@ class AnnotatedOntology:
             new[kind].append(Variable(name) if kind == _VARIABLE else name)
         old = (sig.concepts, sig.roles, sig.individuals, sig.variables)
         merged = (tuple(sorted(o + tuple(n))) if n else o for o, n in zip(old, new.values()))
-        self._sig = Signature(*merged)
+        self._sig = _Signature(*merged)
 
     # -- views ------------------------------------------------------------
 
@@ -510,74 +508,6 @@ def normalize(ontology: AnnotatedOntology) -> AnnotatedOntology:
     kinds = dict(ontology._kinds)
     kinds.update((a.name, "concept") for a in memo.values())
     return ontology._derived(dict.fromkeys(out), kinds, False)
-
-
-def _strip_top(c: Concept) -> Concept:
-    """Drop redundant Top conjuncts/fillers; preserves annotated extensions."""
-    if isinstance(c, Conj):
-        left, right = _strip_top(c.left), _strip_top(c.right)
-        if isinstance(left, Top):
-            return right
-        if isinstance(right, Top):
-            return left
-        return Conj(left, right)
-    if isinstance(c, ExistsQ):
-        filler = _strip_top(c.filler)
-        return Exists(c.role) if isinstance(filler, Top) else ExistsQ(c.role, filler)
-    return c
-
-
-def translate_general_gci(
-    lhs: Concept,
-    rhs: Concept,
-    annotation: Monomial,
-    fresh: FreshNames,
-) -> list[AnnotatedAxiom]:
-    """Translate a GCI with an unrestricted right-hand side.
-
-    Conjunctions on the right are split (same annotation on every part);
-    a qualified existential ``some(R, C)`` becomes ``some(S)`` for a fresh
-    subrole ``S`` of ``R`` whose range is bounded by ``C``. A non-atomic
-    range bound goes through a fresh concept name so the result stays in
-    the restricted syntax. ``Top`` as (part of) the right-hand side is
-    dropped where it is extensionally redundant and rejected otherwise,
-    since an annotated inclusion into Top constrains annotations to 1.
-    """
-    if not _walk(lhs)[3]:
-        raise ValueError(f"left-hand side violates the concept grammar: {lhs}")
-    out: list[AnnotatedAxiom] = []
-    seen: set[AnnotatedAxiom] = set()
-
-    def emit(ann: AnnotatedAxiom) -> None:
-        if ann not in seen:
-            seen.add(ann)
-            out.append(ann)
-
-    def walk(left: Concept, right: Concept) -> None:
-        right = _strip_top(right)
-        if isinstance(right, Top):
-            raise ValueError(
-                "Top on the right-hand side of an annotated GCI is not translatable"
-            )
-        if isinstance(right, Conj):
-            walk(left, right.left)
-            walk(left, right.right)
-        elif isinstance(right, ExistsQ):
-            s = fresh.role()
-            emit(AnnotatedAxiom(GCI(left, Exists(s)), annotation))
-            emit(AnnotatedAxiom(RI(s, right.role), annotation))
-            filler = right.filler
-            if isinstance(filler, Atomic):
-                emit(AnnotatedAxiom(RR(s, filler.name), annotation))
-            else:
-                bridge = fresh.concept()
-                emit(AnnotatedAxiom(RR(s, bridge), annotation))
-                walk(Atomic(bridge), filler)
-        else:
-            emit(AnnotatedAxiom(GCI(left, right), annotation))
-
-    walk(lhs, rhs)
-    return out
 
 
 # --- parser ---------------------------------------------------------------

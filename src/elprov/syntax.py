@@ -91,8 +91,7 @@ class Scanner:
     def take(self, value: str) -> None:
         tok = self.tokens[self.i]
         if tok != value:
-            want = "le" if value == "<=" else value  # the ontology grammar's name for '<='
-            raise self.error(f"expected {want!r}, got {tok or 'end of line'!r}")
+            raise self.error(f"expected {value!r}, got {tok or 'end of line'!r}")
         self.i += 1
 
     def name(self, what: str) -> str:

@@ -22,7 +22,10 @@ joining rules left out, so a test can show that it needs them.
 ``entails_by_k_saturation`` decides an entailment from the k-saturation
 of the whole probed ontology, k the queried degree, so the library's run
 over the axioms whose annotation divides the monomial can be compared
-with it. ``parse_ontology_by_kinds``, ``parse_axiom_by_kinds`` and
+with it. ``question_runs`` runs an entailment's question over the
+axioms that can reach it, as the library does, and over every axiom of
+the monomial's cut, as the library did before, so the two stores can be
+compared. ``parse_ontology_by_kinds``, ``parse_axiom_by_kinds`` and
 ``parse_iq_target_by_kinds`` parse on (kind, value, column) tokens, as
 the library did before it read a token's kind off the token itself, so
 the string-token parser can be compared with them.
@@ -41,7 +44,10 @@ shared ``elprov.syntax.Scanner``, so the new parsers can be compared with
 them. ``dataclass_monomial_key`` and ``dataclass_element_key`` order monomials
 and domain elements by the generated dataclass comparisons the library
 sorted by before it compared tuples of variable names, so the name
-tuples can be compared with them. They serve the tests only.
+tuples can be compared with them. ``translate_general_gci`` (with
+``_strip_top``) translates a GCI whose right-hand side is any concept
+into the restricted syntax; the parser accepts no such GCI, so only
+the tests use it. They serve the tests only.
 """
 
 from __future__ import annotations
@@ -259,6 +265,32 @@ def entails_by_k_saturation(
     probed = mon * markers
     sat = saturate(normalize(extended), k=probed.degree, limits=limits)
     return sat.contains(assertion, probed) and set(mon.vars) <= set(ontology.variables)
+
+
+class _WholeCut(_Saturator):
+    """A question's run over every axiom whose annotation divides its
+    monomial, with a reflexive seed for every name: the run of
+    ``entails_assertion`` before it kept only what can reach the question."""
+
+    def _seed(self, ontology, question):
+        super()._seed(ontology, None)
+
+
+def question_runs(ontology: AnnotatedOntology, target, mon: Monomial):
+    """The question ``entails(ontology, target, mon)`` asks the engine (the
+    probed fact and monomial), the run's variable table and the stores of
+    two runs on it, each a dict from fact to masks: the library's, over
+    what can reach the question, and ``_WholeCut``'s."""
+    extended, assertion, markers, _ = probe(ontology, target)
+    question = (_fact(assertion), mon * markers)
+    normal = normalize(extended)
+    stores = []
+    for run in (_Saturator, _WholeCut):
+        store = _SetStore(None)
+        sat = run(normal, store, None, False, question)
+        sat.run()
+        stores.append(store.by_fact)
+    return question, sat.table, *stores
 
 
 def entailed_range_restrictions(
@@ -628,6 +660,77 @@ def mentions_top(c: Concept) -> bool:
     if isinstance(c, ExistsQ):
         return mentions_top(c.filler)
     return False
+
+
+# --- general right-hand sides -----------------------------------------------
+
+
+def _strip_top(c: Concept) -> Concept:
+    """Drop redundant Top conjuncts/fillers; preserves annotated extensions."""
+    if isinstance(c, Conj):
+        left, right = _strip_top(c.left), _strip_top(c.right)
+        if isinstance(left, Top):
+            return right
+        if isinstance(right, Top):
+            return left
+        return Conj(left, right)
+    if isinstance(c, ExistsQ):
+        filler = _strip_top(c.filler)
+        return Exists(c.role) if isinstance(filler, Top) else ExistsQ(c.role, filler)
+    return c
+
+
+def translate_general_gci(
+    lhs: Concept,
+    rhs: Concept,
+    annotation: Monomial,
+    fresh: FreshNames,
+) -> list[AnnotatedAxiom]:
+    """Translate a GCI with an unrestricted right-hand side.
+
+    Conjunctions on the right are split (same annotation on every part);
+    a qualified existential ``some(R, C)`` becomes ``some(S)`` for a fresh
+    subrole ``S`` of ``R`` whose range is bounded by ``C``. A non-atomic
+    range bound goes through a fresh concept name so the result stays in
+    the restricted syntax. ``Top`` as (part of) the right-hand side is
+    dropped where it is extensionally redundant and rejected otherwise,
+    since an annotated inclusion into Top constrains annotations to 1.
+    """
+    if not _walk(lhs)[3]:
+        raise ValueError(f"left-hand side violates the concept grammar: {lhs}")
+    out: list[AnnotatedAxiom] = []
+    seen: set[AnnotatedAxiom] = set()
+
+    def emit(ann: AnnotatedAxiom) -> None:
+        if ann not in seen:
+            seen.add(ann)
+            out.append(ann)
+
+    def walk(left: Concept, right: Concept) -> None:
+        right = _strip_top(right)
+        if isinstance(right, Top):
+            raise ValueError(
+                "Top on the right-hand side of an annotated GCI is not translatable"
+            )
+        if isinstance(right, Conj):
+            walk(left, right.left)
+            walk(left, right.right)
+        elif isinstance(right, ExistsQ):
+            s = fresh.role()
+            emit(AnnotatedAxiom(GCI(left, Exists(s)), annotation))
+            emit(AnnotatedAxiom(RI(s, right.role), annotation))
+            filler = right.filler
+            if isinstance(filler, Atomic):
+                emit(AnnotatedAxiom(RR(s, filler.name), annotation))
+            else:
+                bridge = fresh.concept()
+                emit(AnnotatedAxiom(RR(s, bridge), annotation))
+                walk(Atomic(bridge), filler)
+        else:
+            emit(AnnotatedAxiom(GCI(left, right), annotation))
+
+    walk(lhs, rhs)
+    return out
 
 
 # --- the parser on (kind, value, column) tokens -------------------------------

@@ -14,7 +14,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 
 from elprov.canonical import answer_query, build_canonical_model, compute_rewriting
 from elprov.cli import main
-from elprov.completion import UnknownNameWarning, entails
+from elprov.completion import UnknownNameWarning, entails, saturate
 from elprov.interpretation import AuxElement, UnknownIndividualError, parse_query
 from elprov.ontology import (
     CA,
@@ -505,6 +505,47 @@ class TestOtherCommands:
             assert got == (0, expected), render_ontology(o)
 
 
+    # generated ontologies have Top on left-hand sides and some(R) right-hand sides
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans(), st.sampled_from([None, 0, 1, 2, 3]))
+    def test_saturate_json_agrees_with_the_library(self, rng, general, k):
+        o = random_general_ontology(rng) if general else random_normalized_ontology(rng)
+        expected = saturate(normalize(o), k=k, track_derivations=True).dump_json_obj()
+        k_flag = [] if k is None else ["--k", str(k)]
+        with tempfile.TemporaryDirectory() as tmp:  # tmp_path is per test, not per example
+            path, out = Path(tmp) / "o.elp", Path(tmp) / "out.json"
+            path.write_text(render_ontology(o))
+            code = main(["saturate", "-i", str(path), *k_flag, "--json", "-o", str(out)])
+            assert (code, json.loads(out.read_text())) == (0, expected), render_ontology(o)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans(), st.integers(0, 3))
+    def test_saturate_k_agrees_with_the_library(self, rng, general, k):
+        o = random_general_ontology(rng) if general else random_normalized_ontology(rng)
+        expected = "".join(f"{line}\n" for line in saturate(normalize(o), k=k).dump_lines())
+        with tempfile.TemporaryDirectory() as tmp:  # tmp_path is per test, not per example
+            path, out = Path(tmp) / "o.elp", Path(tmp) / "out.txt"
+            path.write_text(render_ontology(o))
+            code = main(["saturate", "-i", str(path), "--k", str(k), "-o", str(out)])
+            assert (code, out.read_text()) == (0, expected), render_ontology(o)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_model_agrees_with_the_library(self, rng, general):
+        if general:
+            o = random_general_ontology(rng, 12)
+        else:
+            o = random_normalized_ontology(rng, 12, min_axioms=6)
+        model = build_canonical_model(o)
+        event(f"anonymous elements: {any(isinstance(e, AuxElement) for e in model.domain)}")
+        with tempfile.TemporaryDirectory() as tmp:  # tmp_path is per test, not per example
+            path, out = Path(tmp) / "o.elp", Path(tmp) / "out.json"
+            path.write_text(render_ontology(o))
+            code = main(["model", "-i", str(path), "-o", str(out)])
+            got = (code, json.loads(out.read_text()))
+            assert got == (0, model.to_json_obj()), render_ontology(o)
+
+
 class TestErrorPaths:
     def test_parse_error_position_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.elp"
@@ -666,7 +707,8 @@ class TestErrorPaths:
     ):
         # the chain annotated with v derives 820 inclusions within k = 2;
         # none of them can take part in a derivation of x1*x2, and the cap
-        # counts what the entailment's own run derives
+        # counts what the entailment's own run derives: the axioms whose
+        # annotation divides the monomial and that can reach the question
         lines = ["ca A(a) @ x1", "gci A <= B @ x2"]
         lines += [f"gci C{i} <= C{i + 1} @ v" for i in range(40)]
         path = tmp_path / "planted.elp"
@@ -674,10 +716,14 @@ class TestErrorPaths:
         monkeypatch.setenv("ELPROV_MAX_AXIOMS", "200")
         assert main(["saturate", "-i", str(path), "--k", "2"]) == 3
         capsys.readouterr()
-        argv = ["entail", "-i", str(path), "--kind", "assertion", "--axiom", "ca B(a)"]
-        assert main([*argv, "--prov", "x1*x2"]) == 0
+        argv = ["entail", "-i", str(path), "--kind", "assertion", "--axiom"]
+        assert main([*argv, "ca B(a)", "--prov", "x1*x2"]) == 0
         assert capsys.readouterr() == ("entailed\n", "")
-        assert main([*argv, "--prov", "x1*v"]) == 3
+        # the chain divides x1*v but cannot reach B
+        assert main([*argv, "ca B(a)", "--prov", "x1*v"]) == 1
+        assert capsys.readouterr() == ("not entailed\n", "")
+        # the whole chain reaches C40
+        assert main([*argv, "ca C40(a)", "--prov", "x1*v"]) == 3
         assert capsys.readouterr().err == "error: saturation exceeded the cap of 200 derived axioms\n"
 
     @pytest.mark.parametrize("cap", ["-1", "0", "abc"])
@@ -698,6 +744,10 @@ class TestErrorPaths:
             (
                 ["relevant", "--axiom", "ca Mayor("],
                 "--axiom:1:10: expected an individual name, got 'end of line'",
+            ),
+            (
+                ["entail", "--kind", "ri", "--axiom", "ri R S", "--prov", "1"],
+                "--axiom:1:6: expected '<=', got 'S'\n",
             ),
         ],
     )

@@ -4,6 +4,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
 from elprov.completion import (
     RULE_NAMES,
@@ -28,6 +29,7 @@ from elprov.ontology import (
     Exists,
     ExistsQ,
     TOP,
+    Top,
     normalize,
     parse_ontology,
     render_axiom,
@@ -42,6 +44,7 @@ from crosscheck import (
     entails_ra_via_ri,
     entails_by_k_saturation,
     entails_without_rules,
+    question_runs,
     reduce_ca_to_gci,
     reduce_ra_to_ri,
 )
@@ -349,6 +352,11 @@ class TestEntailsAssertion:
         o = parse_ontology("ca A(a) @ u")
         assert entails_assertion(o, CA(TOP, "a"), ONE)
 
+    def test_assertion_outside_normal_form_is_not_entailed(self):
+        # the engine stores no such fact, though and(A, B) holds at a with u*v
+        o = parse_ontology("ca A(a) @ v\nca B(a) @ u")
+        assert not entails_assertion(o, CA(Conj(Atomic("A"), Atomic("B")), "a"), mono("u*v"))
+
 
 class TestEntailsGci:
     def test_conjunction_under_idempotency(self):
@@ -647,3 +655,58 @@ class TestAgainstKSaturation:
         # every kind is asked often, and entailed as well as not
         for kind in TARGET_KINDS:
             assert pairs[kind] >= 400 and 10 <= entailed[kind] < pairs[kind], (kind, pairs, entailed)
+
+
+def entailed_by_the_chase(ontology, target):
+    """``entails`` for ``target``, as a function of the monomial, decided
+    on the ground chase of the probed ontology."""
+    extended, assertion, markers, _ = probe(ontology, target)
+    result = chase(extended)
+
+    def decide(mon: Monomial) -> bool:
+        probed = mon * markers
+        if not set(mon.vars) <= set(ontology.variables):
+            return False
+        if isinstance(assertion, RA):
+            return result.holds_ra(assertion.role, assertion.a, assertion.b, probed)
+        if isinstance(assertion.concept, Top):  # the chase keeps no Top memberships: all are at 1
+            return probed == ONE
+        return result.holds_ca(assertion.concept.name, assertion.ind, probed)
+
+    return decide
+
+
+class TestAgainstTheWholeCut:
+    """``entails`` runs the engine over the axioms of the monomial's cut
+    that can reach the question. The run over the whole cut stores the
+    same monomials for every fact the first one stores, and it and the
+    ground chase decide the same questions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(TARGET_KINDS))
+    def test_module_agrees_with_the_whole_cut_and_the_chase(self, rng, kind):
+        # Top on left-hand sides, some(R) right-hand sides, range
+        # restrictions and role inclusions all occur
+        names = rng.choice((12, 16))
+        o = random_normalized_ontology(rng, 30, min_axioms=15, n_vars=8, n_names=names)
+        target = random_target(rng, o, kind)
+        assume(target is not None)
+        # the target's monomials over all variables, markers dropped, are
+        # often entailed; random ones rarely are
+        (goal, _), table, _, whole = question_runs(o, target, Monomial(o.variables))
+        derived = {table.monomial(mask) for mask in whole.get(goal, ())}
+        mons = {Monomial(tuple(v for v in m.vars if not v.name.startswith("__"))) for m in derived}
+        pool = [*o.variables, Variable("foreign")]
+        mons = rng.sample(sorted(mons, key=str), min(2, len(mons)))
+        mons += [Monomial(tuple(rng.sample(pool, rng.randint(0, 3)))) for _ in range(2)]
+        chased = entailed_by_the_chase(o, target)
+        for mon in mons:
+            entailed = entails(o, target, mon)
+            (goal, probed), table, module, whole = question_runs(o, target, mon)
+            foreign = not set(mon.vars) <= set(o.variables)
+            context = (str(target), str(mon), [str(ann) for ann in o])
+            assert entailed == (table.mask(probed) in whole.get(goal, ()) and not foreign), context
+            assert entailed == chased(mon), context
+            assert all(whole[fact] == masks for fact, masks in module.items()), context
+            event(f"{kind}: {'entailed' if entailed else 'not entailed'}")
+            event(f"module: {'all' if len(module) == len(whole) else 'part'} of the cut")

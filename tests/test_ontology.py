@@ -37,7 +37,6 @@ from elprov.ontology import (
     parse_iq_target,
     parse_ontology,
     render_annotated,
-    translate_general_gci,
 )
 from elprov.provenance import ONE, Monomial, Variable
 
@@ -56,6 +55,7 @@ from crosscheck import (
     parse_ontology_recursive,
     role_names,
     to_dataclass,
+    translate_general_gci,
 )
 from generators import (
     TARGET_KINDS,
@@ -530,6 +530,16 @@ def outcome(parse, text: str):
     return ("ok", result.axioms if isinstance(result, AnnotatedOntology) else result)
 
 
+def oracle_outcome(parse, text: str):
+    """``outcome`` of an oracle parser, with ``<=`` spelled as the library
+    spells it: the oracles call it by its old token kind, ``'le'``."""
+    return tuple(map(spelled_as_now, outcome(parse, text)))
+
+
+def spelled_as_now(part):
+    return part.replace("expected 'le'", "expected '<='") if isinstance(part, str) else part
+
+
 def names_the_blank(old, new, line: str) -> bool:
     """The one intended difference: a blank other than space or tab is
     named at its own column, where the old parser named the character
@@ -570,8 +580,8 @@ class TestParserAgainstTheKindTokenParser:
         """The outcomes of the kind-token parser and of the library's, which
         has to agree with the recursive parser."""
         new = outcome(parse, text)
-        assert new == outcome(recursive, text), text
-        return outcome(by_kinds, text), new
+        assert new == oracle_outcome(recursive, text), text
+        return oracle_outcome(by_kinds, text), new
 
     def test_golden_files_parse_alike(self):
         for path in sorted(GOLDEN.glob("*.elp")):
@@ -650,7 +660,8 @@ class TestParserAgainstTheKindTokenParser:
                     patch.setattr(cli, "parse_iq_target", parsers[1])
                 warnings.simplefilter("always")
                 code = cli.main([*argv, text])
-            return (code, *capsys.readouterr())
+            out, err = capsys.readouterr()
+            return (code, out, spelled_as_now(err) if parsers else err)
 
         blanks = 0
         for text in [t for t in axioms if t] + iqs:
