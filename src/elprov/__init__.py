@@ -36,7 +36,6 @@ from .ontology import (
     FreshNames,
     NamespaceError,
     ParseError,
-    Ran,
     TOP,
     Top,
     normalize,

@@ -2,20 +2,21 @@
 
 The saturation engine closes an ontology under seventeen completion
 rules. Two only seed (reflexive inclusions for the names a run needs,
-and a Top membership for every individual); the others are rows of one table,
-``_RULES``: two to five premise patterns over the eight normal-form
-shapes and a conclusion pattern, e.g. ``sub A B, sub B C -> sub A C``,
-whose monomial is the product of the premises' monomials. At import each
-row becomes one join plan per premise taken as the delta: which premise
-to visit next (the one with the most terms already bound), the index
-that finds it from the terms bound so far and the terms it binds. One
-generic ``_join`` runs the plans from a semi-naive worklist. A fact
-enters the indexes when it is taken off the queue and joins only with
-facts taken before it or itself, and never with itself at a premise
-before its own. So every rule instance (one choice of premises) fires
-exactly once, when its last premise is taken, and the fired and
-derivation counts do not depend on the order of the axioms or the joins.
-Every run uses every rule; there is no switch to leave one out.
+and a Top membership for every individual when it needs Top); the others
+are rows of one table, ``_RULES``: two to five premise patterns over the
+eight normal-form shapes and a conclusion pattern, e.g.
+``sub A B, sub B C -> sub A C``, whose monomial is the product of the
+premises' monomials. At import each row becomes one join plan per
+premise taken as the delta: which premise to visit next (the one with
+the most terms already bound), the index that finds it from the terms
+bound so far and the terms it binds. One generic ``_join`` runs the
+plans from a semi-naive worklist. A fact enters the indexes when it is
+taken off the queue and joins only with facts taken before it or itself,
+and never with itself at a premise before its own. So every rule
+instance (one choice of premises) fires exactly once, when its last
+premise is taken, and the fired and derivation counts do not depend on
+the order of the axioms or the joins. Every run uses every rule; there
+is no switch to leave one out.
 
 The same engine serves two stores: a set store that keeps every derived
 (axiom, monomial) pair separately (optionally bounded to monomials of at
@@ -49,8 +50,10 @@ reach the queried fact (``entails_assertion``, the only place that
 normalizes, saturates and tests membership): a derivation's monomial is
 the union of its axioms' variables, so no axiom outside that cut can
 take part, and ``_module`` (the reachability module of Suntisrivaraporn,
-ESWC 2008) keeps of the cut what can. A fact has a head name, what it
-concludes about, and body names, what it needs; Top counts as a name:
+ESWC 2008) keeps of the cut what can. Only the cut's axioms become
+facts, so only they are checked for normal form; a full run checks
+every axiom. A fact has a head name, what it concludes about, and body
+names, what it needs; Top counts as a name:
 ``ri R S``: S from R; ``rr R B``: B from R; ``sub A B``: B from A;
 ``exr A R``: R from A; ``conj A B C``: C from A and B; ``exq R A B``: B
 from R and A; ``ca A a``: A; ``ra R a b``: R. From the queried fact's
@@ -61,7 +64,7 @@ a conclusion with a needed head has premises with needed heads (read
 "X: p" as "X is needed, so premise p has a needed head") and is closed:
 
 - reflexivity (sub A A, ri R R): seeded for needed names only; body A, R.
-- top-instance (ca Top a): seeded for every individual, as in every run; no body.
+- top-instance (ca Top a): seeded for every individual when Top is needed; no body.
 - role-chain: T: ri S T; S: ri R S; body R.
 - range-of-subrole: B: rr S B; S: ri R S; body R.
 - existential-subrole: S: ri R S; R: exr A R; body A.
@@ -468,13 +471,14 @@ class _Saturator:
         masks: dict[Monomial, int | None] = {}  # annotations repeat, as one object per file
         seeds = []
         for ann in ontology.axioms:
+            mon = ann.annotation
+            mask = masks[mon] if mon in masks else masks.setdefault(mon, self.table.mask(mon))
+            if mask is None:  # a variable outside the question's cut; a full run has none
+                continue
             fact = _fact(ann.axiom)
             if fact is None:
                 raise ValueError(f"axiom is not in normal form: {render_axiom(ann.axiom)}")
-            mon = ann.annotation
-            mask = masks[mon] if mon in masks else masks.setdefault(mon, self.table.mask(mon))
-            if mask is not None:  # None: a variable outside the run
-                seeds.append((fact, mask))
+            seeds.append((fact, mask))
         concepts, roles = ontology.concept_names, ontology.role_names
         top = ontology.top_occurs or bool(ontology.individuals)
         if question is not None:
@@ -490,8 +494,8 @@ class _Saturator:
             self._add(("ri", None, role, role), 0, "reflexivity", seed=True)
         if top:
             self._add(("sub", None, None, None), 0, "reflexivity", seed=True)
-        for ind in ontology.individuals:
-            self._add(("ca", None, None, ind), 0, "top-instance", seed=True)
+            for ind in ontology.individuals:
+                self._add(("ca", None, None, ind), 0, "top-instance", seed=True)
 
     def run(self) -> SaturationStats:
         queue, index, taken, join, tick = self.queue, self.index, self.taken, self._join, self._tick
@@ -590,9 +594,6 @@ class SaturatedSet:
 
     def __len__(self) -> int:
         return self.stats.facts
-
-    def __iter__(self):
-        return iter(self.axioms)
 
     def contains(self, axiom: Axiom, mon: Monomial) -> bool:
         # a mask of None (a variable outside the run) is in no entry

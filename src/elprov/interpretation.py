@@ -34,22 +34,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .completion import Limits, ResourceCapExceeded
-from .ontology import (
-    Atomic,
-    AnnotatedAxiom,
-    CA,
-    Concept,
-    Conj,
-    Exists,
-    ExistsQ,
-    GCI,
-    RA,
-    RI,
-    RR,
-    Ran,
-    Top,
-)
-from .provenance import ONE, Monomial, Polynomial
+from .provenance import Monomial, Polynomial
 from .syntax import QUERY_TOKENS, Scanner, file_lines
 
 if TYPE_CHECKING:  # pragma: no cover - only for annotations
@@ -73,7 +58,6 @@ __all__ = [
     "parse_query",
     "enumerate_matches",
     "provenance_of_matches",
-    "evaluate_concept",
     "term_key",
 ]
 
@@ -144,7 +128,6 @@ class AnnotatedInterpretation:
         individuals: Iterable[str] = (),
     ):
         self.domain: tuple[DomainElement, ...] = tuple(sorted(set(domain), key=element_key))
-        self._domain_set = frozenset(self.domain)
         self.concept_ext: dict[str, frozenset] = {
             name: frozenset(pairs) for name, pairs in concept_ext.items()
         }
@@ -152,8 +135,9 @@ class AnnotatedInterpretation:
             name: frozenset(triples) for name, triples in role_ext.items()
         }
         self.individuals: dict[str, Named] = {name: Named(name) for name in individuals}
+        domain_set = frozenset(self.domain)
         for name, el in self.individuals.items():
-            if el not in self._domain_set:
+            if el not in domain_set:
                 raise ValueError(f"individual {name!r} is not in the domain")
 
     # -- extensions ---------------------------------------------------------
@@ -166,39 +150,6 @@ class AnnotatedInterpretation:
 
     def is_aux(self, e: DomainElement) -> bool:
         return isinstance(e, AuxElement)
-
-    def extend_concept(self, concept: Concept) -> frozenset:
-        """Evaluate a complex concept to its set of (element, monomial) pairs."""
-        return evaluate_concept(concept, self.domain, self.concept_ext, self.role_ext)
-
-    # -- satisfaction -------------------------------------------------------
-
-    def satisfies(self, annotated: AnnotatedAxiom) -> bool:
-        ax, m = annotated.axiom, annotated.annotation
-        if isinstance(ax, RI):
-            sup = self.role_triples(ax.sup)
-            return all(
-                (d, e, m * n) in sup for d, e, n in self.role_triples(ax.sub)
-            )
-        if isinstance(ax, GCI):
-            rhs = self.extend_concept(ax.rhs)
-            return all((d, m * n) in rhs for d, n in self.extend_concept(ax.lhs))
-        if isinstance(ax, RR):
-            filler = self.concept_pairs(ax.filler)
-            return all(
-                (e, m * n) in filler for _, e, n in self.role_triples(ax.role)
-            )
-        if isinstance(ax, CA):
-            el = self.individuals.get(ax.ind)
-            if el is None:
-                return False
-            if isinstance(ax.concept, Top):
-                return m == ONE and el in self._domain_set
-            return (el, m) in self.concept_pairs(ax.concept.name)
-        if isinstance(ax, RA):
-            a, b = self.individuals.get(ax.a), self.individuals.get(ax.b)
-            return a is not None and b is not None and (a, b, m) in self.role_triples(ax.role)
-        raise TypeError(f"not an axiom: {ax!r}")
 
     # -- serialization ------------------------------------------------------
 
@@ -233,46 +184,6 @@ class AnnotatedInterpretation:
             "concepts": concepts,
             "roles": roles,
         }
-
-
-def evaluate_concept(
-    concept: Concept,
-    domain: Iterable[DomainElement],
-    concept_ext: Mapping[str, Iterable[tuple[DomainElement, Monomial]]],
-    role_ext: Mapping[str, Iterable[tuple[DomainElement, DomainElement, Monomial]]],
-) -> frozenset:
-    """(element, monomial) pairs of a complex concept over the given extensions.
-
-    The result never aliases a mutable extension, so a caller may add to
-    the extensions while it iterates the result.
-    """
-
-    def ev(c: Concept) -> frozenset:
-        if isinstance(c, Top):
-            return frozenset((d, ONE) for d in domain)
-        if isinstance(c, Atomic):
-            return frozenset(concept_ext.get(c.name, ()))
-        if isinstance(c, Exists):
-            return frozenset((d, m) for d, _, m in role_ext.get(c.role, ()))
-        if isinstance(c, Ran):
-            return frozenset((e, m) for _, e, m in role_ext.get(c.role, ()))
-        if isinstance(c, Conj):
-            right = by_element(ev(c.right))
-            return frozenset((d, m * n) for d, m in ev(c.left) for n in right.get(d, ()))
-        if isinstance(c, ExistsQ):
-            filler = by_element(ev(c.filler))
-            return frozenset(
-                (d, m * n) for d, e, m in role_ext.get(c.role, ()) for n in filler.get(e, ())
-            )
-        raise TypeError(f"not a concept: {c!r}")
-
-    def by_element(pairs) -> dict[DomainElement, list[Monomial]]:
-        out: dict[DomainElement, list[Monomial]] = {}
-        for e, n in pairs:
-            out.setdefault(e, []).append(n)
-        return out
-
-    return ev(concept)
 
 
 # --- queries ----------------------------------------------------------------
@@ -387,12 +298,6 @@ class Match:
     """One homomorphism: terms to elements, provenance variables to monomials."""
 
     binding: tuple[tuple[Term, object], ...]
-
-    def __getitem__(self, term: Term):
-        for t, v in self.binding:
-            if t == term:
-                return v
-        raise KeyError(term)
 
 
 def _join_plan(interp, atoms, bound, conditions) -> list[tuple]:

@@ -56,7 +56,6 @@ __all__ = [
     "Conj",
     "Exists",
     "ExistsQ",
-    "Ran",
     "Axiom",
     "GCI",
     "RI",
@@ -160,13 +159,6 @@ class ExistsQ(Concept, fields=("role", "filler")):
     _text = "some(%s, %s)"
 
 
-class Ran(Concept, fields=("role",)):
-    """Range of a role; usable as an evaluable concept, not in GCIs."""
-
-    __slots__ = ()
-    _text = "ran(%s)"
-
-
 def is_atomic_or_top(c: Concept) -> bool:
     return isinstance(c, (Atomic, Top))
 
@@ -176,7 +168,7 @@ def _walk(c: Concept) -> tuple[list[str], list[str], bool, bool]:
 
     Returns its concept names and its role names, each in pre-order,
     whether Top occurs in it, and whether it is in the left-hand side
-    grammar (``Exists``, ``Ran`` or a non-concept anywhere is outside).
+    grammar (``Exists`` or any other node anywhere is outside).
     """
     concepts: list[str] = []
     roles: list[str] = []
@@ -195,7 +187,7 @@ def _walk(c: Concept) -> tuple[list[str], list[str], bool, bool]:
             top = True
         else:
             lhs = False
-            if isinstance(c, (Exists, Ran)):
+            if isinstance(c, Exists):
                 roles.append(c.role)
     return concepts, roles, top, lhs
 
@@ -443,9 +435,6 @@ class FreshNames:
 
     def concept(self) -> str:
         return self._next("__nf")
-
-    def role(self) -> str:
-        return self._next("__role")
 
     def individual(self) -> str:
         return self._next("__ind")

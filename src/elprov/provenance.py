@@ -107,9 +107,6 @@ class Monomial:
     def variables(self) -> frozenset[Variable]:
         return frozenset(self.vars)
 
-    def mentions(self, v: Variable) -> bool:
-        return v in self.vars
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented

@@ -7,7 +7,8 @@ instead, so the two routes can be compared (acceptance criterion 10).
 entailed range restrictions on their own, with a saturation of their
 own, so a model can be checked against them. ``fixpoint_canonical_model``
 builds the canonical model by another route: the inclusions and range
-restrictions run as model-building rules to a fixpoint, so the library's
+restrictions run as model-building rules to a fixpoint, their left-hand
+sides evaluated by ``semantics.evaluate_concept``, so the library's
 one-pass unfolding can be compared with it. ``scan_matches`` enumerates
 query matches by scanning each atom's whole extension for every partial
 binding and checking forks on complete matches only, so the library's
@@ -87,7 +88,6 @@ from elprov.interpretation import (
     Term,
     UnknownIndividualError,
     Var,
-    evaluate_concept,
     term_key,
 )
 from elprov.ontology import (
@@ -112,7 +112,6 @@ from elprov.ontology import (
     FreshNames,
     NamespaceError,
     ParseError,
-    Ran,
     Top,
     _is_normal_gci,
     _walk,
@@ -120,6 +119,8 @@ from elprov.ontology import (
 )
 from elprov.provenance import ONE, ZERO, Monomial, Polynomial, Variable
 from elprov.syntax import LINE_BREAK as _LINE_BREAK, ONTOLOGY_TOKENS as _TOKEN
+
+from semantics import Ran, evaluate_concept
 
 
 def is_normal_form(ontology: AnnotatedOntology) -> bool:
@@ -323,7 +324,7 @@ def entailed_range_restrictions(
                 and ax.ind == b
                 and isinstance(ax.concept, Atomic)
                 and not ax.concept.name.startswith("__")
-                and ann.annotation.mentions(w)
+                and w in ann.annotation.vars
             ):
                 stripped = Monomial(tuple(v for v in ann.annotation.vars if v != w))
                 out.append(AnnotatedAxiom(RR(role, ax.concept.name), stripped))
@@ -393,7 +394,7 @@ def fixpoint_canonical_model(
                 add(concept_ext, name, (Named(ax.ind), m))
             elif ax.ind in markers and not name.startswith("__"):
                 role, w = markers[ax.ind]
-                if m.mentions(w):
+                if w in m.vars:
                     stripped = Monomial(tuple(v for v in m.vars if v != w))
                     rules.append(AnnotatedAxiom(RR(role, name), stripped))
 
@@ -642,7 +643,7 @@ def concept_names(c: Concept) -> Iterator[str]:
 
 
 def role_names(c: Concept) -> Iterator[str]:
-    if isinstance(c, (Exists, Ran)):
+    if isinstance(c, Exists):
         yield c.role
     elif isinstance(c, ExistsQ):
         yield c.role
@@ -716,7 +717,7 @@ def translate_general_gci(
             walk(left, right.left)
             walk(left, right.right)
         elif isinstance(right, ExistsQ):
-            s = fresh.role()
+            s = fresh.named("__role")
             emit(AnnotatedAxiom(GCI(left, Exists(s)), annotation))
             emit(AnnotatedAxiom(RI(s, right.role), annotation))
             filler = right.filler

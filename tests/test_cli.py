@@ -796,6 +796,16 @@ class TestErrorPaths:
         col = len(text) + 1
         assert captured.err == f"{path}:1:{col}: expected a term, got 'end of line'\n"
 
+    def test_a_query_may_end_with_one_ampersand(self, tmp_path, capsys):
+        # one trailing '&' is accepted; a second one is an atom missing
+        path = tmp_path / "trailing.cq"
+        path.write_text("A(?x, ?t) &\n")
+        assert main(["rewrite", "-q", str(path)]) == 0
+        assert capsys.readouterr() == ("A(?x, ?t)\n", "")
+        path.write_text("A(?x, ?t) & &\n")
+        assert main(["rewrite", "-q", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"{path}:1:13: expected a predicate name, got '&'\n")
+
     def test_query_unknown_individual_checked_before_the_model(self, capsys, monkeypatch):
         # the cap would trip while building the model; the individual is
         # checked first, so this is a usage error, not a resource error

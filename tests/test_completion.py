@@ -11,6 +11,8 @@ from elprov.completion import (
     Limits,
     ResourceCapExceeded,
     UnknownNameWarning,
+    _Saturator,
+    _SetStore,
     entails,
     entails_assertion,
     probe,
@@ -710,3 +712,42 @@ class TestAgainstTheWholeCut:
             assert all(whole[fact] == masks for fact, masks in module.items()), context
             event(f"{kind}: {'entailed' if entailed else 'not entailed'}")
             event(f"module: {'all' if len(module) == len(whole) else 'part'} of the cut")
+
+
+class TestQuestionSeeds:
+    """A question's run seeds only what its module needs: Top memberships
+    only when Top is needed, and engine facts only for the axioms of the
+    monomial's cut."""
+
+    ONTOLOGY = "ca A(a) @ u\ngci A <= B @ v\nca C(b) @ w\nra R(a, b) @ w"
+
+    @staticmethod
+    def top_memberships(store):
+        return {fact for fact in store if fact[0] == "ca" and fact[2] is None}
+
+    def test_top_memberships_only_when_top_is_needed(self):
+        o = parse_ontology(self.ONTOLOGY)
+        target = CA(Atomic("B"), "a")
+        (goal, probed), table, module, whole = question_runs(o, target, mono("u*v"))
+        assert table.mask(probed) in module[goal]
+        assert self.top_memberships(module) == set()
+        everyone = {("ca", None, None, "a"), ("ca", None, None, "b")}
+        assert self.top_memberships(whole) == everyone
+        # the module needs Top through gci Top <= D: every individual is seeded
+        o = parse_ontology(self.ONTOLOGY + "\ngci Top <= D @ v")
+        target = CA(Atomic("D"), "b")
+        (goal, probed), table, module, _ = question_runs(o, target, mono("v"))
+        assert table.mask(probed) in module[goal]
+        assert self.top_memberships(module) == everyone
+        assert entails(o, target, mono("v")) and not entails(o, target, mono("u"))
+
+    def test_only_the_cut_is_checked_for_normal_form(self):
+        lhs = Conj(Atomic("A"), Conj(Atomic("B"), Atomic("C")))
+        nested = AnnotatedAxiom(GCI(lhs, Atomic("D")), mono("w"))
+        o = AnnotatedOntology([AnnotatedAxiom(CA(Atomic("A"), "a"), mono("u")), nested])
+        with pytest.raises(ValueError, match="^axiom is not in normal form: gci and"):
+            saturate(o)
+        question = (("ca", None, "A", "a"), mono("u"))
+        _Saturator(o, _SetStore(None), None, False, question).run()  # w is outside the cut
+        with pytest.raises(ValueError, match="^axiom is not in normal form: gci and"):
+            _Saturator(o, _SetStore(None), None, False, (question[0], mono("u*w")))
