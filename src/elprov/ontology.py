@@ -26,24 +26,25 @@ their ends stripped. Names beginning with ``__`` are reserved for
 internally generated symbols and rejected in user input.
 
 Concepts and axioms are tuples tagged with their class name, so ``==``
-and ``hash`` run in C. The front end does each job once. A
-``syntax.Scanner`` per line splits it into string tokens whose kind is
-read off the token; a column is computed only for an error. The parser
-reads a concept in one loop and checks the left-hand side grammar as it
-builds it. An ontology hashes each axiom once, into the dict that
-deduplicates it and answers membership and equality. A derived ontology
-(``extended``, ``normalize``) validates only the axioms it adds;
-``normalize`` rewrites GCIs as ``(lhs, rhs, annotation)`` triples and
-builds only the axioms it outputs.
+and ``hash`` run in C. The front end reads a file once. One parser per
+file is given each line's string tokens, whose kind is read off the
+token; a column is computed only for an error. It claims each name's
+kind where the grammar reads it, checks a name only when first seen, and
+reads a concept in one loop that checks the left-hand side grammar. An
+ontology hashes each axiom once, into the dict that deduplicates it and
+answers membership and equality; a parsed one takes the parser's name
+table, and a derived one (``extended``, ``normalize``) validates only
+the axioms it adds. ``normalize`` rewrites ``(lhs, rhs, annotation)``
+triples and builds only the axioms it outputs.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, filterfalse, islice
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .provenance import ONE, Monomial, Variable
 from .syntax import ONTOLOGY_TOKENS, ParseError, Scanner, file_lines
@@ -77,6 +78,7 @@ __all__ = [
 ]
 
 RESERVED_PREFIX = "__"
+_new = tuple.__new__  # builds a node without a Python-level call
 
 
 class NamespaceError(ValueError):
@@ -99,7 +101,9 @@ class _Node(tuple):
     A class names its ``fields``: its constructor takes them and
     ``property(itemgetter(i))`` reads them. ``repr`` is dataclass-style and
     a pickle carries the fields. ``_text``, where a class has it, is the
-    node in the file syntax, ``%``-formatted with the fields."""
+    node in the file syntax, ``%``-formatted with the fields. ``str`` does
+    not recurse either, but ``==`` between two deep trees built apart
+    compares them level by level in C, under the recursion limit."""
 
     __slots__ = ()
 
@@ -110,7 +114,7 @@ class _Node(tuple):
             setattr(cls, name, property(itemgetter(i)))
         # a constructor taking the fields, made as collections.namedtuple makes
         # its own: a plain call is what the parser and normalize pay per node
-        args, scope = "".join(f"{f}, " for f in fields), {"new": tuple.__new__}
+        args, scope = "".join(f"{f}, " for f in fields), {"new": _new}
         exec(f"def __new__(cls, {args}):\n    return new(cls, ({cls.__name__!r}, {args}))", scope)
         cls.__new__ = scope["__new__"]
 
@@ -126,7 +130,25 @@ class Concept(_Node):
     __slots__ = ()
 
     def __str__(self) -> str:
-        return self._text % self[1:]
+        """The file syntax, from one stack of what is left to write, so a deep
+        concept does not recurse; a node of atomic fields is one step."""
+        if type(self) is not Conj and type(self) is not ExistsQ:  # no concept inside
+            return self._text % self[1:]
+        out, stack = [], [self]
+        while stack:
+            c = stack.pop()
+            kind = type(c)
+            if kind is Conj and type(c[1]) is Atomic and type(c[2]) is Atomic:
+                out.append(f"and({c[1][1]}, {c[2][1]})")
+            elif kind is Conj:
+                stack += (")", c[2], ", ", c[1], "and(")
+            elif kind is ExistsQ and type(c[2]) is Atomic:
+                out.append(f"some({c[1]}, {c[2][1]})")
+            elif kind is ExistsQ:
+                stack += (")", c[2], f"some({c[1]}, ")
+            else:  # a piece of text, or a concept with no concept inside
+                out.append(c if kind is str else c[1] if kind is Atomic else str(c))
+        return "".join(out)
 
 
 class Top(Concept):
@@ -433,9 +455,6 @@ class FreshNames:
             raise ValueError(f"fresh names must use the {RESERVED_PREFIX!r} prefix")
         return self._next(prefix)
 
-    def concept(self) -> str:
-        return self._next("__nf")
-
     def individual(self) -> str:
         return self._next("__ind")
 
@@ -469,30 +488,28 @@ def normalize(ontology: AnnotatedOntology) -> AnnotatedOntology:
             out.append(ann)
     if not work:
         return ontology
-    fresh = FreshNames(ontology.all_names())
+    # the names ``__nf0``, ``__nf1``, ... that the ontology does not use
+    fresh = filterfalse(ontology._kinds.__contains__, map("__nf{}".format, count()))
     memo: dict[Concept, Atomic] = {}
-
-    def name_for(c: Concept) -> Atomic:
-        a = memo.get(c)
-        if a is None:
-            a = memo[c] = Atomic(fresh.concept())
-            work.append((c, a, ONE))
-        return a
-
+    pop, push, leaves = work.popleft, work.append, (Atomic, Top)
     while work:
-        lhs, rhs, annotation = work.popleft()
-        if isinstance(lhs, Conj) and not is_atomic_or_top(lhs.right):
-            lhs = Conj(lhs.left, name_for(lhs.right))
-        elif isinstance(lhs, Conj) and not is_atomic_or_top(lhs.left):
-            lhs = Conj(name_for(lhs.left), lhs.right)
-        elif isinstance(lhs, ExistsQ) and not is_atomic_or_top(lhs.filler):
-            lhs = ExistsQ(lhs.role, name_for(lhs.filler))
-        elif isinstance(rhs, Atomic) or is_atomic_or_top(lhs):  # normal; queued GCIs are valid
-            out.append(AnnotatedAxiom(GCI(lhs, rhs), annotation))
+        # a queued lhs is Atomic, Top, Conj or ExistsQ; ``part`` is named, at ``at``
+        lhs, rhs, annotation = pop()
+        kind = type(lhs)
+        if (kind is Conj or kind is ExistsQ) and type(lhs[2]) not in leaves:
+            part, at = lhs[2], 2
+        elif kind is Conj and type(lhs[1]) not in leaves:
+            part, at = lhs[1], 1
+        elif kind in leaves or type(rhs) is Atomic:  # normal
+            out.append(_new(AnnotatedAxiom, ("AnnotatedAxiom", _new(GCI, ("GCI", lhs, rhs)), annotation)))
             continue
         else:
-            lhs = name_for(lhs)
-        work.append((lhs, rhs, annotation))
+            part, at = lhs, 0
+        a = memo.get(part)
+        if a is None:
+            a = memo[part] = _new(Atomic, ("Atomic", next(fresh)))
+            push((part, a, ONE))
+        push((_new(kind, lhs[:at] + (a,) + lhs[at + 1 :]) if at else a, rhs, annotation))
     # the output is valid and names the input's names and the fresh ones
     kinds = dict(ontology._kinds)
     kinds.update((a.name, "concept") for a in memo.values())
@@ -504,74 +521,93 @@ def normalize(ontology: AnnotatedOntology) -> AnnotatedOntology:
 _NOT_NAMES = frozenset(("1", "<=", "(", ")", ",", "@", "*", None))  # None ends a line's tokens
 
 _CONCEPT_KEYWORDS = {"Top", "and", "some", "ran"}
-_NOT_ROLES = _NOT_NAMES | _CONCEPT_KEYWORDS
+_WHAT = {"concept": "a concept name", "role": "a role name", "individual": "an individual name",
+         _VARIABLE: "a provenance variable"}  # a kind of name as the error messages word it
 
 # Deepest and/some nesting the parser accepts. Parsing, the grammar and
-# name walk, hashing and normalizing no longer recurse in Python, but
-# ``str``, ``==`` between distinct trees and the GCI probe still do, once
-# per level; a bound well under the interpreter's recursion limit keeps
-# them safe, in-process callers' frames included.
+# name walk, hashing, normalizing and ``str`` do not recurse in Python, but
+# ``==`` between distinct trees (in C) and the GCI probe do, once per
+# level; a bound well under the interpreter's recursion limit keeps them
+# safe, in-process callers' frames included.
 MAX_CONCEPT_DEPTH = 200
 
 
 class _LineParser(Scanner):
-    """A scanner over one line of the ontology grammar. Axioms are read by
-    recursive descent, a concept by one loop (``concept``); ``name`` also
-    rejects keywords and reserved names."""
+    """The ontology grammar over the lines that ``read`` gives it in turn:
+    axioms by recursive descent, a concept by one loop (``concept``). A name
+    is claimed in ``kinds`` where it is read, checked only when first seen;
+    one seen with another kind sets ``clash``. ``atoms`` and ``monomials``
+    intern concept names and annotations; ``top`` tells if Top was read."""
 
-    __slots__ = ()
+    __slots__ = ("kinds", "atoms", "monomials", "top", "clash")
 
-    def name(self, what: str) -> str:
+    def __init__(self, lines: Sequence[tuple[int, str]]):
+        self.kinds, self.atoms, self.monomials = {}, {}, {"1": ONE}
+        self.top = self.clash = False
+        super().__init__(ONTOLOGY_TOKENS, lines)
+
+    def name(self, kind: str) -> str:
+        """The name at the current token, claimed as a ``kind`` name."""
         tok = self.tokens[self.i]
-        if tok in _NOT_NAMES:
-            raise self.error(f"expected {what}, got {tok or 'end of line'!r}")
-        if tok in _CONCEPT_KEYWORDS:
-            raise self.error(f"expected {what}, got keyword {tok!r}")
-        if tok.startswith(RESERVED_PREFIX):
-            raise self.error(f"names starting with {RESERVED_PREFIX!r} are reserved: {tok!r}")
+        prev = self.kinds.get(tok)
+        if prev is None:
+            if tok in _NOT_NAMES:
+                raise self.error(f"expected {_WHAT[kind]}, got {tok or 'end of line'!r}")
+            if tok in _CONCEPT_KEYWORDS:
+                raise self.error(f"expected {_WHAT[kind]}, got keyword {tok!r}")
+            if tok.startswith(RESERVED_PREFIX):
+                raise self.error(f"names starting with {RESERVED_PREFIX!r} are reserved: {tok!r}")
+            self.kinds[tok] = kind
+        elif prev != kind:
+            self.clash = True
         self.i += 1
         return tok
+
+    def atom(self) -> Atomic:
+        """The concept name at the current token, as its one ``Atomic``."""
+        name = self.name("concept")
+        return self.atoms.get(name) or self.atoms.setdefault(name, _new(Atomic, ("Atomic", name)))
 
     def concept(self) -> tuple[Concept, bool]:
         """The concept at the current token, and whether it is in the
         left-hand side grammar (has no ``some(R)``). One loop: ``enclosing``
         holds the open ``("and", None)``, ``("and", left)`` and ``("some",
         role)``, innermost last. Errors are a recursive descent's."""
-        tokens, i = self.tokens, self.i
+        tokens, i, atoms, kinds = self.tokens, self.i, self.atoms, self.kinds
         enclosing: list[tuple[str, object]] = []
         lhs = True
         while True:
             tok = tokens[i]
-            if tok in _NOT_NAMES:
-                raise self.at(i).error("expected a concept" + (f", got {tok!r}" if tok else ""))
-            if tok not in _CONCEPT_KEYWORDS:
-                if tok.startswith(RESERVED_PREFIX):
-                    self.at(i).name("a concept name")
-                c: Concept = Atomic(tok)
-            elif tok == "Top":
-                c = TOP
-            elif tok == "ran":
-                raise self.at(i).error("'ran' is only allowed in 'rr' lines")
-            elif len(enclosing) == MAX_CONCEPT_DEPTH:  # and, some
-                raise self.at(i).error(f"concept nesting deeper than {MAX_CONCEPT_DEPTH} levels")
-            else:
-                if tokens[i + 1] != "(":
-                    self.at(i + 1).take("(")
-                i += 2
-                if tok == "and":
-                    enclosing.append(("and", None))
-                    continue
-                role = tokens[i]
-                if role in _NOT_ROLES or role.startswith(RESERVED_PREFIX):
-                    self.at(i).name("a role name")
-                if tokens[i + 1] == ",":
-                    enclosing.append(("some", role))
+            c = atoms.get(tok)
+            if c is None:
+                if tok in _NOT_NAMES:
+                    raise self.at(i).error("expected a concept" + (f", got {tok!r}" if tok else ""))
+                if tok not in _CONCEPT_KEYWORDS:
+                    c = self.at(i).atom()
+                elif tok == "Top":
+                    c, self.top = TOP, True
+                elif tok == "ran":
+                    raise self.at(i).error("'ran' is only allowed in 'rr' lines")
+                elif len(enclosing) == MAX_CONCEPT_DEPTH:  # and, some
+                    raise self.at(i).error(f"concept nesting deeper than {MAX_CONCEPT_DEPTH} levels")
+                else:
+                    if tokens[i + 1] != "(":
+                        self.at(i + 1).take("(")
                     i += 2
-                    continue
-                if tokens[i + 1] != ")":
-                    self.at(i + 1).take(")")
-                c, lhs = Exists(role), False
-                i += 1
+                    if tok == "and":
+                        enclosing.append(("and", None))
+                        continue
+                    role = tokens[i]
+                    if kinds.get(role) != "role":
+                        self.at(i).name("role")
+                    if tokens[i + 1] == ",":
+                        enclosing.append(("some", role))
+                        i += 2
+                        continue
+                    if tokens[i + 1] != ")":
+                        self.at(i + 1).take(")")
+                    c, lhs = _new(Exists, ("Exists", role)), False
+                    i += 1
             i += 1
             while enclosing:  # close every construct that ``c`` completes
                 kind, held = enclosing[-1]
@@ -585,21 +621,21 @@ class _LineParser(Scanner):
                     self.at(i).take(")")
                 enclosing.pop()
                 i += 1
-                c = Conj(held, c) if kind == "and" else ExistsQ(held, c)
+                c = _new(Conj, ("Conj", held, c)) if kind == "and" else _new(ExistsQ, ("ExistsQ", held, c))
             else:
                 self.i = i
                 return c, lhs
 
-    def annotation(self, interned: dict[str, Monomial]) -> Monomial:
-        """The ``@`` annotation ending the line; ``interned`` maps ``1`` and
-        the variable names seen so far in a file to their monomials."""
+    def annotation(self) -> Monomial:
+        """The ``@`` annotation ending the line."""
         self.take("@")
         tok = self.tokens[self.i]
-        if tok in interned:
+        mon = self.monomials.get(tok)
+        if mon is not None:
             self.i += 1
-            mon = interned[tok]
         elif tok not in _NOT_NAMES:
-            mon = interned[tok] = Monomial((Variable(self.name("a provenance variable")),))
+            name = self.name(_VARIABLE)
+            mon = self.monomials[name] = Monomial((Variable(name),))
         else:
             got = tok or "end of line"
             raise self.error(f"annotation must be a single variable or 1, got {got!r}")
@@ -619,69 +655,69 @@ def _parse_axiom(p: _LineParser) -> Axiom:
         rhs = p.concept()[0]
         if not in_grammar:
             raise p.error(f"left-hand side violates the concept grammar: {lhs}")
-        if not isinstance(rhs, (Atomic, Exists)):
+        if type(rhs) is not Atomic and type(rhs) is not Exists:
             raise p.error(f"right-hand side must be a concept name or some(R): {rhs}")
-        return GCI(lhs, rhs)
+        return _new(GCI, ("GCI", lhs, rhs))
     if keyword == "ri":
-        sub = p.name("a role name")
+        sub = p.name("role")
         p.take("<=")
-        sup = p.name("a role name")
-        return RI(sub, sup)
+        return _new(RI, ("RI", sub, p.name("role")))
     if keyword == "rr":
         p.take("ran")
         p.take("(")
-        role = p.name("a role name")
+        role = p.name("role")
         p.take(")")
         p.take("<=")
-        filler = p.name("a concept name")
-        return RR(role, filler)
+        return _new(RR, ("RR", role, p.name("concept")))
     if keyword == "ca":
         if p.tokens[p.i] == "Top":
             p.i += 1
-            concept: Concept = TOP
+            concept, p.top = TOP, True
         else:
-            concept = Atomic(p.name("a concept name"))
+            concept = p.atom()
         p.take("(")
-        ind = p.name("an individual name")
+        ind = p.name("individual")
         p.take(")")
-        return CA(concept, ind)
-    role = p.name("a role name")
+        return _new(CA, ("CA", concept, ind))
+    role = p.name("role")
     p.take("(")
-    a = p.name("an individual name")
+    a = p.name("individual")
     p.take(",")
-    b = p.name("an individual name")
+    b = p.name("individual")
     p.take(")")
-    return RA(role, a, b)
+    return _new(RA, ("RA", role, a, b))
 
 
 def parse_ontology(text: str) -> AnnotatedOntology:
     """Parse an ontology file; raises ParseError with line:column info.
 
     Lines break at ``\\n``, ``\\r\\n`` and ``\\r`` only. A namespace clash is
-    reported at the first token of the line whose axiom completes it.
+    reported at the first token of the line whose axiom completes it; a
+    syntax error on any line is reported before it.
     """
     axioms: list[AnnotatedAxiom] = []
-    places: list[tuple[int, str]] = []  # per axiom: its line number and text
-    interned = {"1": ONE}
+    p = _LineParser(())
     for lineno, line in file_lines(text):
         line = line.rstrip()
-        if not line:
-            continue
-        place = (lineno, line)
-        p = _LineParser(ONTOLOGY_TOKENS, (place,))
-        axioms.append(AnnotatedAxiom(_parse_axiom(p), p.annotation(interned)))
-        places.append(place)
-    try:
+        if line:
+            p.read(((lineno, line),))
+            axioms.append(_new(AnnotatedAxiom, ("AnnotatedAxiom", _parse_axiom(p), p.annotation())))
+    if not p.clash:  # the names are claimed and valid: build with no second walk
+        out = AnnotatedOntology.__new__(AnnotatedOntology)
+        out._fill(dict.fromkeys(axioms), p.kinds, 0, _Signature((), (), (), ()), p.top)
+        return out
+    try:  # the whole file parsed; ``_claim`` finds and words the clash
         return AnnotatedOntology(axioms)
     except NamespaceError as exc:
         # validation sees a repeated axiom at its first occurrence
+        places = [(n, line.rstrip()) for n, line in file_lines(text) if line.strip()]
         lineno, line = places[axioms.index(exc.axiom)]
         raise ParseError(str(exc), lineno, len(line) - len(line.lstrip(" \t")) + 1) from exc
 
 
 def parse_axiom(text: str) -> Axiom:
     """Parse a single un-annotated axiom, e.g. for CLI --axiom arguments."""
-    p = _LineParser(ONTOLOGY_TOKENS, ((1, text.strip()),))
+    p = _LineParser(((1, text.strip()),))
     axiom = _parse_axiom(p)
     p.finish("trailing input after axiom")
     return axiom
@@ -689,11 +725,11 @@ def parse_axiom(text: str) -> Axiom:
 
 def parse_iq_target(text: str) -> tuple[Concept, str]:
     """Parse an instance-query target of the form ``iq CONCEPT(IND)``."""
-    p = _LineParser(ONTOLOGY_TOKENS, ((1, text.strip()),))
+    p = _LineParser(((1, text.strip()),))
     p.take("iq")
     concept = p.concept()[0]
     p.take("(")
-    ind = p.name("an individual name")
+    ind = p.name("individual")
     p.take(")")
     p.finish("trailing input after axiom")
     return concept, ind

@@ -118,7 +118,7 @@ class Monomial:
         return iter(self.vars)
 
     def __str__(self) -> str:
-        return "*".join(v.name for v in self.vars) if self.vars else "1"
+        return "*".join(self.names) or "1"
 
 
 ONE = Monomial()

@@ -53,14 +53,18 @@ class Scanner:
     tokens whose kind is read off the token; the tokens, spaces and tabs
     have to cover the line. The lines' tokens follow each other and then
     ``None``. ``i`` is the parser's place; a column is computed only for an
-    error.
+    error. ``read`` moves a scanner on to other lines.
     """
 
     __slots__ = ("alphabet", "lines", "tokens", "i")
 
     def __init__(self, alphabet: re.Pattern, lines: Sequence[tuple[int, str]]):
-        self.alphabet, self.lines = alphabet, lines
-        tokens: list[str | None] = []
+        self.alphabet = alphabet
+        self.read(lines)
+
+    def read(self, lines: Sequence[tuple[int, str]]) -> None:
+        """Scan ``lines`` in place of the scanner's lines, from their first token."""
+        alphabet, tokens = self.alphabet, []
         for lineno, line in lines:
             found = alphabet.findall(line)
             if sum(map(len, found)) + line.count(" ") + line.count("\t") != len(line):
@@ -69,7 +73,7 @@ class Scanner:
                 raise ParseError(f"unexpected character {line[col - 1]!r}", lineno, col)
             tokens += found
         tokens.append(None)
-        self.tokens, self.i = tokens, 0
+        self.lines, self.tokens, self.i = lines, tokens, 0
 
     def error(self, message: str) -> ParseError:
         """An error at the current token, or just past the last line with a token."""

@@ -724,7 +724,7 @@ def translate_general_gci(
             if isinstance(filler, Atomic):
                 emit(AnnotatedAxiom(RR(s, filler.name), annotation))
             else:
-                bridge = fresh.concept()
+                bridge = fresh.named("__nf")
                 emit(AnnotatedAxiom(RR(s, bridge), annotation))
                 walk(Atomic(bridge), filler)
         else:
@@ -1285,7 +1285,7 @@ def normalize_dataclasses(
     def name_for(c) -> DataclassAtomic:
         a = memo.get(c)
         if a is None:
-            a = DataclassAtomic(fresh.concept())
+            a = DataclassAtomic(fresh.named("__nf"))
             memo[c] = a
             work.append(DataclassAnnotatedAxiom(DataclassGCI(c, a), ONE))
         return a

@@ -22,6 +22,7 @@ from elprov.ontology import (
     AnnotatedAxiom,
     AnnotatedOntology,
     Atomic,
+    Concept,
     Conj,
     Exists,
     ExistsQ,
@@ -36,6 +37,7 @@ from elprov.ontology import (
     parse_iq_target,
     parse_ontology,
     render_annotated,
+    render_axiom,
 )
 from elprov.provenance import ONE, Monomial, Variable
 
@@ -174,6 +176,16 @@ class TestNamespaceErrors:
             parse_ontology(text)
         assert (exc.value.line, exc.value.column) == (3, 3)
         assert exc.value.message == "name 'b' used both as individual and as provenance variable"
+
+    def test_a_later_syntax_error_is_reported_before_a_clash(self):
+        # the clash is complete on line 1, yet the whole file is read first
+        text = "gci some(R, A) <= R @ v\nca A(a) @ w\nca A(b) @\n"
+        with pytest.raises(ParseError) as exc:
+            parse_ontology(text)
+        assert (exc.value.line, exc.value.column) == (3, 10)
+        assert exc.value.message == "annotation must be a single variable or 1, got 'end of line'"
+        with pytest.raises(ParseError, match="^1:1: name 'R' used both as role and as concept$"):
+            parse_ontology(text.rpartition("ca A(b)")[0])
 
     def test_library_construction_raises_the_same_text(self):
         lhs = Conj(ExistsQ("R", Atomic("A")), Atomic("R"))
@@ -343,6 +355,15 @@ class TestNormalizeAgainstTheDataclassNormalize:
             self.check(o)
 
 
+def printed(c) -> str:
+    """The file syntax of ``c`` by recursion on its fields, as ``str`` was written."""
+    if isinstance(c, Atomic):
+        return c.name
+    if not isinstance(c, Concept):  # a role name, or a non-concept leaf
+        return str(c)
+    return c._text % tuple(map(printed, c[1:]))
+
+
 def deep_conj(depth: int) -> Conj:
     c = Atomic("A")
     for i in range(depth):
@@ -381,6 +402,29 @@ class TestSyntaxNodes:
         for node in (deep, gci, held):
             assert hash(node) == hash(node) and node in {node}
         assert len({held, AnnotatedAxiom(gci, ONE)}) == 1
+
+    def test_deep_trees_print(self):
+        # ``str`` keeps one stack, so depth is bounded by memory alone
+        c, text = Atomic("A"), "A"
+        for i in range(3000):
+            pick = i % 4
+            if pick == 0:
+                c, text = Conj(c, TOP), f"and({text}, Top)"
+            elif pick == 1:
+                c, text = ExistsQ("R", c), f"some(R, {text})"
+            elif pick == 2:
+                c, text = Conj(Atomic("B"), c), f"and(B, {text})"
+            else:
+                c, text = Conj(c, Exists("S")), f"and({text}, some(S))"
+        assert str(c) == text
+        assert render_axiom(GCI(c, Atomic("E"))) == f"gci {text} <= E"
+
+    def test_str_agrees_with_the_recursive_printer(self):
+        rng = random.Random(12)
+        for _ in range(2000):
+            c = random_concept(rng, rng.randrange(7))
+            if isinstance(c, Concept):
+                assert str(c) == printed(c)
 
     def test_a_node_is_its_tag_and_fields(self):
         assert Atomic("A") == ("Atomic", "A") and hash(Atomic("A")) == hash(("Atomic", "A"))
@@ -495,7 +539,7 @@ def test_parse_iq_target():
 
 def test_fresh_names_avoid_used():
     fresh = FreshNames({"__nf0", "__nf1"})
-    assert fresh.concept() == "__nf2"
+    assert fresh.named("__nf") == "__nf2"
     with pytest.raises(ValueError):
         fresh.named("plain")
 
@@ -730,6 +774,30 @@ def derivation_sources():
 
 
 class TestDerivedEqualsDirectConstruction:
+    def test_parse(self):
+        # the parser claims names as it reads them; library construction walks
+        # the axioms it is given, so both have to build the same ontology
+        rng = random.Random(1409)
+        texts = [path.read_text() for path in sorted(GOLDEN.glob("*.elp"))]
+        for depth in (1, 4):
+            for top in ("", "ca", "gci", "ca", "gci"):
+                lines = ontology_lines(rng, 80, depth)
+                if top == "ca":
+                    lines += ["ca Top(j0) @ u1", "ca Top(j_new) @ 1"]
+                if top == "gci":
+                    lines = list(map(with_top_on_the_left, lines))
+                lines += rng.sample(lines, 10)  # repeated axioms
+                rng.shuffle(lines)
+                texts.append("\n".join(lines))
+        tops = set()
+        for text in texts:
+            parsed = parse_ontology(text)
+            direct = AnnotatedOntology(parsed.axioms)
+            assert_built_alike(parsed, direct)
+            assert parsed.all_names() == direct.all_names()
+            tops.add(parsed.top_occurs)
+        assert tops == {False, True}
+
     def test_normalize(self):
         for o in derivation_sources():
             n = normalize(o)
