@@ -39,7 +39,6 @@ from .interpretation import (
     Var,
     enumerate_matches,
     provenance_of_matches,
-    term_key,
 )
 from .ontology import (
     GCI,
@@ -115,9 +114,7 @@ def compute_rewriting(query: BCQ) -> RewritingConditions:
     groups: dict[Term, set[Term]] = {}
     for t in terms:
         groups.setdefault(rep[t], set()).add(t)
-    classes = tuple(
-        frozenset(g) for g in sorted(groups.values(), key=lambda g: min(term_key(t) for t in g))
-    )
+    classes = tuple(frozenset(g) for g in sorted(groups.values(), key=min))
 
     pre: dict[Term, set[Term]] = {}  # class root -> the sources of its atoms
     edges: dict[Term, set[Term]] = {}
@@ -142,10 +139,10 @@ def compute_rewriting(query: BCQ) -> RewritingConditions:
 
     forks = []
     for cls in classes:  # in the order of their representatives
-        representative = min(cls, key=term_key)
+        representative = min(cls)
         sources = pre.get(rep[representative], ())
         if len(sources) >= 2:
-            forks.append(Fork(tuple(sorted(sources, key=term_key)), representative, cls))
+            forks.append(Fork(tuple(sorted(sources)), representative, cls))
     return RewritingConditions(classes, cyc, tuple(forks))
 
 

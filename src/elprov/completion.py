@@ -715,14 +715,13 @@ def _module(seeds: list[tuple[tuple, int]], goal: str | None):
 
 def probe(
     ontology: AnnotatedOntology, target
-) -> tuple[AnnotatedOntology, Axiom, Monomial, bool]:
+) -> tuple[AnnotatedOntology, Axiom, Monomial]:
     """Reduce a target to an assertion over the ontology extended by a probe.
 
     ``target`` is a ``CA``/``RA``/``GCI``/``RI``/``RR`` axiom or a
     ``(concept, ind)`` instance query. Returns the extended ontology, the
-    assertion to decide, the product of the probe's marker variables (an
-    entailed monomial carries them) and whether a derivation has to
-    mention the markers to count for relevance.
+    assertion to decide and the product of the probe's marker variables,
+    which an entailed monomial carries and relevance requires.
 
     - GCI: the right-hand side is funneled into a fresh target concept
       ``__e``; the left-hand side is instantiated at a fresh root ``__a``
@@ -730,26 +729,26 @@ def probe(
     - RI: a fresh edge of the subrole, decided on the superrole.
     - RR: a fresh edge of the role carrying a fresh marker, so memberships
       the target endpoint would have anyway (e.g. from inclusions out of
-      Top) cannot fake a range entailment; relevance requires the marker.
+      Top) cannot fake a range entailment.
     - Instance query: the concept is funneled into a fresh name ``__iq``.
     """
     if isinstance(target, (CA, RA)):
-        return ontology, target, ONE, False
+        return ontology, target, ONE
     fresh = FreshNames(ontology.all_names())
     if type(target) is tuple:  # not a syntax node, which is a tuple subclass
         concept, ind = target
         name = Atomic(fresh.named("__iq"))
         extended = ontology.extended([AnnotatedAxiom(GCI(concept, name), ONE)])
-        return extended, CA(name, ind), ONE, False
+        return extended, CA(name, ind), ONE
     if isinstance(target, RI):
         a, b = fresh.individual(), fresh.individual()
         extended = ontology.extended([AnnotatedAxiom(RA(target.sub, a, b), ONE)])
-        return extended, RA(target.sup, a, b), ONE, False
+        return extended, RA(target.sup, a, b), ONE
     if isinstance(target, RR):
         a, b = fresh.individual(), fresh.individual()
         marker = Monomial((fresh.variable(),))
         extended = ontology.extended([AnnotatedAxiom(RA(target.role, a, b), marker)])
-        return extended, CA(Atomic(target.filler), b), marker, True
+        return extended, CA(Atomic(target.filler), b), marker
     if not isinstance(target, GCI):
         raise TypeError(f"expected an axiom or an instance query, got {target!r}")
     rhs = target.rhs
@@ -758,31 +757,30 @@ def probe(
     name = Atomic(fresh.named("__e"))
     root = fresh.named("__a")
     facts: list[AnnotatedAxiom] = []
-
-    def instantiate(c: Concept, ind: str, i: int) -> int:
-        if isinstance(c, Top):
-            return i
+    # pre-order, left conjunct first; a right conjunct and the filler of a
+    # some take the next marker index
+    i, stack = 0, [(target.lhs, root, False)]
+    while stack:
+        c, ind, advance = stack.pop()
+        i += advance
         if isinstance(c, Atomic):
             marker = Variable(f"__q{i}_{c.name}_{ind}")
             facts.append(AnnotatedAxiom(CA(c, ind), Monomial((marker,))))
-            return i
-        if isinstance(c, ExistsQ):
+        elif isinstance(c, ExistsQ):
             child = fresh.individual()
             marker = Variable(f"__q{i}_{c.role}_{ind}_{child}")
             facts.append(AnnotatedAxiom(RA(c.role, ind, child), Monomial((marker,))))
-            return instantiate(c.filler, child, i + 1)
-        if isinstance(c, Conj):
-            i = instantiate(c.left, ind, i)
-            return instantiate(c.right, ind, i + 1)
-        raise ValueError(f"concept outside the lhs grammar: {c}")
-
-    instantiate(target.lhs, root, 0)
+            stack.append((c.filler, child, True))
+        elif isinstance(c, Conj):
+            stack += ((c.right, ind, True), (c.left, ind, False))
+        elif not isinstance(c, Top):
+            raise ValueError(f"concept outside the lhs grammar: {c}")
     markers = Monomial(tuple(v for ann in facts for v in ann.annotation.vars))
     # a Top left-hand side leaves no facts; the root still has to exist
     facts = facts or [AnnotatedAxiom(CA(TOP, root), ONE)]
     rhs_probe = ExistsQ(rhs.role, TOP) if isinstance(rhs, Exists) else rhs
     extended = ontology.extended([AnnotatedAxiom(GCI(rhs_probe, name), ONE), *facts])
-    return extended, CA(name, root), markers, False
+    return extended, CA(name, root), markers
 
 
 def entails(
@@ -796,6 +794,6 @@ def entails(
     to the ontology is never entailed; without that check a queried probe
     marker would be absorbed by the markers' product.
     """
-    extended, assertion, markers, _ = probe(ontology, target)
+    extended, assertion, markers = probe(ontology, target)
     entailed = entails_assertion(extended, assertion, mon * markers, limits)
     return entailed and set(mon.vars) <= set(ontology.variables)

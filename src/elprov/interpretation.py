@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .completion import Limits, ResourceCapExceeded
 from .provenance import Monomial, Polynomial
-from .syntax import QUERY_TOKENS, Scanner, file_lines
+from .syntax import QUERY_TOKENS, Scanner, _Node, file_lines
 
 if TYPE_CHECKING:  # pragma: no cover - only for annotations
     from .canonical import RewritingConditions
@@ -58,7 +58,6 @@ __all__ = [
     "parse_query",
     "enumerate_matches",
     "provenance_of_matches",
-    "term_key",
 ]
 
 
@@ -77,35 +76,16 @@ class UnknownIndividualError(QueryError):
 # --- domain elements --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Named:
-    name: str
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
-    def __str__(self) -> str:
-        return self.name
+class Named(_Node, fields=("name",)):
+    __slots__ = ()
+    _text = "%s"
 
 
-@dataclass(frozen=True)
-class AuxElement:
-    """Anonymous element recording the role and monomial of its creator edge; hashed once."""
+class AuxElement(_Node, fields=("role", "monomial")):
+    """Anonymous element recording the role and monomial of its creator edge."""
 
-    role: str
-    monomial: Monomial
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.role, self.monomial)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return AuxElement, (self.role, self.monomial)
-
-    def __str__(self) -> str:
-        return f"_:{self.role}:{self.monomial}"
+    __slots__ = ()
+    _text = "_:%s:%s"
 
 
 DomainElement = Named | AuxElement
@@ -189,48 +169,29 @@ class AnnotatedInterpretation:
 # --- queries ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class Ind:
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
+# a term sorts individuals first, then by name
+class Ind(_Node, fields=("name",)):
+    __slots__ = ()
+    _text = "%s"
 
 
-@dataclass(frozen=True, order=True)
-class Var:
-    name: str
-
-    def __str__(self) -> str:
-        return f"?{self.name}"
+class Var(_Node, fields=("name",)):
+    __slots__ = ()
+    _text = "?%s"
 
 
 Term = Ind | Var
 
 
-def term_key(t: Term):
-    return (0, t.name) if isinstance(t, Ind) else (1, t.name)
+# an atom's terms, atom[2:], line up with the rows of its extension
+class ConceptAtom(_Node, fields=("concept", "arg", "prov")):
+    __slots__ = ()
+    _text = "%s(%s, %s)"
 
 
-@dataclass(frozen=True)
-class ConceptAtom:
-    concept: str
-    arg: Term
-    prov: Var
-
-    def __str__(self) -> str:
-        return f"{self.concept}({self.arg}, {self.prov})"
-
-
-@dataclass(frozen=True)
-class RoleAtom:
-    role: str
-    arg1: Term
-    arg2: Term
-    prov: Var
-
-    def __str__(self) -> str:
-        return f"{self.role}({self.arg1}, {self.arg2}, {self.prov})"
+class RoleAtom(_Node, fields=("role", "arg1", "arg2", "prov")):
+    __slots__ = ()
+    _text = "%s(%s, %s, %s)"
 
 
 Atom = ConceptAtom | RoleAtom
@@ -244,10 +205,7 @@ class BCQ:
     """
 
     def __init__(self, atoms: Iterable[Atom]):
-        seen: dict[Atom, None] = {}
-        for atom in atoms:
-            seen.setdefault(atom, None)
-        self.atoms: tuple[Atom, ...] = tuple(seen)
+        self.atoms: tuple[Atom, ...] = tuple(dict.fromkeys(atoms))
         if not self.atoms:
             raise QueryError("a query needs at least one atom")
         self._validate()
@@ -264,18 +222,8 @@ class BCQ:
                     f"provenance variable {p} must occur exactly once in the query"
                 )
 
-    @staticmethod
-    def _ordinary_terms(atom: Atom) -> tuple[Term, ...]:
-        if isinstance(atom, ConceptAtom):
-            return (atom.arg,)
-        return (atom.arg1, atom.arg2)
-
     def ordinary_terms(self) -> tuple[Term, ...]:
-        out: dict[Term, None] = {}
-        for atom in self.atoms:
-            for t in self._ordinary_terms(atom):
-                out.setdefault(t, None)
-        return tuple(out)
+        return tuple(dict.fromkeys(t for atom in self.atoms for t in atom[2:-1]))
 
     def individuals(self) -> tuple[str, ...]:
         return tuple(sorted({t.name for t in self.ordinary_terms() if isinstance(t, Ind)}))
@@ -317,9 +265,9 @@ def _join_plan(interp, atoms, bound, conditions) -> list[tuple]:
     bound = dict.fromkeys(bound, 0)  # term -> the step that binds it
     holds: dict[Term, list[int]] = {}  # term -> the atoms it occurs in
     for i, atom in enumerate(atoms):
-        for t in set(BCQ._ordinary_terms(atom)):
+        for t in set(atom[2:-1]):
             holds.setdefault(t, []).append(i)
-    count = [len(set(BCQ._ordinary_terms(a)) & bound.keys()) for a in atoms]
+    count = [len(set(a[2:-1]) & bound.keys()) for a in atoms]
     static = [(len(ext), str(a)) for a, ext in zip(atoms, exts)]
     # counts only grow, so an entry whose count is behind is stale
     heap = [(-count[i], *static[i], i) for i in range(len(atoms))]
@@ -330,7 +278,7 @@ def _join_plan(interp, atoms, bound, conditions) -> list[tuple]:
         if -neg != count[i]:  # stale, or placed already
             continue
         count[i] = None
-        args = (*BCQ._ordinary_terms(atoms[i]), atoms[i].prov)
+        args = atoms[i][2:]
         first = {t: args.index(t) for t in args}
         key = [(p, t) for p, t in enumerate(args) if t in bound]
         new = [(p, t) for t, p in first.items() if t not in bound]
@@ -375,7 +323,7 @@ def enumerate_matches(
         binding[Ind(name)] = interp.individuals[name]
     plan = _join_plan(interp, query.atoms, binding, conditions)
     # a match sorts by its values in term order
-    terms = sorted([*query.ordinary_terms(), *(a.prov for a in query.atoms)], key=term_key)
+    terms = sorted([*query.ordinary_terms(), *(a.prov for a in query.atoms)])
     results: list[tuple[tuple, Match]] = []
 
     def rows_of(step) -> Iterator:

@@ -25,12 +25,13 @@ instance-query target is ``'iq' concept '(' NAME ')'``; both are read with
 their ends stripped. Names beginning with ``__`` are reserved for
 internally generated symbols and rejected in user input.
 
-Concepts and axioms are tuples tagged with their class name, so ``==``
-and ``hash`` run in C. The front end reads a file once. One parser per
-file is given each line's string tokens, whose kind is read off the
-token; a column is computed only for an error. It claims each name's
-kind where the grammar reads it, checks a name only when first seen, and
-reads a concept in one loop that checks the left-hand side grammar. An
+Concepts and axioms are ``elprov.syntax._Node`` tuples tagged with their
+class name, so ``==`` and ``hash`` run in C. The front end reads a file
+once. One parser per file is given each line's string tokens, whose kind
+is read off the token; a column is computed only for an error. It claims
+each name's kind where the grammar reads it, checks a name only when
+first seen, and reads a concept in one loop that checks the left-hand
+side grammar. An
 ontology hashes each axiom once, into the dict that deduplicates it and
 answers membership and equality; a parsed one takes the parser's name
 table, and a derived one (``extended``, ``normalize``) validates only
@@ -43,11 +44,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import count, filterfalse, islice
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .provenance import ONE, Monomial, Variable
-from .syntax import ONTOLOGY_TOKENS, ParseError, Scanner, file_lines
+from .syntax import ONTOLOGY_TOKENS, ParseError, Scanner, _new, _Node, file_lines
 
 __all__ = [
     "Concept",
@@ -78,7 +78,6 @@ __all__ = [
 ]
 
 RESERVED_PREFIX = "__"
-_new = tuple.__new__  # builds a node without a Python-level call
 
 
 class NamespaceError(ValueError):
@@ -93,37 +92,6 @@ class NamespaceError(ValueError):
 
 
 # --- concepts -------------------------------------------------------------
-
-
-class _Node(tuple):
-    """A syntax node: a tuple of its class name and then its fields, so
-    ``==`` and ``hash`` run in C and hashing does not recurse in Python.
-    A class names its ``fields``: its constructor takes them and
-    ``property(itemgetter(i))`` reads them. ``repr`` is dataclass-style and
-    a pickle carries the fields. ``_text``, where a class has it, is the
-    node in the file syntax, ``%``-formatted with the fields. ``str`` does
-    not recurse either, but ``==`` between two deep trees built apart
-    compares them level by level in C, under the recursion limit."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls, fields: tuple[str, ...] = (), **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        cls._fields = cls.__match_args__ = fields
-        for i, name in enumerate(fields, 1):
-            setattr(cls, name, property(itemgetter(i)))
-        # a constructor taking the fields, made as collections.namedtuple makes
-        # its own: a plain call is what the parser and normalize pay per node
-        args, scope = "".join(f"{f}, " for f in fields), {"new": _new}
-        exec(f"def __new__(cls, {args}):\n    return new(cls, ({cls.__name__!r}, {args}))", scope)
-        cls.__new__ = scope["__new__"]
-
-    def __getnewargs__(self) -> tuple:
-        return self[1:]
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self[1:]))
-        return f"{type(self).__qualname__}({fields})"
 
 
 class Concept(_Node):
@@ -525,9 +493,9 @@ _WHAT = {"concept": "a concept name", "role": "a role name", "individual": "an i
          _VARIABLE: "a provenance variable"}  # a kind of name as the error messages word it
 
 # Deepest and/some nesting the parser accepts. Parsing, the grammar and
-# name walk, hashing, normalizing and ``str`` do not recurse in Python, but
-# ``==`` between distinct trees (in C) and the GCI probe do, once per
-# level; a bound well under the interpreter's recursion limit keeps them
+# name walk, hashing, normalizing, ``str`` and the GCI probe do not recurse
+# in Python, but ``==`` between distinct trees (in C) does, once per
+# level; a bound well under the interpreter's recursion limit keeps it
 # safe, in-process callers' frames included.
 MAX_CONCEPT_DEPTH = 200
 

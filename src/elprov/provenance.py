@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .syntax import PROVENANCE_TOKENS, Scanner
+from .syntax import PROVENANCE_TOKENS, Scanner, _new, _Node
 
 __all__ = [
     "Variable",
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 NAME_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_name, _names = attrgetter("name"), attrgetter("names")
+_name, _names = itemgetter(1), attrgetter("names")  # a variable is ("Variable", name)
 
 
 class MissingAssignmentError(KeyError):
@@ -50,21 +50,16 @@ class MissingAssignmentError(KeyError):
         return f"no value assigned to variable {self.variable.name!r}"
 
 
-@dataclass(frozen=True, order=True)
-class Variable:
+class Variable(_Node, fields=("name",)):
     """A provenance variable, identified by its name."""
 
-    name: str
+    __slots__ = ()
+    _text = "%s"
 
-    def __post_init__(self) -> None:
-        if not NAME_PATTERN.match(self.name) or self.name == "1":
-            raise ValueError(f"invalid variable name: {self.name!r}")
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
-    def __str__(self) -> str:
-        return self.name
+    def __new__(cls, name: str) -> "Variable":
+        if not NAME_PATTERN.match(name) or name == "1":
+            raise ValueError(f"invalid variable name: {name!r}")
+        return _new(cls, ("Variable", name))
 
 
 @dataclass(frozen=True, order=True)

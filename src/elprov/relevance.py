@@ -10,6 +10,9 @@ grow towards the full variable set of the ontology.
 ``relevant_monomial`` serves every target: inclusion axioms and instance
 queries go through the same probe as entailment (``completion.probe``),
 and the probe's reserved helper variables are stripped from the result.
+A target whose merged monomial lacks one of the probe's markers has no
+relevant variables: ``entails`` asks for a stored monomial that holds
+every marker, and every stored monomial is contained in the merged one.
 """
 
 from __future__ import annotations
@@ -65,11 +68,13 @@ def relevant_monomial(
     """Merged annotation of ``target``: the product of its relevant variables.
 
     ``target`` is any axiom or a ``(concept, ind)`` instance query. None
-    when no derivation exists (for a range restriction: none through the
-    probe edge); ``1`` when derivations use no variables of the ontology.
+    when no derivation exists or the derivations together miss a probe
+    marker (for a range restriction: the probe edge's, for a GCI: one of
+    its left-hand side's); ``1`` when derivations use no variables of the
+    ontology.
     """
-    extended, assertion, markers, required = probe(ontology, target)
+    extended, assertion, markers = probe(ontology, target)
     mon = merged_saturate(normalize(extended), limits=limits).monomial(assertion)
-    if mon is None or (required and not markers.variables() <= mon.variables()):
+    if mon is None or not markers.variables() <= mon.variables():
         return None
     return Monomial(tuple(v for v in mon.vars if not v.name.startswith("__")))

@@ -1,4 +1,5 @@
-"""Lexical rules of the three input grammars, and the one scanner they share.
+"""Lexical rules of the three input grammars, the one scanner they share,
+and the one immutable value type, ``_Node``.
 
 Ontology lines (files, ``--axiom``, ``iq`` targets), query files and
 provenance monomials and polynomials (``--prov``) are each read by a
@@ -8,11 +9,15 @@ space and tab are the only blanks, lines break at ``\\n``, ``\\r\\n`` and
 ``\\r`` only (unlike ``str.splitlines``), any other character outside a
 token is an error, and an error carries the line and column it is at.
 In a file, ``#`` starts a comment that runs to the end of the line.
+
+Concepts, axioms, provenance variables, query terms and atoms, and the
+domain elements of a model are ``_Node`` subclasses.
 """
 
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Sequence
 
 __all__ = ["ParseError", "LINE_BREAK", "file_lines", "Scanner"]
@@ -23,6 +28,49 @@ LINE_BREAK = re.compile(r"\r\n|\r|\n")
 ONTOLOGY_TOKENS = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|1|<=|[(),@*]")
 QUERY_TOKENS = re.compile(r"\??[A-Za-z_][A-Za-z0-9_]*|[(),&]")  # '?' starts a variable
 PROVENANCE_TOKENS = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[*+]")
+
+
+_new = tuple.__new__  # builds a node without a Python-level call
+
+
+class _Node(tuple):
+    """An immutable value: a tuple of its class name and then its fields, so
+    ``==``, ``hash`` and ``<`` run in C, hashing does not recurse in Python,
+    and a node equals the plain tuple of its tag and fields. Nodes of one
+    type sort by their fields; nodes of different types never compare
+    equal. A class names its ``fields``: its constructor takes them, unless
+    the class defines its own ``__new__`` (to check them), and
+    ``property(itemgetter(i))`` reads them. ``repr`` is dataclass-style and
+    a pickle carries the fields, never a hash, which depends on the
+    process's string hash seed. ``_text``, where a class has it, is the
+    node written out, ``%``-formatted with the fields. ``==`` between two
+    deep trees built apart compares them level by level in C, under the
+    recursion limit."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, fields: tuple[str, ...] = (), **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__match_args__ = fields
+        for i, name in enumerate(fields, 1):
+            setattr(cls, name, property(itemgetter(i)))
+        if "__new__" in cls.__dict__:
+            return
+        # a constructor taking the fields, made as collections.namedtuple makes
+        # its own: a plain call is what the parser and normalize pay per node
+        args, scope = "".join(f"{f}, " for f in fields), {"new": _new}
+        exec(f"def __new__(cls, {args}):\n    return new(cls, ({cls.__name__!r}, {args}))", scope)
+        cls.__new__ = scope["__new__"]
+
+    def __getnewargs__(self) -> tuple:
+        return self[1:]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self[1:]))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __str__(self) -> str:
+        return self._text % self[1:]
 
 
 class ParseError(ValueError):

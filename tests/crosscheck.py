@@ -36,7 +36,8 @@ one-loop concept parser replaced. ``normalize_dataclasses`` is
 ``normalize`` as it was on the frozen-dataclass syntax (``Dataclass*``)
 that tagged tuples replaced; ``to_dataclass`` and ``from_dataclass``
 convert between the two, so both can be compared axiom by axiom.
-``is_normal_form`` tells whether every GCI of an ontology is in normal
+``probe_gci_recursive`` is the GCI probe as it was before it kept an
+explicit stack. ``is_normal_form`` tells whether every GCI of an ontology is in normal
 form, as ``AnnotatedOntology.is_normal_form`` did before ``normalize``
 sorted its input itself. ``parse_query_by_kinds``,
 ``parse_monomial_by_kinds`` and ``parse_polynomial_by_kinds`` are the
@@ -45,7 +46,8 @@ shared ``elprov.syntax.Scanner``, so the new parsers can be compared with
 them. ``dataclass_monomial_key`` and ``dataclass_element_key`` order monomials
 and domain elements by the generated dataclass comparisons the library
 sorted by before it compared tuples of variable names, so the name
-tuples can be compared with them. ``translate_general_gci`` (with
+tuples can be compared with them; ``term_key`` orders query terms as the
+library did before a term sorted as its tagged tuple. ``translate_general_gci`` (with
 ``_strip_top``) translates a GCI whose right-hand side is any concept
 into the restricted syntax; the parser accepts no such GCI, so only
 the tests use it. They serve the tests only.
@@ -88,7 +90,6 @@ from elprov.interpretation import (
     Term,
     UnknownIndividualError,
     Var,
-    term_key,
 )
 from elprov.ontology import (
     _CONCEPT_KEYWORDS,
@@ -228,6 +229,40 @@ def entails_ra_via_ri(
 CONJUNCTION_RULES = ("conjunction-subsumption", "range-conjunction", "instance-conjunction")
 
 
+def probe_gci_recursive(ontology: AnnotatedOntology, target: GCI):
+    """``probe`` of a GCI as it was when it instantiated the left-hand side
+    by recursion, one call per level."""
+    fresh = FreshNames(ontology.all_names())
+    name = Atomic(fresh.named("__e"))
+    root = fresh.named("__a")
+    facts: list[AnnotatedAxiom] = []
+
+    def instantiate(c: Concept, ind: str, i: int) -> int:
+        if isinstance(c, Top):
+            return i
+        if isinstance(c, Atomic):
+            marker = Variable(f"__q{i}_{c.name}_{ind}")
+            facts.append(AnnotatedAxiom(CA(c, ind), Monomial((marker,))))
+            return i
+        if isinstance(c, ExistsQ):
+            child = fresh.individual()
+            marker = Variable(f"__q{i}_{c.role}_{ind}_{child}")
+            facts.append(AnnotatedAxiom(RA(c.role, ind, child), Monomial((marker,))))
+            return instantiate(c.filler, child, i + 1)
+        if isinstance(c, Conj):
+            i = instantiate(c.left, ind, i)
+            return instantiate(c.right, ind, i + 1)
+        raise ValueError(f"concept outside the lhs grammar: {c}")
+
+    instantiate(target.lhs, root, 0)
+    markers = Monomial(tuple(v for ann in facts for v in ann.annotation.vars))
+    facts = facts or [AnnotatedAxiom(CA(TOP, root), ONE)]
+    rhs = target.rhs
+    rhs_probe = ExistsQ(rhs.role, TOP) if isinstance(rhs, Exists) else rhs
+    extended = ontology.extended([AnnotatedAxiom(GCI(rhs_probe, name), ONE), *facts])
+    return extended, CA(name, root), markers
+
+
 def entails_without_rules(
     ontology: AnnotatedOntology, target, mon: Monomial, rules: Iterable[str]
 ) -> bool:
@@ -240,7 +275,7 @@ def entails_without_rules(
     markers. Shows which rules an entailment needs.
     """
     off = {RULE_NAMES.index(rule) for rule in rules}
-    extended, assertion, markers, _ = probe(ontology, target)
+    extended, assertion, markers = probe(ontology, target)
     mon = mon * markers
     store = _SetStore(mon.degree)
     sat = _Saturator(normalize(extended), store, None, False)
@@ -260,7 +295,7 @@ def entails_by_k_saturation(
     assertion over unknown names is not entailed (without a warning), nor
     is a monomial with a variable foreign to the ontology.
     """
-    extended, assertion, markers, _ = probe(ontology, target)
+    extended, assertion, markers = probe(ontology, target)
     if _assertion_signature_gap(extended, assertion):
         return False
     probed = mon * markers
@@ -282,7 +317,7 @@ def question_runs(ontology: AnnotatedOntology, target, mon: Monomial):
     probed fact and monomial), the run's variable table and the stores of
     two runs on it, each a dict from fact to masks: the library's, over
     what can reach the question, and ``_WholeCut``'s."""
-    extended, assertion, markers, _ = probe(ontology, target)
+    extended, assertion, markers = probe(ontology, target)
     question = (_fact(assertion), mon * markers)
     normal = normalize(extended)
     stores = []
@@ -448,6 +483,12 @@ def dataclass_element_key(e: DomainElement):
     if isinstance(e, Named):
         return (0, e.name)
     return (1, e.role, dataclass_monomial_key(e.monomial))
+
+
+def term_key(t: Term):
+    """The order of query terms the library sorted by before a term was a
+    tagged tuple: individuals first, then by name."""
+    return (0, t.name) if isinstance(t, Ind) else (1, t.name)
 
 
 def _binding_sort_key(pairs: dict):

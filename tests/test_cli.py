@@ -371,16 +371,30 @@ class TestOtherCommands:
         )
         assert code == 0 and obj["relevant"] == ["v1", "v2", "v3"]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the merged gci probe does not require the __q* markers of the lhs "
-        "facts, so a variable used only with part of the lhs is reported relevant",
-    )
     def test_relevant_gci_agrees_with_entailment(self, tmp_path, capsys):
         # and(A, B) <= E @ v1 is not entailed (a derivation through A alone
-        # does not mention B's annotation), yet relevance reports v1
+        # does not mention B's annotation), and no derivation carries B's
+        # marker, so nothing is relevant
         path = tmp_path / "o.elp"
         path.write_text("gci A <= E @ v1\nca B(x) @ v2\n")
+        axiom = "gci and(A, B) <= E"
+        for prov in ("1", "v1", "v2", "v1*v2"):
+            argv = ["entail", "--kind", "gci", "-i", str(path), "--axiom", axiom, "--prov", prov]
+            assert main(argv) == 1
+        capsys.readouterr()
+        assert main(["relevant", "-i", str(path), "--axiom", axiom]) == 0
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the merge store unions all derivations of the probe target, so the "
+        "union holds both lhs markers although no one derivation does",
+    )
+    def test_relevant_gci_with_split_derivations_agrees_with_entailment(self, tmp_path, capsys):
+        # E at the probe root is derived through A (A's marker, v1) and
+        # through B (B's marker, v2), never through both
+        path = tmp_path / "o.elp"
+        path.write_text("gci A <= E @ v1\ngci B <= E @ v2\n")
         axiom = "gci and(A, B) <= E"
         for prov in ("1", "v1", "v2", "v1*v2"):
             argv = ["entail", "--kind", "gci", "-i", str(path), "--axiom", axiom, "--prov", prov]

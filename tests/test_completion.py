@@ -46,6 +46,7 @@ from crosscheck import (
     entails_ra_via_ri,
     entails_by_k_saturation,
     entails_without_rules,
+    probe_gci_recursive,
     question_runs,
     reduce_ca_to_gci,
     reduce_ra_to_ri,
@@ -53,6 +54,7 @@ from crosscheck import (
 from generators import (
     TARGET_KINDS,
     VARS,
+    _random_lhs,
     random_general_ontology,
     random_monomial,
     random_normalized_ontology,
@@ -472,36 +474,54 @@ class TestEntailsIq:
 class TestProbe:
     def test_assertion_passes_through(self):
         o = parse_ontology("ca A(a) @ v")
-        assert probe(o, CA(Atomic("A"), "a")) == (o, CA(Atomic("A"), "a"), ONE, False)
+        assert probe(o, CA(Atomic("A"), "a")) == (o, CA(Atomic("A"), "a"), ONE)
 
     def test_instance_query_is_not_folded_into_an_assertion(self):
         o = parse_ontology("ca A(a) @ v")
-        extended, assertion, markers, required = probe(o, (Atomic("A"), "a"))
+        extended, assertion, markers = probe(o, (Atomic("A"), "a"))
         assert assertion == CA(Atomic("__iq0"), "a")
         assert AnnotatedAxiom(GCI(Atomic("A"), Atomic("__iq0")), ONE) in extended
-        assert (markers, required) == (ONE, False)
+        assert markers == ONE
 
     def test_gci_marks_every_lhs_position(self):
         o = parse_ontology("gci A <= B @ v")
         lhs = Conj(Atomic("A"), ExistsQ("R", Atomic("A")))
-        extended, assertion, markers, required = probe(o, GCI(lhs, Exists("S")))
+        extended, assertion, markers = probe(o, GCI(lhs, Exists("S")))
         assert assertion == CA(Atomic("__e0"), "__a0")
         assert str(markers) == "__q0_A___a0*__q1_R___a0___ind0*__q2_A___ind0"
-        assert not required  # the queried monomial is multiplied by them instead
         assert AnnotatedAxiom(GCI(ExistsQ("S", TOP), Atomic("__e0")), ONE) in extended
         assert AnnotatedAxiom(RA("R", "__a0", "__ind0"), mono("__q1_R___a0___ind0")) in extended
 
     def test_top_lhs_still_has_a_root(self):
-        extended, assertion, markers, _ = probe(parse_ontology("gci A <= B @ v"), GCI(TOP, Atomic("B")))
+        extended, assertion, markers = probe(parse_ontology("gci A <= B @ v"), GCI(TOP, Atomic("B")))
         assert AnnotatedAxiom(CA(TOP, "__a0"), ONE) in extended
         assert assertion == CA(Atomic("__e0"), "__a0") and markers == ONE
 
     def test_range_restriction_requires_its_edge_marker(self):
         o = parse_ontology("gci A <= B @ v")
-        extended, assertion, markers, required = probe(o, RR("R", "B"))
+        extended, assertion, markers = probe(o, RR("R", "B"))
         assert AnnotatedAxiom(RA("R", "__ind0", "__ind1"), markers) in extended
         assert assertion == CA(Atomic("B"), "__ind1")
-        assert str(markers) == "__var0" and required
+        assert str(markers) == "__var0"
+
+    def test_gci_probe_agrees_with_the_recursive_probe(self):
+        rng = random.Random(5)
+        for _ in range(400):
+            o = random_general_ontology(rng)
+            target = GCI(_random_lhs(rng, 4), rng.choice((Atomic("E"), Exists("R"))))
+            extended, assertion, markers = probe(o, target)
+            old = probe_gci_recursive(o, target)
+            assert (list(extended), assertion, markers) == (list(old[0]), *old[1:])
+
+    def test_a_deep_left_hand_side_does_not_recurse(self):
+        # 3,000 levels of some and and: the probe keeps an explicit stack
+        lhs = Atomic("A")
+        for i in range(3000):
+            lhs = Conj(lhs, TOP) if i % 2 else ExistsQ("R", lhs)
+        o = parse_ontology("gci some(R, A) <= A @ v1\ngci A <= E @ v2\n")
+        gci = GCI(lhs, Atomic("E"))
+        assert entails(o, gci, mono("v1*v2")) and not entails(o, gci, mono("v2"))
+        assert relevant_monomial(o, gci) == mono("v1*v2")
 
 
 class TestReductions:
@@ -662,7 +682,7 @@ class TestAgainstKSaturation:
 def entailed_by_the_chase(ontology, target):
     """``entails`` for ``target``, as a function of the monomial, decided
     on the ground chase of the probed ontology."""
-    extended, assertion, markers, _ = probe(ontology, target)
+    extended, assertion, markers = probe(ontology, target)
     result = chase(extended)
 
     def decide(mon: Monomial) -> bool:

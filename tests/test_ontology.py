@@ -39,7 +39,9 @@ from elprov.ontology import (
     render_annotated,
     render_axiom,
 )
+from elprov.interpretation import AuxElement, ConceptAtom, Ind, Named, RoleAtom, Var
 from elprov.provenance import ONE, Monomial, Variable
+from elprov.syntax import _Node
 
 from crosscheck import (
     is_normal_form,
@@ -55,6 +57,7 @@ from crosscheck import (
     parse_ontology_by_kinds,
     parse_ontology_recursive,
     role_names,
+    term_key,
     to_dataclass,
     translate_general_gci,
 )
@@ -371,7 +374,7 @@ def deep_conj(depth: int) -> Conj:
     return c
 
 
-# one node of every syntax type
+# one node of every type
 NODES = (
     TOP,
     Atomic("A"),
@@ -385,14 +388,29 @@ NODES = (
     CA(Atomic("A"), "a"),
     RA("R", "a", "b"),
     AnnotatedAxiom(GCI(ExistsQ("R", Atomic("A")), Atomic("B")), Monomial((Variable("v"),))),
+    Variable("v"),
+    Named("a"),
+    AuxElement("R", Monomial((Variable("v"), Variable("u")))),
+    Ind("a"),
+    Var("x"),
+    ConceptAtom("A", Var("x"), Var("t")),
+    RoleAtom("R", Ind("a"), Var("x"), Var("t")),
 )
+
+
+def node_types(cls=_Node) -> set[type]:
+    """The node types: the classes below ``cls`` with no subclass."""
+    subclasses = cls.__subclasses__()
+    return set().union(*map(node_types, subclasses)) if subclasses else {cls}
+
+
+term_names = st.sampled_from(("a", "b", "B", "a_", "x1", "x10", "_"))
+terms = st.lists(st.one_of(term_names.map(Ind), term_names.map(Var)), max_size=8)
 
 
 class TestSyntaxNodes:
     def test_every_type_is_covered(self):
-        assert {type(n) for n in NODES} == {
-            Top, Atomic, Conj, Exists, ExistsQ, Ran, GCI, RI, RR, CA, RA, AnnotatedAxiom
-        }
+        assert {type(n) for n in NODES} == node_types()
 
     def test_deep_trees_hash(self):
         # tuple hashing runs in C, far below the interpreter's recursion limit
@@ -435,6 +453,43 @@ class TestSyntaxNodes:
         assert RI("a", "b") != RR("a", "b")
         assert Atomic("A") != Exists("A") and Exists("R") != Ran("R")
         assert len({RI("a", "b"), RR("a", "b"), Atomic("A"), Exists("A"), Ran("A")}) == 5
+        named = [Ind("a"), Var("a"), Named("a"), Variable("a")]
+        for i, x in enumerate(named):
+            assert [x == y for y in named] == [j == i for j in range(len(named))]
+        assert len(set(named)) == 4
+
+    @given(terms)
+    def test_terms_sort_individuals_first_then_by_name(self, ts):
+        assert sorted(ts) == sorted(ts, key=term_key)
+
+    def test_a_variable_checks_its_name(self):
+        for bad in ("1", "", "2v", "v-1", "v 1"):
+            with pytest.raises(ValueError, match="invalid variable name"):
+                Variable(bad)
+        assert Variable("v1") == ("Variable", "v1")
+
+    def test_values_print_and_repr_as_before(self):
+        mon = Monomial((Variable("v"), Variable("u")))
+        shown = {
+            Variable("v"): ("v", "Variable(name='v')"),
+            Named("a"): ("a", "Named(name='a')"),
+            AuxElement("R", mon): (
+                "_:R:u*v",
+                "AuxElement(role='R', monomial=Monomial(vars=(Variable(name='u'), Variable(name='v'))))",
+            ),
+            Ind("a"): ("a", "Ind(name='a')"),
+            Var("x"): ("?x", "Var(name='x')"),
+            ConceptAtom("A", Ind("a"), Var("t")): (
+                "A(a, ?t)",
+                "ConceptAtom(concept='A', arg=Ind(name='a'), prov=Var(name='t'))",
+            ),
+            RoleAtom("R", Var("x"), Ind("a"), Var("t")): (
+                "R(?x, a, ?t)",
+                "RoleAtom(role='R', arg1=Var(name='x'), arg2=Ind(name='a'), prov=Var(name='t'))",
+            ),
+        }
+        for node, (text, rep) in shown.items():
+            assert (str(node), repr(node)) == (text, rep)
 
     def test_no_node_equals_an_engine_fact(self):
         seen = 0
