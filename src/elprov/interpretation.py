@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .completion import Limits, ResourceCapExceeded
 from .provenance import Monomial, Polynomial
-from .syntax import QUERY_TOKENS, Scanner, _Node, file_lines
+from .syntax import QUERY_TOKENS, Scanner, _Node, file_text
 
 if TYPE_CHECKING:  # pragma: no cover - only for annotations
     from .canonical import RewritingConditions
@@ -399,7 +399,7 @@ def _term(p: Scanner) -> Term:
 def parse_query(text: str) -> BCQ:
     """Parse a query file; a syntax error is a ``ParseError`` with line and
     column, a query that is not in standard form a ``NonStandardQueryError``."""
-    p = Scanner(QUERY_TOKENS, file_lines(text))
+    p = Scanner(QUERY_TOKENS, file_text(text), " \t\n")  # a line end is a blank
     atoms: list[Atom] = []
     while p.tokens[p.i] is not None:
         start = p.i

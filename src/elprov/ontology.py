@@ -26,28 +26,28 @@ their ends stripped. Names beginning with ``__`` are reserved for
 internally generated symbols and rejected in user input.
 
 Concepts and axioms are ``elprov.syntax._Node`` tuples tagged with their
-class name, so ``==`` and ``hash`` run in C. The front end reads a file
-once. One parser per file is given each line's string tokens, whose kind
-is read off the token; a column is computed only for an error. It claims
-each name's kind where the grammar reads it, checks a name only when
-first seen, and reads a concept in one loop that checks the left-hand
-side grammar. An
-ontology hashes each axiom once, into the dict that deduplicates it and
-answers membership and equality; a parsed one takes the parser's name
-table, and a derived one (``extended``, ``normalize``) validates only
-the axioms it adds. ``normalize`` rewrites ``(lhs, rhs, annotation)``
-triples and builds only the axioms it outputs.
+class name, so ``==`` and ``hash`` run in C. The front end does each job
+once. One parser reads a file's tokens from one scan, a line end being a
+token; a line and column are computed only for an error. It claims each
+name's kind where the grammar reads it, checks a name only when first
+seen, and reads a concept in one loop that checks the left-hand side
+grammar. A parsed ontology takes the parser's name table and its dedup
+dict; a derived one (``extended``, ``normalize``) validates only the
+axioms it adds, and ``normalize``, whose output has no repeats, hashes
+none. The sorted name views and the dict answering membership and
+equality are built when first needed. ``normalize`` rewrites ``(lhs,
+rhs, annotation)`` triples and builds only the axioms it outputs.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
-from dataclasses import dataclass
 from itertools import count, filterfalse, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .provenance import ONE, Monomial, Variable
-from .syntax import ONTOLOGY_TOKENS, ParseError, Scanner, _new, _Node, file_lines
+from .syntax import ONTOLOGY_FILE_TOKENS, ONTOLOGY_TOKENS, ParseError, Scanner, _new, _Node, file_text
 
 __all__ = [
     "Concept",
@@ -228,15 +228,8 @@ def render_axiom(ax: Axiom) -> str:
 
 
 def render_annotated(ann: AnnotatedAxiom) -> str:
-    return f"{render_axiom(ann.axiom)} @ {ann.annotation}"
-
-
-@dataclass(frozen=True)
-class _Signature:
-    concepts: tuple[str, ...]
-    roles: tuple[str, ...]
-    individuals: tuple[str, ...]
-    variables: tuple[Variable, ...]
+    ax = ann[1]
+    return f"{ax._text % ax[1:]} @ {ann[2]}"
 
 
 _VARIABLE = "provenance variable"
@@ -305,52 +298,50 @@ class AnnotatedOntology:
     Construction validates the GCI grammar (restricted right-hand sides)
     and the mutual disjointness of the concept/role/individual/variable
     namespaces. A derived ontology (``extended``, ``normalize``) copies its
-    parent's dedup dict and name-to-kind table and validates only what it adds.
+    parent's name-to-kind table and validates only what it adds. The name
+    views and the dict answering membership and equality are built when needed.
     """
 
-    __slots__ = ("axioms", "_sig", "_top_occurs", "_index", "_kinds")
+    __slots__ = ("axioms", "_top_occurs", "_kinds", "_index", "_views")
 
     def __init__(self, axioms: Iterable[AnnotatedAxiom]):
         index: dict[AnnotatedAxiom, None] = {}
         kinds: dict[str, str] = {}
-        self._fill(index, kinds, 0, _Signature((), (), (), ()), _claim(index, axioms, kinds))
-
-    def _derived(self, index: dict, kinds: dict, top: bool) -> "AnnotatedOntology":
-        """The ontology over ``index`` and ``kinds``, which extend this one's."""
-        out = AnnotatedOntology.__new__(AnnotatedOntology)
-        out._fill(index, kinds, len(self._kinds), self._sig, top or self._top_occurs)
-        return out
-
-    def _fill(self, index: dict, kinds: dict, known: int, sig: _Signature, top: bool) -> None:
-        # the dedup dict also answers membership and equality, so each
-        # axiom is hashed once per construction; the names ``kinds`` lists
-        # after its first ``known`` are merged into the signature ``sig``
-        self._index, self._kinds, self._top_occurs = index, kinds, top
+        top = _claim(index, axioms, kinds)
         self.axioms: tuple[AnnotatedAxiom, ...] = tuple(index)
-        new: dict[str, list] = {"concept": [], "role": [], "individual": [], _VARIABLE: []}
-        for name, kind in islice(kinds.items(), known, None):
-            new[kind].append(Variable(name) if kind == _VARIABLE else name)
-        old = (sig.concepts, sig.roles, sig.individuals, sig.variables)
-        merged = (tuple(sorted(o + tuple(n))) if n else o for o, n in zip(old, new.values()))
-        self._sig = _Signature(*merged)
+        self._index, self._kinds, self._top_occurs, self._views = index, kinds, top, None
+
+    def _members(self) -> dict:
+        if self._index is None:
+            self._index = dict.fromkeys(self.axioms)
+        return self._index
 
     # -- views ------------------------------------------------------------
 
+    def _sorted(self) -> tuple:
+        """The concept, role, individual and variable names, each sorted."""
+        if self._views is None:
+            names: dict[str, list] = {"concept": [], "role": [], "individual": [], _VARIABLE: []}
+            for name, kind in self._kinds.items():
+                names[kind].append(Variable(name) if kind == _VARIABLE else name)
+            self._views = tuple(tuple(sorted(n)) for n in names.values())
+        return self._views
+
     @property
     def concept_names(self) -> tuple[str, ...]:
-        return self._sig.concepts
+        return self._sorted()[0]
 
     @property
     def role_names(self) -> tuple[str, ...]:
-        return self._sig.roles
+        return self._sorted()[1]
 
     @property
     def individuals(self) -> tuple[str, ...]:
-        return self._sig.individuals
+        return self._sorted()[2]
 
     @property
     def variables(self) -> tuple[Variable, ...]:
-        return self._sig.variables
+        return self._sorted()[3]
 
     @property
     def top_occurs(self) -> bool:
@@ -366,21 +357,30 @@ class AnnotatedOntology:
         return len(self.axioms)
 
     def __contains__(self, ann: AnnotatedAxiom) -> bool:
-        return ann in self._index
+        return ann in self._members()
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, AnnotatedOntology) and self._index.keys() == other._index.keys()
+        return isinstance(other, AnnotatedOntology) and self._members().keys() == other._members().keys()
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._index))
+        return hash(frozenset(self.axioms))
 
     def extended(self, extra: Iterable[AnnotatedAxiom]) -> "AnnotatedOntology":
         """This ontology plus ``extra``; only the axioms it adds are validated."""
-        index, kinds = dict(self._index), dict(self._kinds)
-        return self._derived(index, kinds, _claim(index, extra, kinds))
+        index, kinds = dict(self._members()), dict(self._kinds)
+        top = _claim(index, extra, kinds)
+        return _valid(tuple(index), index, kinds, top or self._top_occurs)
 
     def __repr__(self) -> str:
         return f"AnnotatedOntology({len(self.axioms)} axioms)"
+
+
+def _valid(axioms: tuple, index: dict | None, kinds: dict, top: bool) -> AnnotatedOntology:
+    """The ontology of ``axioms``, valid and distinct, whose names ``kinds``
+    claims; ``index`` is their dedup dict, or None until it is needed."""
+    out = AnnotatedOntology.__new__(AnnotatedOntology)
+    out.axioms, out._index, out._kinds, out._top_occurs, out._views = axioms, index, kinds, top, None
+    return out
 
 
 def _is_normal_gci(lhs: Concept, rhs: Concept) -> bool:
@@ -445,6 +445,8 @@ def normalize(ontology: AnnotatedOntology) -> AnnotatedOntology:
     so repeated subconcepts share one definition. The rewrites run on one
     FIFO queue, which fixes the order of the fresh names and of the output.
     A normal-form ontology is returned as is, with no new construction.
+    The output is not deduplicated: a part has one fresh name, so an output
+    GCI determines its input, and an axiom passed through has no fresh name.
     """
     out: list[AnnotatedAxiom] = []
     work: deque[tuple[Concept, Concept, Monomial]] = deque()  # GCIs to rewrite, unbuilt
@@ -481,12 +483,12 @@ def normalize(ontology: AnnotatedOntology) -> AnnotatedOntology:
     # the output is valid and names the input's names and the fresh ones
     kinds = dict(ontology._kinds)
     kinds.update((a.name, "concept") for a in memo.values())
-    return ontology._derived(dict.fromkeys(out), kinds, False)
+    return _valid(tuple(out), None, kinds, ontology._top_occurs)
 
 
 # --- parser ---------------------------------------------------------------
 
-_NOT_NAMES = frozenset(("1", "<=", "(", ")", ",", "@", "*", None))  # None ends a line's tokens
+_NOT_NAMES = frozenset(("1", "<=", "(", ")", ",", "@", "*", "", None))  # "" ends a line, None the text
 
 _CONCEPT_KEYWORDS = {"Top", "and", "some", "ran"}
 _WHAT = {"concept": "a concept name", "role": "a role name", "individual": "an individual name",
@@ -500,19 +502,19 @@ _WHAT = {"concept": "a concept name", "role": "a role name", "individual": "an i
 MAX_CONCEPT_DEPTH = 200
 
 
-class _LineParser(Scanner):
-    """The ontology grammar over the lines that ``read`` gives it in turn:
-    axioms by recursive descent, a concept by one loop (``concept``). A name
+class _Parser(Scanner):
+    """The ontology grammar over a file's or a line's tokens: axioms by
+    recursive descent, a concept by one loop (``concept``). A name
     is claimed in ``kinds`` where it is read, checked only when first seen;
     one seen with another kind sets ``clash``. ``atoms`` and ``monomials``
     intern concept names and annotations; ``top`` tells if Top was read."""
 
     __slots__ = ("kinds", "atoms", "monomials", "top", "clash")
 
-    def __init__(self, lines: Sequence[tuple[int, str]]):
+    def __init__(self, alphabet: re.Pattern, text: str, blanks: str = " \t"):
         self.kinds, self.atoms, self.monomials = {}, {}, {"1": ONE}
         self.top = self.clash = False
-        super().__init__(ONTOLOGY_TOKENS, lines)
+        super().__init__(alphabet, text, blanks)
 
     def name(self, kind: str) -> str:
         """The name at the current token, claimed as a ``kind`` name."""
@@ -611,7 +613,7 @@ class _LineParser(Scanner):
         return mon
 
 
-def _parse_axiom(p: _LineParser) -> Axiom:
+def _parse_axiom(p: _Parser) -> Axiom:
     """Check the axiom keyword and parse the axiom it starts."""
     keyword = p.tokens[p.i]
     if keyword not in ("gci", "ri", "rr", "ca", "ra"):
@@ -659,33 +661,38 @@ def _parse_axiom(p: _LineParser) -> Axiom:
 def parse_ontology(text: str) -> AnnotatedOntology:
     """Parse an ontology file; raises ParseError with line:column info.
 
-    Lines break at ``\\n``, ``\\r\\n`` and ``\\r`` only. A namespace clash is
-    reported at the first token of the line whose axiom completes it; a
-    syntax error on any line is reported before it.
+    Lines break at ``\\n``, ``\\r\\n`` and ``\\r`` only. An error is the
+    first in line order, a stray character first on its line. A namespace
+    clash is reported at the first token of the line whose axiom completes
+    it; a syntax error on any line is reported before it.
     """
-    axioms: list[AnnotatedAxiom] = []
-    p = _LineParser(())
-    for lineno, line in file_lines(text):
-        line = line.rstrip()
-        if line:
-            p.read(((lineno, line),))
+    text, stray = file_text(text) + "\n", None  # every line ends in a line-end token
+    try:
+        p = _Parser(ONTOLOGY_FILE_TOKENS, text, " \t\n")
+    except ParseError as exc:  # the lines before the stray character are read first
+        head = "\n".join(text.split("\n")[: exc.line - 1]) + "\n"
+        stray, p = exc, _Parser(ONTOLOGY_FILE_TOKENS, head, " \t\n")
+    axioms, tokens = [], p.tokens
+    while tokens[p.i] is not None:
+        if tokens[p.i]:
             axioms.append(_new(AnnotatedAxiom, ("AnnotatedAxiom", _parse_axiom(p), p.annotation())))
+        p.i += 1  # the line end
+    if stray:
+        raise stray
     if not p.clash:  # the names are claimed and valid: build with no second walk
-        out = AnnotatedOntology.__new__(AnnotatedOntology)
-        out._fill(dict.fromkeys(axioms), p.kinds, 0, _Signature((), (), (), ()), p.top)
-        return out
+        index = dict.fromkeys(axioms)
+        return _valid(tuple(index), index, p.kinds, p.top)
     try:  # the whole file parsed; ``_claim`` finds and words the clash
         return AnnotatedOntology(axioms)
     except NamespaceError as exc:
         # validation sees a repeated axiom at its first occurrence
-        places = [(n, line.rstrip()) for n, line in file_lines(text) if line.strip()]
-        lineno, line = places[axioms.index(exc.axiom)]
-        raise ParseError(str(exc), lineno, len(line) - len(line.lstrip(" \t")) + 1) from exc
+        starts = [i for i, tok in enumerate(p.tokens) if tok and not p.tokens[i - 1]]
+        raise p.at(starts[axioms.index(exc.axiom)]).error(str(exc)) from exc
 
 
 def parse_axiom(text: str) -> Axiom:
     """Parse a single un-annotated axiom, e.g. for CLI --axiom arguments."""
-    p = _LineParser(((1, text.strip()),))
+    p = _Parser(ONTOLOGY_TOKENS, text.strip())
     axiom = _parse_axiom(p)
     p.finish("trailing input after axiom")
     return axiom
@@ -693,7 +700,7 @@ def parse_axiom(text: str) -> Axiom:
 
 def parse_iq_target(text: str) -> tuple[Concept, str]:
     """Parse an instance-query target of the form ``iq CONCEPT(IND)``."""
-    p = _LineParser(((1, text.strip()),))
+    p = _Parser(ONTOLOGY_TOKENS, text.strip())
     p.take("iq")
     concept = p.concept()[0]
     p.take("(")

@@ -254,14 +254,14 @@ def _monomial(p: Scanner) -> Monomial:
 
 
 def parse_monomial(text: str) -> Monomial:
-    p = Scanner(PROVENANCE_TOKENS, ((1, text.strip()),))
+    p = Scanner(PROVENANCE_TOKENS, text.strip())
     mon = _monomial(p)
     p.finish("trailing input after monomial")
     return mon
 
 
 def parse_polynomial(text: str) -> Polynomial:
-    p = Scanner(PROVENANCE_TOKENS, ((1, text.strip()),))
+    p = Scanner(PROVENANCE_TOKENS, text.strip())
     tokens = p.tokens
     if tokens == ["0", None]:
         return ZERO

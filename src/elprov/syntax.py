@@ -1,14 +1,15 @@
 """Lexical rules of the three input grammars, the one scanner they share,
 and the one immutable value type, ``_Node``.
 
-Ontology lines (files, ``--axiom``, ``iq`` targets), query files and
+Ontology files and lines (``--axiom``, ``iq`` targets), query files and
 provenance monomials and polynomials (``--prov``) are each read by a
-recursive descent over the tokens of a ``Scanner``. Each grammar names its
-token alphabet as a module constant. The rules here are the same for all:
-space and tab are the only blanks, lines break at ``\\n``, ``\\r\\n`` and
-``\\r`` only (unlike ``str.splitlines``), any other character outside a
-token is an error, and an error carries the line and column it is at.
-In a file, ``#`` starts a comment that runs to the end of the line.
+recursive descent over the tokens of one ``Scanner`` pass over the text.
+Each grammar names its token alphabet as a module constant. The rules here
+are the same for all: space and tab are the only blanks, lines break at
+``\\n``, ``\\r\\n`` and ``\\r`` only (unlike ``str.splitlines``), any other
+character outside a token is an error, and an error carries the line and
+column it is at. In a file, ``#`` starts a comment that runs to the end of
+the line. A line end is a token of an ontology file and a blank of a query.
 
 Concepts, axioms, provenance variables, query terms and atoms, and the
 domain elements of a model are ``_Node`` subclasses.
@@ -17,15 +18,18 @@ domain elements of a model are ``_Node`` subclasses.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from operator import itemgetter
-from typing import Sequence
 
-__all__ = ["ParseError", "LINE_BREAK", "file_lines", "Scanner"]
+__all__ = ["ParseError", "LINE_BREAK", "file_text", "Scanner"]
 
 LINE_BREAK = re.compile(r"\r\n|\r|\n")
+_COMMENT = re.compile(r"#[^\n]*")
 
-# the token alphabets: names, then what else each grammar has
+# the token alphabets: names, then what else each grammar has; in an
+# ontology file a line end is a token, which the empty group makes ""
 ONTOLOGY_TOKENS = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|1|<=|[(),@*]")
+ONTOLOGY_FILE_TOKENS = re.compile(rf"({ONTOLOGY_TOKENS.pattern})|\n")
 QUERY_TOKENS = re.compile(r"\??[A-Za-z_][A-Za-z0-9_]*|[(),&]")  # '?' starts a variable
 PROVENANCE_TOKENS = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[*+]")
 
@@ -89,51 +93,47 @@ class ParseError(ValueError):
         self.source: str | None = None
 
 
-def file_lines(text: str) -> list[tuple[int, str]]:
-    """The numbered lines of a file, each without its ``#`` comment."""
-    return [(n, line.split("#", 1)[0]) for n, line in enumerate(LINE_BREAK.split(text), 1)]
+def file_text(text: str) -> str:
+    """A file's text without its ``#`` comments, every ``LINE_BREAK`` a ``\\n``."""
+    return _COMMENT.sub("", text.replace("\r\n", "\n").replace("\r", "\n"))
+
+
+def _error(text: str, at: int, message: str) -> ParseError:
+    """An error at offset ``at`` of ``text``, whose lines break at ``\\n``."""
+    return ParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
 
 
 class Scanner:
-    """The tokens of some numbered lines, for a recursive-descent parser.
+    """The tokens of a text, for a recursive-descent parser.
 
-    One ``findall`` of the grammar's ``alphabet`` per line gives plain string
-    tokens whose kind is read off the token; the tokens, spaces and tabs
-    have to cover the line. The lines' tokens follow each other and then
-    ``None``. ``i`` is the parser's place; a column is computed only for an
-    error. ``read`` moves a scanner on to other lines.
+    One ``findall`` of the grammar's ``alphabet`` over the whole text gives
+    plain string tokens whose kind is read off the token, then ``None``. A
+    line end is the token ``""`` where the alphabet has one (an ontology
+    file), so it is also one of the ``blanks``: the tokens and the blanks
+    have to cover the text. ``i`` is the parser's place; a line and column
+    are computed only for an error.
     """
 
-    __slots__ = ("alphabet", "lines", "tokens", "i")
+    __slots__ = ("alphabet", "text", "tokens", "i")
 
-    def __init__(self, alphabet: re.Pattern, lines: Sequence[tuple[int, str]]):
-        self.alphabet = alphabet
-        self.read(lines)
-
-    def read(self, lines: Sequence[tuple[int, str]]) -> None:
-        """Scan ``lines`` in place of the scanner's lines, from their first token."""
-        alphabet, tokens = self.alphabet, []
-        for lineno, line in lines:
-            found = alphabet.findall(line)
-            if sum(map(len, found)) + line.count(" ") + line.count("\t") != len(line):
-                covered = rf"(?:[ \t]*(?:{alphabet.pattern}))*[ \t]*"  # ends before the first stray
-                col = re.match(covered, line).end() + 1
-                raise ParseError(f"unexpected character {line[col - 1]!r}", lineno, col)
-            tokens += found
+    def __init__(self, alphabet: re.Pattern, text: str, blanks: str = " \t"):
+        tokens = alphabet.findall(text)
+        if len("".join(tokens)) + sum(map(text.count, blanks)) != len(text):
+            covered = rf"(?:[{blanks}]*(?:{alphabet.pattern}))*[{blanks}]*"  # ends before the first stray
+            at = re.match(covered, text).end()
+            raise _error(text, at, f"unexpected character {text[at]!r}")
         tokens.append(None)
-        self.lines, self.tokens, self.i = lines, tokens, 0
+        self.alphabet, self.text, self.tokens, self.i = alphabet, text, tokens, 0
 
     def error(self, message: str) -> ParseError:
-        """An error at the current token, or just past the last line with a token."""
-        i, end = self.i, self.lines[-1]
-        for lineno, line in self.lines:
-            starts = [m.start() + 1 for m in self.alphabet.finditer(line)]
-            if i < len(starts):
-                return ParseError(message, lineno, starts[i])
-            i -= len(starts)
-            if starts:
-                end = (lineno, line)
-        return ParseError(message, end[0], len(end[1]) + 1)
+        """An error at the current token; at a line end just past the token
+        before it, at the end of the text just past the last line with a token."""
+        i, text, tok = self.i, self.text, self.tokens[self.i]
+        spans = [m.span() for m in islice(self.alphabet.finditer(text), i + 1)]
+        at = spans[i][0] if tok else spans[i - 1][1] if i else 0
+        if tok is None:  # on to the end of that line
+            at += len(text[at:].partition("\n")[0])
+        return _error(text, at, message)
 
     def at(self, i: int) -> "Scanner":
         """This scanner moved to token ``i``, to raise an error there."""
@@ -155,5 +155,6 @@ class Scanner:
         return tok
 
     def finish(self, message: str) -> None:
-        if self.tokens[self.i] is not None:
+        """The current token has to end the line (or the text)."""
+        if self.tokens[self.i]:
             raise self.error(message)

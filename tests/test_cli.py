@@ -602,8 +602,13 @@ class TestErrorPaths:
             # a blank other than space or tab is named at its own column
             ("ca A\u00a0(b) @ v\n", "1:5: unexpected character '\\xa0'"),
             ("ca A(b) @\u2003v\n", "1:10: unexpected character '\\u2003'"),
+            # and so at the end of a line, where only space and tab may follow
+            ("ca A(x) @ v1 \t\x0c\n", "1:15: unexpected character '\\x0c'"),
+            # a syntax error on an earlier line comes first
+            ("bad line\nca A(b) @ v\u00a0\n", "1:1: expected one of gci/ri/rr/ca/ra, got 'bad'"),
         ],
-        ids=["form-feed", "line-separator", "crlf-and-cr", "no-break-space", "em-space"],
+        ids=["form-feed", "line-separator", "crlf-and-cr", "no-break-space", "em-space",
+             "trailing-form-feed", "syntax-error-before-a-stray"],
     )
     def test_line_and_column_of_a_parse_error(self, tmp_path, capsys, text, err):
         path = tmp_path / "o.elp"
@@ -795,10 +800,11 @@ class TestErrorPaths:
             assert captured.out == ""
             assert f"ELPROV_MAX_AXIOMS must be a positive integer, got {cap!r}" in captured.err
 
-    @pytest.mark.parametrize("text", ["A(", "R(a,"])
+    @pytest.mark.parametrize("text", ["A(", "R(a,", "R(a, \t"])
     @pytest.mark.parametrize("command", ["rewrite", "query"])
     def test_truncated_query_atom_is_a_usage_error(self, tmp_path, capsys, command, text):
-        # the error is just past the end of the last line with a token
+        # the error is just past the end of the last line with a token,
+        # its trailing blanks included
         path = tmp_path / "truncated.cq"
         path.write_text(text + "\n")
         argv = [command, "-q", str(path)]

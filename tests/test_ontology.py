@@ -41,7 +41,7 @@ from elprov.ontology import (
 )
 from elprov.interpretation import AuxElement, ConceptAtom, Ind, Named, RoleAtom, Var
 from elprov.provenance import ONE, Monomial, Variable
-from elprov.syntax import _Node
+from elprov.syntax import LINE_BREAK, _Node
 
 from crosscheck import (
     is_normal_form,
@@ -122,6 +122,17 @@ class TestParser:
             parse_ontology("ca A(a) @ v\nri R <= @ v")
         assert exc.value.line == 2
         assert exc.value.column > 0
+
+    @pytest.mark.parametrize("blank", ["\x0c", "\xa0", "\x85", "\u2028", "\x1c"])
+    def test_only_space_and_tab_may_end_a_line(self, blank):
+        # Python's rstrip would drop these; the lexical rules do not
+        for end in ("", "\n", " # c\n"):
+            with pytest.raises(ParseError) as exc:
+                parse_ontology(f"ca A(x) @ v1{blank}{end}ca B(x) @ v2")
+            assert (exc.value.message, exc.value.line, exc.value.column) == (
+                f"unexpected character {blank!r}", 1, 13)
+        assert parse_ontology("ca A(x) @ v1 \t\nca B(x) @ v2\t").axioms == (
+            parse_ontology("ca A(x) @ v1\nca B(x) @ v2").axioms)
 
     def test_reserved_prefix_rejected(self):
         with pytest.raises(ParseError):
@@ -656,6 +667,22 @@ def names_the_blank(old, new, line: str) -> bool:
     )
 
 
+def names_a_trailing_blank(new, text: str) -> bool:
+    """The intended difference in line ends: a blank other than space or
+    tab after a line's last token is named at its own column, where the
+    older parsers dropped it with the rest of the line's trailing
+    whitespace (``str.rstrip``)."""
+    if new[0] != "ParseError":
+        return False
+    rest = LINE_BREAK.split(text)[new[2] - 1].split("#", 1)[0][new[3] - 1 :]
+    return rest.isspace() and rest[0] not in " \t" and new[1] == f"unexpected character {rest[0]!r}"
+
+
+def without_trailing_whitespace(text: str) -> str:
+    """``text`` with its comments and each line's trailing whitespace dropped."""
+    return "\n".join(line.split("#", 1)[0].rstrip() for line in LINE_BREAK.split(text))
+
+
 def golden_lines() -> list[str]:
     return [line for path in sorted(GOLDEN.glob("*.elp")) for line in path.read_text().split("\n")]
 
@@ -669,18 +696,24 @@ FILE_PARSERS = (parse_ontology, parse_ontology_recursive, parse_ontology_by_kind
 
 
 class TestParserAgainstTheKindTokenParser:
-    """The parser against the recursive-descent parser it replaced, with no
-    difference allowed, and that one against the parser on (kind, value,
-    column) tokens before it, which differs in naming a blank other than
-    space or tab at its own column."""
+    """The parser against the recursive-descent parser it replaced, and that
+    one against the parser on (kind, value, column) tokens before it, which
+    differs in naming a blank other than space or tab at its own column. The
+    library's differs from both in one more way: it names such a blank at
+    the end of a line (``names_a_trailing_blank``)."""
 
     @staticmethod
     def outcomes(text: str, parse, recursive, by_kinds):
         """The outcomes of the kind-token parser and of the library's, which
-        has to agree with the recursive parser."""
+        has to agree with the recursive parser, and whether the library's
+        named a trailing blank. Then its outcome is the one on the text
+        without trailing whitespace, as the older parsers read it."""
         new = outcome(parse, text)
+        trailing = names_a_trailing_blank(new, text)
+        if trailing:
+            new = outcome(parse, without_trailing_whitespace(text))
         assert new == oracle_outcome(recursive, text), text
-        return oracle_outcome(by_kinds, text), new
+        return oracle_outcome(by_kinds, text), new, trailing
 
     def test_golden_files_parse_alike(self):
         for path in sorted(GOLDEN.glob("*.elp")):
@@ -690,35 +723,46 @@ class TestParserAgainstTheKindTokenParser:
 
     def test_mutated_lines(self):
         rng = random.Random(1401)
-        seen = {"ok": 0, "ParseError": 0, "blank": 0}
+        seen = {"ok": 0, "ParseError": 0, "blank": 0, "trailing": 0}
         for line in source_lines(rng):
             for _ in range(6):
                 text = mutate(rng, line)
-                old, new = self.outcomes(text, *FILE_PARSERS)
+                old, new, trailing = self.outcomes(text, *FILE_PARSERS)
+                seen["trailing"] += trailing
                 if new != old:
                     assert names_the_blank(old, new, text.split("#", 1)[0]), (text, old, new)
                     seen["blank"] += 1
                 else:
                     seen[new[0]] += bool(new[1])  # a blank or comment line counts for neither
-        # both outcomes occur often, and so does the intended difference
+        # both outcomes occur often, and so do the intended differences
         assert seen["ok"] >= 500 and seen["ParseError"] >= 3000 and seen["blank"] >= 100, seen
+        assert seen["trailing"] >= 15, seen
 
     def test_mutated_files(self):
-        # namespace clashes and positions across lines: five lines a file,
-        # some renamed into one pool of names shared by every kind
+        # namespace clashes and positions across lines: five axiom lines a
+        # file, some renamed into one pool of names shared by every kind,
+        # among blank and comment-only lines, broken by a mix of \n, \r\n
+        # and \r, with a line break at the end or none
         rng = random.Random(1402)
         lines = source_lines(rng)
-        clashes = 0
+        clashes = unbroken = 0
         for _ in range(600):
             sample = [re.sub(r"\b[Ktju](\d)", r"n\1", line) if rng.random() < 0.5 else line
                       for line in rng.sample(lines, 5)]
-            text = "\n".join(mutate(rng, line) if rng.random() < 0.3 else line for line in sample)
-            old, new = self.outcomes(text, *FILE_PARSERS)
+            sample = [mutate(rng, line) if rng.random() < 0.3 else line for line in sample]
+            for _ in range(rng.randint(0, 3)):
+                sample.insert(rng.randint(0, len(sample)), rng.choice(("", " \t", "# ri R <= S", "\t# @")))
+            ends = rng.choices(("\n", "\r\n", "\r"), k=len(sample))
+            if rng.random() < 0.5:
+                ends[-1] = ""
+            unbroken += not ends[-1]
+            text = "".join(map(str.__add__, sample, ends))
+            old, new, _ = self.outcomes(text, *FILE_PARSERS)
             if new != old:
-                line = text.split("\n")[new[2] - 1].split("#", 1)[0]
+                line = LINE_BREAK.split(text)[new[2] - 1].split("#", 1)[0]
                 assert names_the_blank(old, new, line), (text, old, new)
             clashes += "used both as" in str(new)
-        assert clashes >= 30
+        assert clashes >= 30 and unbroken >= 200, (clashes, unbroken)
 
     @pytest.mark.parametrize(
         "parsers",
@@ -737,7 +781,7 @@ class TestParserAgainstTheKindTokenParser:
         for text in texts:
             for _ in range(4):
                 mutated = mutate(rng, text)
-                old, new = self.outcomes(mutated, *parsers)
+                old, new, _ = self.outcomes(mutated, *parsers)
                 if new != old:
                     assert names_the_blank(old, new, mutated.strip()), (mutated, old, new)
                     seen["blank"] += 1
@@ -828,6 +872,21 @@ def derivation_sources():
     return sources
 
 
+def shared_part_ontology(rng: random.Random) -> AnnotatedOntology:
+    """GCIs whose nested left-hand sides share subconcepts, some of them
+    with the same left-hand side, and ``some(R)`` or atomic right-hand
+    sides: what ``normalize`` names once and rewrites many times."""
+    pool = [TOP, *(Atomic(f"A{i}") for i in range(4))]
+    for _ in range(12):
+        a, b = rng.choice(pool), rng.choice(pool)
+        pool.append(Conj(a, b) if rng.random() < 0.5 else ExistsQ(f"r{rng.randrange(3)}", a))
+    axioms = []
+    for _ in range(rng.randint(5, 25)):
+        rhs = Exists(f"r{rng.randrange(3)}") if rng.random() < 0.4 else Atomic(f"A{rng.randrange(4)}")
+        axioms.append(ann(GCI(rng.choice(pool[5:]), rhs), *rng.sample(("u1", "u2"), rng.randint(0, 1))))
+    return AnnotatedOntology(axioms)
+
+
 class TestDerivedEqualsDirectConstruction:
     def test_parse(self):
         # the parser claims names as it reads them; library construction walks
@@ -854,9 +913,19 @@ class TestDerivedEqualsDirectConstruction:
         assert tops == {False, True}
 
     def test_normalize(self):
-        for o in derivation_sources():
+        # the output is not deduplicated and its views and index are built
+        # when first read: each is read first on a fresh normal form here
+        rng = random.Random(1410)
+        absent = AnnotatedAxiom(GCI(Atomic("Absent"), Atomic("Absent")), ONE)
+        for o in derivation_sources() + [shared_part_ontology(rng) for _ in range(100)]:
             n = normalize(o)
-            assert_built_alike(n, AnnotatedOntology(list(n.axioms)))
+            direct = AnnotatedOntology(n.axioms)
+            assert len(set(n.axioms)) == len(n.axioms)
+            assert all(map(normalize(o).__contains__, direct.axioms)) and absent not in normalize(o)
+            assert normalize(o) == direct and direct == normalize(o)
+            assert hash(normalize(o)) == hash(direct)
+            assert signature(normalize(o)) == signature(direct)
+            assert_built_alike(n, direct)
 
     def test_probes(self):
         rng = random.Random(1406)
