@@ -64,14 +64,12 @@ from .interpretation import (
     AuxElement,
     ConceptAtom,
     Ind,
-    Match,
     Named,
     NonStandardQueryError,
     QueryError,
     RoleAtom,
     UnknownIndividualError,
     Var,
-    enumerate_matches,
     parse_query,
     provenance_of_matches,
 )

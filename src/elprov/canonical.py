@@ -32,12 +32,10 @@ from .interpretation import (
     AuxElement,
     BCQ,
     DomainElement,
-    Match,
     Named,
     Term,
     UnknownIndividualError,
     Var,
-    enumerate_matches,
     provenance_of_matches,
 )
 from .ontology import (
@@ -265,7 +263,7 @@ class QueryAnswer:
     """Whether the annotated query is entailed, with the evidence behind it."""
 
     entailed: bool
-    matches: tuple[Match, ...]
+    matches: int  # how many matches: the sum of the provenance's coefficients
     provenance: Polynomial
 
 
@@ -291,8 +289,7 @@ def answer_query(
             )
     interp = build_canonical_model(ontology, limits)
     conditions = compute_rewriting(query)
-    matches = enumerate_matches(interp, query, conditions, limits)
-    provenance = provenance_of_matches(query, matches)
+    provenance = provenance_of_matches(interp, query, conditions, limits)
     foreign = not prov.variables() <= set(ontology.variables)
-    entailed = bool(matches) and not foreign and prov.contained_in(provenance)
-    return QueryAnswer(entailed, matches, provenance)
+    entailed = bool(provenance) and not foreign and prov.contained_in(provenance)
+    return QueryAnswer(entailed, sum(k for _, k in provenance.terms()), provenance)

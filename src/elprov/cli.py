@@ -179,7 +179,7 @@ def _cmd_query(args) -> int:
                 "query": str(query),
                 "prov": str(prov),
                 "entailed": answer.entailed,
-                "matches": len(answer.matches),
+                "matches": answer.matches,
                 "query_provenance": str(answer.provenance),
             },
         )

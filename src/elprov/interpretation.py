@@ -10,9 +10,11 @@ Queries are conjunctions of atoms whose last argument is a dedicated
 provenance variable (occurring nowhere else); a match binds ordinary
 terms to domain elements and provenance variables to monomials. The
 provenance of a query on an interpretation sums, over all matches, the
-canonical product of the matched monomials.
+canonical product of the matched monomials; under idempotency a product
+is its set of variables, so the join counts the matches per set and
+keeps none of them.
 
-Match enumeration optionally applies rewriting side conditions: variables
+Matching optionally applies rewriting side conditions: variables
 in the condition's cycle set must be matched by named individuals, and a
 fork whose representative lands on an anonymous element forces all its
 predecessor terms to coincide.
@@ -29,8 +31,6 @@ from __future__ import annotations
 import heapq
 import time
 from collections import Counter
-from dataclasses import dataclass
-from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .completion import Limits, ResourceCapExceeded
@@ -51,12 +51,10 @@ __all__ = [
     "ConceptAtom",
     "RoleAtom",
     "BCQ",
-    "Match",
     "QueryError",
     "NonStandardQueryError",
     "UnknownIndividualError",
     "parse_query",
-    "enumerate_matches",
     "provenance_of_matches",
 ]
 
@@ -241,13 +239,6 @@ class BCQ:
         return hash(frozenset(self.atoms))
 
 
-@dataclass(frozen=True)
-class Match:
-    """One homomorphism: terms to elements, provenance variables to monomials."""
-
-    binding: tuple[tuple[Term, object], ...]
-
-
 def _join_plan(interp, atoms, bound, conditions) -> list[tuple]:
     """One step per atom, the atom with the most ordinary terms bound first.
 
@@ -302,18 +293,20 @@ def _join_plan(interp, atoms, bound, conditions) -> list[tuple]:
     return plan
 
 
-def enumerate_matches(
+def provenance_of_matches(
     interp: AnnotatedInterpretation,
     query: BCQ,
     conditions: "RewritingConditions | None" = None,
     limits: Limits | None = None,
-) -> tuple[Match, ...]:
-    """All matches of the query, sorted by binding.
+) -> Polynomial:
+    """Sum over the query's matches of the product of the matched monomials.
 
-    With ``conditions``, cycle variables may only be matched by named
-    individuals and anonymous fork representatives force their
-    predecessors to coincide. The time budget of ``limits``, counted from
-    this call, is checked during the join; it raises ``ResourceCapExceeded``.
+    A product is the set of its factors' variables, so each match adds 1
+    to the count of that set and no match is kept. With ``conditions``,
+    cycle variables may only be matched by named individuals and
+    anonymous fork representatives force their predecessors to coincide.
+    The time budget of ``limits``, counted from this call, is checked
+    during the join; it raises ``ResourceCapExceeded``.
     """
     deadline = time.monotonic() + limits.max_seconds if limits and limits.max_seconds else None
     binding: dict[Term, object] = {}
@@ -322,9 +315,8 @@ def enumerate_matches(
             raise UnknownIndividualError(f"individual {name!r} does not occur in the ontology")
         binding[Ind(name)] = interp.individuals[name]
     plan = _join_plan(interp, query.atoms, binding, conditions)
-    # a match sorts by its values in term order
-    terms = sorted([*query.ordinary_terms(), *(a.prov for a in query.atoms)])
-    results: list[tuple[tuple, Match]] = []
+    provs = [a.prov for a in query.atoms]
+    tally: Counter = Counter()  # variables of a product -> matches with that product
 
     def rows_of(step) -> Iterator:
         lookup, _, rows, _ = step
@@ -354,28 +346,8 @@ def enumerate_matches(
         if len(stack) < len(plan):
             stack.append(rows_of(plan[len(stack)]))
             continue
-        values = [binding[t] for t in terms]
-        key = tuple((2, v.names) if isinstance(v, Monomial) else element_key(v) for v in values)
-        results.append((key, Match(tuple(zip(terms, values)))))
-    results.sort(key=itemgetter(0))
-    for (key, _), (following, _) in zip(results, results[1:]):
-        if key == following:
-            raise RuntimeError(f"duplicate match enumerated: {key}")
-    return tuple(match for _, match in results)
-
-
-def provenance_of_matches(query: BCQ, matches: Iterable[Match]) -> Polynomial:
-    """Sum over matches of the product of the matched provenance monomials.
-
-    The matches bind the same terms in the same order, as ``enumerate_matches``
-    gives them, so the provenance variables' places are read off the first."""
-    terms, places = [], None
-    for match in matches:  # a product is canonicalized once, from all its factors' variables
-        binding = match.binding
-        if places is None:
-            places = [[t for t, _ in binding].index(a.prov) for a in query.atoms]
-        terms.append((Monomial(tuple(v for i in places for v in binding[i][1].vars)), 1))
-    return Polynomial(terms)
+        tally[frozenset([v for t in provs for v in binding[t].vars])] += 1
+    return Polynomial((Monomial(tuple(vs)), k) for vs, k in tally.items())
 
 
 # --- query text format -------------------------------------------------------

@@ -126,13 +126,11 @@ class Scanner:
         self.alphabet, self.text, self.tokens, self.i = alphabet, text, tokens, 0
 
     def error(self, message: str) -> ParseError:
-        """An error at the current token; at a line end just past the token
-        before it, at the end of the text just past the last line with a token."""
-        i, text, tok = self.i, self.text, self.tokens[self.i]
+        """An error at the current token; at a line end or the end of the
+        text just past the token before it."""
+        i, text = self.i, self.text
         spans = [m.span() for m in islice(self.alphabet.finditer(text), i + 1)]
-        at = spans[i][0] if tok else spans[i - 1][1] if i else 0
-        if tok is None:  # on to the end of that line
-            at += len(text[at:].partition("\n")[0])
+        at = spans[i][0] if self.tokens[i] else spans[i - 1][1] if i else 0
         return _error(text, at, message)
 
     def at(self, i: int) -> "Scanner":

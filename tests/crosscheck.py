@@ -10,11 +10,13 @@ builds the canonical model by another route: the inclusions and range
 restrictions run as model-building rules to a fixpoint, their left-hand
 sides evaluated by ``semantics.evaluate_concept``, so the library's
 one-pass unfolding can be compared with it. ``scan_matches`` enumerates
-query matches by scanning each atom's whole extension for every partial
-binding and checking forks on complete matches only, so the library's
-indexed join can be compared with it. ``pairwise_rewriting`` computes a
-query's rewriting conditions by comparing every pair of role atoms until
-nothing changes, so the library's worklist can be compared with it.
+query matches, as ``Match`` values, by scanning each atom's whole
+extension for every partial binding and checking forks on complete
+matches only, and ``scan_polynomial`` multiplies each match out, so the
+library's tallying join can be compared with them.
+``pairwise_rewriting`` computes a query's rewriting conditions by
+comparing every pair of role atoms until nothing changes, so the
+library's worklist can be compared with it.
 ``check_lhs_grammar``, ``concept_names``, ``role_names`` and
 ``mentions_top`` are the four recursive walks over a concept that
 ``ontology._walk`` replaced, so the one iterative walk can be compared
@@ -82,7 +84,6 @@ from elprov.interpretation import (
     ConceptAtom,
     DomainElement,
     Ind,
-    Match,
     Named,
     NonStandardQueryError,
     QueryError,
@@ -498,6 +499,25 @@ def _binding_sort_key(pairs: dict):
         key = (2, dataclass_monomial_key(v)) if isinstance(v, Monomial) else dataclass_element_key(v)
         out.append((term_key(t), key))
     return out
+
+
+@dataclass(frozen=True)
+class Match:
+    """One homomorphism: terms to elements, provenance variables to monomials."""
+
+    binding: tuple[tuple[Term, object], ...]
+
+
+def scan_polynomial(query: BCQ, matches: Iterable[Match]) -> Polynomial:
+    """The query provenance of a scan's matches: per match, the product of
+    its provenance monomials multiplied out one factor at a time."""
+    terms = []
+    for match in matches:
+        values, product = dict(match.binding), ONE
+        for atom in query.atoms:
+            product = product * values[atom.prov]
+        terms.append((product, 1))
+    return Polynomial(terms)
 
 
 def scan_matches(

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -23,7 +24,6 @@ from elprov.interpretation import (
     RoleAtom,
     UnknownIndividualError,
     Var,
-    enumerate_matches,
     parse_query,
     provenance_of_matches,
 )
@@ -44,6 +44,7 @@ from crosscheck import (
     fixpoint_canonical_model,
     pairwise_rewriting,
     scan_matches,
+    scan_polynomial,
 )
 from generators import (
     random_general_ontology,
@@ -253,7 +254,7 @@ def is_disconnected(query) -> bool:
 
 
 class TestJoinAgainstTheScan:
-    """The indexed join finds exactly the matches the full scan finds."""
+    """The tallying join counts exactly the matches the full scan finds."""
 
     def queries(self, corpus):
         golden, randoms = corpus
@@ -269,7 +270,7 @@ class TestJoinAgainstTheScan:
             names = sorted(interp.concept_ext) or ["A"], sorted(interp.role_ext) or ["R"]
             yield interp, [random_query(rng, *names, o.individuals) for _ in range(4)]
 
-    def test_same_matches(self, corpus):
+    def test_same_provenance_and_count(self, corpus):
         seen = Counter()
         for interp, queries in self.queries(corpus):
             for q in queries:
@@ -277,7 +278,9 @@ class TestJoinAgainstTheScan:
                 found = []
                 for rc in (conditions, None):
                     expected = scan_matches(interp, q, rc)
-                    assert enumerate_matches(interp, q, rc) == expected, str(q)
+                    got = provenance_of_matches(interp, q, rc)
+                    assert got == scan_polynomial(q, expected), str(q)
+                    assert sum(k for _, k in got.terms()) == len(expected), str(q)
                     found.append(len(expected))
                 seen["matched"] += found[0] > 0
                 seen["conditions block"] += found[0] < found[1]
@@ -302,6 +305,36 @@ class TestJoinAgainstTheScan:
         with pytest.raises(ResourceCapExceeded, match="query matching wall-clock"):
             answer_query(o, q, parse_polynomial("1"), Limits(max_seconds=0.5))
         assert time.monotonic() - start < 10
+
+
+class TestManyMatches:
+    """Independent atoms over 20 annotated individuals: 20**n matches,
+    counted and never kept."""
+
+    ONTOLOGY = "".join(f"ca A(i{j}) @ v{j}\n" for j in range(20))
+
+    def answer(self, atoms):
+        q = parse_query(" & ".join(f"A(?x{k}, ?t{k})" for k in range(atoms)))
+        return answer_query(parse_ontology(self.ONTOLOGY), q, Polynomial())
+
+    def test_four_atoms(self):
+        # the terms are the sets of 1 to 4 of the 20 variables
+        answer = self.answer(4)
+        assert answer.entailed
+        assert answer.matches == 160_000
+        assert len(answer.provenance.terms()) == 20 + 190 + 1140 + 4845
+        assert answer.provenance.coefficient(mono("v0")) == 1
+        assert answer.provenance.coefficient(mono("v0*v1*v2*v3")) == 24
+
+    def test_three_atoms_keep_no_match(self):
+        tracemalloc.start()
+        try:
+            answer = self.answer(3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert answer.matches == 8000
+        assert peak < 3 * 2**20, peak
 
 
 class TestTracedSurface:
@@ -412,9 +445,12 @@ class TestEntailsQuery:
         q = parse_query(LOOP_QUERY)
         interp = build_canonical_model(o)
         rc = compute_rewriting(q)
-        for match in enumerate_matches(interp, q, rc):
+        matches = scan_matches(interp, q, rc)
+        assert matches and provenance_of_matches(interp, q, rc) == scan_polynomial(q, matches)
+        for match in matches:
             assert dict(match.binding)[Var("x")] == Named("a")
             assert dict(match.binding)[Var("z")] == Named("a")
+        assert provenance_of_matches(interp, q) != provenance_of_matches(interp, q, rc)
 
     def test_fork_blocks_cross_parent_anonymous_matches(self):
         # two individuals share one anonymous successor (same role and edge
@@ -429,9 +465,9 @@ class TestEntailsQuery:
         assert parents == {Named("a"), Named("b")}
         q = parse_query("R(?x, ?y, ?t) & R(?z, ?y, ?t2)")
         rc = compute_rewriting(q)
-        with_rc = provenance_of_matches(q, enumerate_matches(interp, q, rc))
+        with_rc = provenance_of_matches(interp, q, rc)
         assert with_rc == Polynomial({mono("u*v"): 2})
-        without = provenance_of_matches(q, enumerate_matches(interp, q))
+        without = provenance_of_matches(interp, q)
         assert without == Polynomial({mono("u*v"): 4})
         assert answer_query(o, q, poly("2 u*v")).entailed
         assert not answer_query(o, q, poly("3 u*v")).entailed
@@ -464,8 +500,7 @@ class TestEntailsQuery:
         )
         interp = build_canonical_model(o)
         q = parse_query("Mayor(?x, ?t)")
-        matches = enumerate_matches(interp, q, compute_rewriting(q))
-        assert provenance_of_matches(q, matches) == poly("v1*v3 + v2*v3")
+        assert provenance_of_matches(interp, q, compute_rewriting(q)) == poly("v1*v3 + v2*v3")
 
     def test_existential_tree_query_agrees_with_instance_query(self):
         from elprov.completion import entails
