@@ -8,15 +8,17 @@ eight normal-form shapes and a conclusion pattern, e.g.
 ``sub A B, sub B C -> sub A C``, whose monomial is the product of the
 premises' monomials. At import each row becomes one join plan per
 premise taken as the delta: which premise to visit next (the one with
-the most terms already bound), the index that finds it from the terms
-bound so far and the terms it binds. One generic ``_join`` runs the
-plans from a semi-naive worklist. A fact enters the indexes when it is
-taken off the queue and joins only with facts taken before it or itself,
-and never with itself at a premise before its own. So every rule
-instance (one choice of premises) fires exactly once, when its last
-premise is taken, and the fired and derivation counts do not depend on
-the order of the axioms or the joins. Every run uses every rule; there
-is no switch to leave one out.
+the most terms already bound; on a tie, one keyed by Top, then the one
+that leaves the others fewest unbound terms, so that the last step looks
+up a whole fact instead of scanning, then a TBox premise), the index
+that finds it from the terms bound so far and the terms it binds. One
+generic ``_join`` runs the plans from a semi-naive worklist. A fact
+enters the indexes when it is taken off the queue and joins only with
+facts taken before it or itself, and never with itself at a premise
+before its own. So every rule instance (one choice of premises) fires
+exactly once, when its last premise is taken, and the fired and
+derivation counts do not depend on the order of the axioms or the joins.
+Every run uses every rule; there is no switch to leave one out.
 
 The same engine serves two stores: a set store that keeps every derived
 (axiom, monomial) pair separately (optionally bounded to monomials of at
@@ -374,7 +376,9 @@ def _compile_rules():
     """Join plans per delta shape, and per shape the indexes its facts enter.
 
     From each delta the join next visits the premise with the most terms
-    already bound (Top always is), the earlier premise on a tie.
+    already bound (Top always is). On a tie: one keyed by Top (few concepts
+    hold everywhere), the one after which the others lack the fewest
+    terms, a TBox premise over an assertion, the earlier premise.
     """
     plans: dict[str, list[_Plan]] = defaultdict(list)
     indexes: dict[tuple[str, tuple[int, ...]], int] = {}
@@ -389,7 +393,13 @@ def _compile_rules():
             rest = [q for q in range(len(premises)) if q != delta]
             steps = []
             while rest:
-                q = max(rest, key=lambda q: (sum(t in slot for t in premises[q][1:]), -q))
+                q = max(rest, key=lambda q: (
+                    sum(t in slot for t in premises[q][1:]),
+                    "Top" in premises[q],
+                    -len({t for p in rest if p != q for t in premises[p][1:]} - {*slot, *premises[q][1:]}),
+                    premises[q][0] not in ("ca", "ra"),
+                    -q,
+                ))
                 rest.remove(q)
                 pshape, *pterms = premises[q]
                 bound = tuple(f for f, t in enumerate(pterms, 2) if t in slot)

@@ -334,7 +334,7 @@ def provenance_of_matches(
                 raise ResourceCapExceeded("query matching wall-clock budget exceeded")
             for pos, t in new:
                 binding[t] = row[pos]
-            if all(
+            if not ready or all(
                 not isinstance(binding[fork.representative], AuxElement)
                 or len({binding[t] for t in fork.pre}) == 1
                 for fork in ready

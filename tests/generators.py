@@ -93,6 +93,41 @@ def random_normalized_ontology(
     return AnnotatedOntology(axioms)
 
 
+def random_abox_ontology(rng: random.Random, n_vars: int = 8) -> AnnotatedOntology:
+    """20-40 normal-form axioms, half of them assertions over 12
+    individuals, and many conjunctions and qualified existentials: the
+    shapes whose joins have an assertion premise."""
+    pool = tuple(Variable(f"v{i}") for i in range(1, n_vars + 1))
+    concepts = tuple(f"C{i}" for i in range(8))
+    roles = ("R0", "R1", "R2")
+    inds = tuple(f"i{i}" for i in range(12))
+
+    def atomic_or_top():
+        return _atomic_or_top(rng, 0.08, concepts)
+
+    axioms = []
+    for _ in range(rng.randint(20, 40)):
+        pick = rng.random()
+        if pick < 0.3:
+            ax = CA(Atomic(rng.choice(concepts)), rng.choice(inds))
+        elif pick < 0.5:
+            ax = RA(rng.choice(roles), rng.choice(inds), rng.choice(inds))
+        elif pick < 0.65:
+            ax = GCI(Conj(atomic_or_top(), atomic_or_top()), Atomic(rng.choice(concepts)))
+        elif pick < 0.8:
+            ax = GCI(ExistsQ(rng.choice(roles), atomic_or_top()), Atomic(rng.choice(concepts)))
+        elif pick < 0.88:
+            ax = GCI(atomic_or_top(), Atomic(rng.choice(concepts)))
+        elif pick < 0.92:
+            ax = GCI(atomic_or_top(), Exists(rng.choice(roles)))
+        elif pick < 0.96:
+            ax = RI(rng.choice(roles), rng.choice(roles))
+        else:
+            ax = RR(rng.choice(roles), rng.choice(concepts))
+        axioms.append(AnnotatedAxiom(ax, _annotation(rng, pool)))
+    return AnnotatedOntology(axioms)
+
+
 def _random_lhs(rng: random.Random, depth: int):
     if depth <= 0:
         return _atomic_or_top(rng)

@@ -1,6 +1,8 @@
+import operator
 import random
 import warnings
 from collections import Counter
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,8 @@ from elprov.completion import (
     Limits,
     ResourceCapExceeded,
     UnknownNameWarning,
+    _INDEXED,
+    _PLANS,
     _Saturator,
     _SetStore,
     entails,
@@ -55,6 +59,7 @@ from generators import (
     TARGET_KINDS,
     VARS,
     _random_lhs,
+    random_abox_ontology,
     random_general_ontology,
     random_monomial,
     random_normalized_ontology,
@@ -264,6 +269,55 @@ class TestLargerOntologies:
                 unions.setdefault(ann.axiom, set()).update(ann.annotation.vars)
             for axiom, mon in merged.items():
                 assert set(mon.vars) == unions[axiom], axiom
+
+
+class TestJoinPlans:
+    """From a delta the join looks up a TBox premise by a shared name
+    before it scans the memberships of an individual, so that its last
+    step finds a whole fact."""
+
+    SHAPE = {i: shape for shape, indexed in _INDEXED.items() for i, _ in indexed}
+
+    def orders(self, delta, rule):
+        """Per plan of ``rule`` from a ``delta`` fact: (shape, terms bound) per step."""
+        orders = []
+        for plan in _PLANS[delta]:
+            if RULE_NAMES[plan.rule] == rule:
+                steps, step = [], plan.first
+                while step is not None:
+                    steps.append((self.SHAPE[step.index], len(step.binds)))
+                    step = step.next
+                orders.append(steps)
+        return orders
+
+    def test_instance_conjunction_from_a_membership(self):
+        # conj A1 A2 B by A1 (or A2) binds the other conjunct and B; ca A2 a is then a whole fact
+        assert self.orders("ca", "instance-conjunction") == [[("conj", 2), ("ca", 0)]] * 2
+
+    def test_conjunction_subsumption_from_a_subsumption(self):
+        assert self.orders("sub", "conjunction-subsumption") == [[("conj", 2), ("sub", 0)]] * 2
+
+    def test_a_partner_keyed_by_top_first(self):
+        # sub Top B holds for few B; exq R B C is then found by R and B
+        assert self.orders("exr", "existential-top-composition") == [[("sub", 1), ("exq", 1)]]
+
+
+class TestAboxHeavyOntologies:
+    """The plans that start from an assertion, on ontologies where
+    assertions, conjunctions and qualified existentials meet."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from([None, 1, 2]))
+    def test_rescan_instance_counts_and_merged_unions(self, rng, k):
+        o = random_abox_ontology(rng)
+        sat = saturate(o, k=k, track_derivations=True)
+        assert missing_conclusions(sat) == []
+        assert sat.stats.fired == instance_counts(sat)[0]
+        event(f"instance-conjunction fired: {bool(sat.stats.fired['instance-conjunction'])}")
+        if k is None:
+            merged = merged_saturate(o)
+            assert merged._table.vars == sat.table.vars
+            assert merged._merged == {f: reduce(operator.or_, masks) for f, masks in sat.facts.items()}
 
 
 class TestTimeBudget:
@@ -720,7 +774,8 @@ class TestAgainstTheWholeCut:
         mons = {Monomial(tuple(v for v in m.vars if not v.name.startswith("__"))) for m in derived}
         pool = [*o.variables, Variable("foreign")]
         mons = rng.sample(sorted(mons, key=str), min(2, len(mons)))
-        mons += [Monomial(tuple(rng.sample(pool, rng.randint(0, 3)))) for _ in range(2)]
+        # an ontology with one variable gives a pool of two
+        mons += [Monomial(tuple(rng.sample(pool, rng.randint(0, min(3, len(pool)))))) for _ in range(2)]
         chased = entailed_by_the_chase(o, target)
         for mon in mons:
             entailed = entails(o, target, mon)
