@@ -24,7 +24,6 @@ whose representative is matched anonymously, those terms must coincide.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .completion import Limits, ResourceCapExceeded, saturate
 from .interpretation import (
@@ -49,6 +48,7 @@ from .ontology import (
     normalize,
 )
 from .provenance import Monomial, Polynomial, Variable
+from .syntax import _Node
 
 __all__ = [
     "Fork",
@@ -64,18 +64,14 @@ __all__ = [
 # --- query rewriting ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fork:
-    pre: tuple[Term, ...]
-    representative: Term
-    cls: frozenset[Term]
+class Fork(_Node, fields=("pre", "representative", "cls")):
+    """A class of terms (``cls``) targeted from the terms ``pre``."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RewritingConditions:
-    classes: tuple[frozenset[Term], ...]
-    cyc: frozenset[Var]
-    forks: tuple[Fork, ...]
+class RewritingConditions(_Node, fields=("classes", "cyc", "forks")):
+    __slots__ = ()
 
 
 def compute_rewriting(query: BCQ) -> RewritingConditions:
@@ -181,7 +177,7 @@ def build_canonical_model(
     checked once per element. Either raises ``ResourceCapExceeded``.
     """
     limits = limits or Limits()
-    deadline = time.monotonic() + limits.max_seconds if limits.max_seconds else None
+    deadline = None if limits.max_seconds is None else time.monotonic() + limits.max_seconds
     base = normalize(ontology)
     fresh = FreshNames(base.all_names())
     probes: list[AnnotatedAxiom] = []
@@ -258,13 +254,11 @@ def build_canonical_model(
     return AnnotatedInterpretation(members, concept_ext, role_ext, base.individuals)
 
 
-@dataclass(frozen=True)
-class QueryAnswer:
-    """Whether the annotated query is entailed, with the evidence behind it."""
+class QueryAnswer(_Node, fields=("entailed", "matches", "provenance")):
+    """Whether the annotated query is entailed, with the evidence behind it:
+    ``matches`` is the sum of the ``provenance`` polynomial's coefficients."""
 
-    entailed: bool
-    matches: int  # how many matches: the sum of the provenance's coefficients
-    provenance: Polynomial
+    __slots__ = ()
 
 
 def answer_query(

@@ -157,7 +157,7 @@ def _cmd_relevant(args) -> int:
     text = args.axiom.strip()
     target = _parsed(parse_iq_target if text.startswith("iq") else parse_axiom, text, "--axiom")
     merged = relevant_monomial(ontology, target, _limits())
-    names = [v.name for v in merged.vars] if merged is not None else []
+    names = list(merged.names) if merged is not None else []
     if args.json:
         # the merged annotation is reported for atomic assertions only
         annotation = str(merged) if merged is not None and isinstance(target, (CA, RA)) else None

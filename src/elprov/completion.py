@@ -101,10 +101,9 @@ from __future__ import annotations
 import time
 import warnings
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, NamedTuple
 
 from .ontology import (
     CA,
@@ -123,12 +122,14 @@ from .ontology import (
     FreshNames,
     TOP,
     Top,
+    _VARIABLE,
     is_atomic_or_top,
     normalize,
     render_annotated,
     render_axiom,
 )
-from .provenance import ONE, Monomial, Variable
+from .provenance import ONE, Monomial, Variable, _monomial_of
+from .syntax import _new, _Node
 
 __all__ = [
     "Limits",
@@ -164,12 +165,14 @@ RULE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class Limits:
-    """Resource caps for saturation and model construction."""
+class Limits(_Node, fields=("max_axioms", "max_seconds")):
+    """Resource caps for saturation and model construction; a time budget
+    of None is none, and 0 is one that any run exceeds."""
 
-    max_axioms: int = 1_000_000
-    max_seconds: float | None = None
+    __slots__ = ()
+
+    def __new__(cls, max_axioms: int = 1_000_000, max_seconds: float | None = None) -> "Limits":
+        return _new(cls, ("Limits", max_axioms, max_seconds))
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -182,40 +185,38 @@ class UnknownNameWarning(UserWarning):
     """A queried axiom mentions names outside the ontology signature."""
 
 
-@dataclass
 class SaturationStats:
-    fired: Counter = field(default_factory=Counter)
-    added: Counter = field(default_factory=Counter)
-    merge_updates: int = 0
-    facts: int = 0
+    __slots__ = ("fired", "added", "merge_updates", "facts")
+
+    def __init__(self):
+        self.fired, self.added, self.merge_updates, self.facts = Counter(), Counter(), 0, 0
 
 
 # --- stores ----------------------------------------------------------------
 
 
 class _VarTable:
-    """One run's variables in name order; variable i is the bit ``1 << i``."""
+    """One run's variable names in order; variable i is the bit ``1 << i``."""
 
     def __init__(self, annotations):
-        self.vars = tuple(sorted({v for mon in annotations for v in mon.vars}))
-        self.bits = {v: 1 << i for i, v in enumerate(self.vars)}
+        self.names = tuple(sorted({name for mon in annotations for name in mon.names}))
+        self.bits = {v: 1 << i for i, v in enumerate(_monomial_of(self.names).vars)}
         self._monomials: dict[int, Monomial] = {0: ONE}
 
     def mask(self, mon: Monomial) -> int | None:
         """None if ``mon`` names a variable outside the run."""
-        if not all(v in self.bits for v in mon.vars):
-            return None
-        return sum(self.bits[v] for v in mon.vars)  # the variables are distinct
+        bits = [self.bits.get(v) for v in mon]
+        return None if None in bits else sum(bits)  # the variables are distinct
 
     def monomial(self, mask: int) -> Monomial:
         mon = self._monomials.get(mask)
         if mon is None:
-            vs, rest = [], mask
+            names, rest = [], mask
             while rest:  # one step per set bit, lowest first: in name order
                 low = rest & -rest
-                vs.append(self.vars[low.bit_length() - 1])
+                names.append(self.names[low.bit_length() - 1])
                 rest ^= low
-            mon = self._monomials[mask] = Monomial._canonical(tuple(vs))
+            mon = self._monomials[mask] = _monomial_of(tuple(names))
         return mon
 
 
@@ -349,27 +350,24 @@ _RULES = (
 )
 
 
-class _Step(NamedTuple):
-    index: int  # which index holds the partners
-    key: Callable  # slots -> index key
-    binds: tuple[tuple[int, int], ...]  # (partner field, slot) pairs it fills
-    before: bool  # the partner's premise comes before the delta's
-    next: "_Step | None"  # run per partial product; None after the last step
-    conclusion: Callable | None  # last step: slots -> the concluded fact
+class _Step(_Node, fields=("index", "key", "binds", "before", "next", "conclusion")):
+    """Which index holds the partners, the key (slots -> index key) they
+    are found by, the (partner field, slot) pairs it fills, whether the
+    partner's premise comes before the delta's, the step run per partial
+    product (None after the last) and, on the last, slots -> the conclusion."""
+
+    __slots__ = ()
 
 
-class _Plan(NamedTuple):
+class _Plan(_Node, fields=("rule", "shape", "top", "pad", "first")):
     """A join for one premise taken as the delta.
 
-    The slots start as the delta fact with the conclusion's shape in place
-    of its own (slot 1 is Top); the steps fill the rest.
+    The slots start as the delta fact with the conclusion's ``shape`` in
+    place of its own (slot 1 is Top); the steps fill the rest, ``pad``.
+    ``top`` is the delta field that must be Top; 1, which always is, if none.
     """
 
-    rule: int
-    shape: str  # the conclusion's
-    top: int  # the delta field that must be Top; 1, which always is, if none
-    pad: tuple[None, ...]  # the slots the steps fill
-    first: _Step
+    __slots__ = ()
 
 
 def _compile_rules():
@@ -442,9 +440,8 @@ class _Saturator:
         )
         self.derivations: dict[tuple[tuple, int], Counter] = {}
         self.queue: deque[tuple[tuple, int]] = deque()
-        self.deadline = (
-            time.monotonic() + self.limits.max_seconds if self.limits.max_seconds else None
-        )
+        budget = self.limits.max_seconds
+        self.deadline = None if budget is None else time.monotonic() + budget
         self._ticks = 0
         # per taken fact: its taken monomials
         self.taken: dict[tuple, list[int]] = {}
@@ -525,11 +522,11 @@ class _Saturator:
                     index[i].setdefault(key(fact), []).append((fact, mons))
             take(mons, mon)
             self.delta = mons, mon
-            for rule, shape, top, pad, first in self.plans[fact[0]]:
+            for _, rule, shape, top, pad, first in self.plans[fact[0]]:
                 if fact[top] is not None:
                     continue
-                # the first step reads only the delta's fields
-                partners = index[first.index].get(first.key(fact))
+                # first[1:3], its index and key: the key reads only the delta's fields
+                partners = index[first[1]].get(first[2](fact))
                 if partners:
                     slots = [*fact, *pad]
                     slots[0] = shape
@@ -549,21 +546,22 @@ class _Saturator:
         product only grows along the join, so a partner that takes it
         beyond ``k`` variables is skipped at once.
         """
-        binds, nxt, k = step.binds, step.next, self.store.k
-        own, own_mon = self.delta if step.before else (None, -1)
+        _, _, _, binds, before, nxt, conclusion = step
+        k = self.store.k
+        own, own_mon = self.delta if before else (None, -1)
         for fact, mons in partners:
             for f, s in binds:
                 slots[s] = fact[f]
             skip = own_mon if mons is own else -1
             if nxt is None:
-                conclusion = step.conclusion(slots)
+                concluded = conclusion(slots)
                 for n in mons:
                     if n != skip:
                         n |= mon
                         if k is None or n.bit_count() <= k:
-                            self._add(conclusion, n, rule)
+                            self._add(concluded, n, rule)
                 continue
-            later = self.index[nxt.index].get(nxt.key(slots))
+            later = self.index[nxt[1]].get(nxt[2](slots))  # by its index and key
             if later:
                 for n in mons:
                     if n != skip:
@@ -658,22 +656,17 @@ def saturate(
 
 
 def _assertion_signature_gap(ontology: AnnotatedOntology, assertion: Axiom) -> set[str]:
-    gaps = set()
-    concepts = set(ontology.concept_names)
-    roles = set(ontology.role_names)
-    inds = set(ontology.individuals)
-    if isinstance(assertion, CA):
-        if isinstance(assertion.concept, Atomic) and assertion.concept.name not in concepts:
-            gaps.add(assertion.concept.name)
-        if assertion.ind not in inds:
-            gaps.add(assertion.ind)
-    elif isinstance(assertion, RA):
-        if assertion.role not in roles:
-            gaps.add(assertion.role)
-        gaps.update(i for i in (assertion.a, assertion.b) if i not in inds)
+    """The names of ``assertion`` that the ontology's name-to-kind table
+    lacks, or has as another kind."""
+    if isinstance(assertion, RA):
+        uses = [(assertion.role, "role"), (assertion.a, "individual"), (assertion.b, "individual")]
+    elif isinstance(assertion, CA):
+        uses = [(assertion.ind, "individual")]
+        if isinstance(assertion.concept, Atomic):
+            uses.append((assertion.concept.name, "concept"))
     else:
         raise TypeError(f"not an assertion: {assertion!r}")
-    return gaps
+    return {name for name, kind in uses if ontology._kinds.get(name) != kind}
 
 
 def entails_assertion(
@@ -806,4 +799,4 @@ def entails(
     """
     extended, assertion, markers = probe(ontology, target)
     entailed = entails_assertion(extended, assertion, mon * markers, limits)
-    return entailed and set(mon.vars) <= set(ontology.variables)
+    return entailed and all(ontology._kinds.get(name) == _VARIABLE for name in mon.names)

@@ -31,14 +31,11 @@ from __future__ import annotations
 import heapq
 import time
 from collections import Counter
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .completion import Limits, ResourceCapExceeded
-from .provenance import Monomial, Polynomial
+from .provenance import Monomial, Polynomial, _monomial_of
 from .syntax import QUERY_TOKENS, Scanner, _Node, file_text
-
-if TYPE_CHECKING:  # pragma: no cover - only for annotations
-    from .canonical import RewritingConditions
 
 __all__ = [
     "Named",
@@ -308,7 +305,8 @@ def provenance_of_matches(
     The time budget of ``limits``, counted from this call, is checked
     during the join; it raises ``ResourceCapExceeded``.
     """
-    deadline = time.monotonic() + limits.max_seconds if limits and limits.max_seconds else None
+    budget = limits and limits.max_seconds
+    deadline = None if budget is None else time.monotonic() + budget
     binding: dict[Term, object] = {}
     for name in query.individuals():
         if name not in interp.individuals:
@@ -346,8 +344,8 @@ def provenance_of_matches(
         if len(stack) < len(plan):
             stack.append(rows_of(plan[len(stack)]))
             continue
-        tally[frozenset([v for t in provs for v in binding[t].vars])] += 1
-    return Polynomial((Monomial(tuple(vs)), k) for vs, k in tally.items())
+        tally[frozenset([name for t in provs for name in binding[t].names])] += 1
+    return Polynomial((_monomial_of(tuple(sorted(names))), k) for names, k in tally.items())
 
 
 # --- query text format -------------------------------------------------------

@@ -43,8 +43,8 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from collections.abc import Iterable, Iterator
 from itertools import count, filterfalse, islice
-from typing import Iterable, Iterator
 
 from .provenance import ONE, Monomial, Variable
 from .syntax import ONTOLOGY_FILE_TOKENS, ONTOLOGY_TOKENS, ParseError, Scanner, _new, _Node, file_text
@@ -287,8 +287,8 @@ def _claim(index: dict, axioms: Iterable[AnnotatedAxiom], kinds: dict[str, str])
             claim(ax.b, "individual")
         else:
             raise TypeError(f"unknown axiom kind: {ax!r}")
-        for v in ann.annotation.vars:
-            claim(v.name, _VARIABLE)
+        for name in ann.annotation.names:
+            claim(name, _VARIABLE)
     return top
 
 

@@ -2,9 +2,10 @@
 
 Annotations live in the polynomial semiring over a set of provenance
 variables, quotiented by multiplicative idempotency: a product of
-variables is determined by the *set* of variables it mentions, so every
-monomial is kept in a canonical form (duplicate-free, sorted by name).
-Sums keep multiplicity: a polynomial is a multiset of canonical
+variables is determined by the *set* of variables it mentions (the Why(X)
+reading of Green, Karvounarakis & Tannen, *Provenance Semirings*, PODS
+2007), so a monomial is a ``_Node`` of its distinct variable names,
+sorted. Sums keep multiplicity: a polynomial is a multiset of canonical
 monomials with positive integer coefficients.
 
 Values of either kind are immutable and hashable, and every operation
@@ -14,9 +15,7 @@ here is a pure function, so they can be shared freely.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .syntax import PROVENANCE_TOKENS, Scanner, _new, _Node
 
@@ -36,7 +35,6 @@ __all__ = [
 ]
 
 NAME_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_name, _names = itemgetter(1), attrgetter("names")  # a variable is ("Variable", name)
 
 
 class MissingAssignmentError(KeyError):
@@ -62,58 +60,61 @@ class Variable(_Node, fields=("name",)):
         return _new(cls, ("Variable", name))
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
+class Monomial(_Node, fields=("names",)):
     """An idempotent product of variables; the empty product is the unit 1.
 
-    The constructor canonicalizes: duplicates collapse and variables are
-    sorted by name, so equality and hashing coincide with equality of the
-    products modulo commutativity, associativity and idempotency.
-    ``names``, the variables' names, sorts like the dataclass order and gives the hash, computed
-    once; a pickle carries only ``vars``, as string hashes differ between processes.
+    The constructor canonicalizes ``vars``: duplicates collapse and the
+    node keeps the sorted names, so ``==``, ``hash`` and ``<`` are those of
+    the name tuples, in C, and coincide with the products' modulo
+    commutativity, associativity and idempotency. ``vars`` and iteration
+    give the variables; a pickle carries ``vars``, never a hash. The
+    methods read ``names`` as ``self[1]``.
     """
 
-    vars: tuple[Variable, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        self._set(tuple(sorted(set(self.vars), key=_name)))
+    def __new__(cls, vars: Iterable[Variable] = ()) -> "Monomial":
+        return _new(cls, ("Monomial", tuple(sorted({v.name for v in vars}))))
 
-    @classmethod
-    def _canonical(cls, vs: tuple[Variable, ...]) -> "Monomial":
-        """The monomial of ``vs``, which must be duplicate-free and sorted by name."""
-        return object.__new__(cls)._set(vs)
-
-    def _set(self, vs: tuple[Variable, ...]) -> "Monomial":
-        object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "names", tuple(map(_name, vs)))
-        object.__setattr__(self, "_hash", hash(self.names))
-        return self
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
+    def __reduce__(self):  # not ``tuple(self)``, which would iterate the variables
         return Monomial, (self.vars,)
+
+    def __repr__(self) -> str:
+        return f"Monomial(vars={self.vars!r})"
+
+    @property
+    def vars(self) -> tuple[Variable, ...]:
+        return tuple([_new(Variable, ("Variable", name)) for name in self[1]])
 
     @property
     def degree(self) -> int:
-        return len(self.vars)
+        return len(self[1])
 
     def variables(self) -> frozenset[Variable]:
         return frozenset(self.vars)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        if not (self.vars and other.vars):  # a factor is 1
-            return self if not other.vars else other
-        return Monomial(self.vars + other.vars)
+        if not isinstance(other, Monomial):  # NotImplemented would fall back to the tuple's repeat
+            raise TypeError(f"a monomial multiplies a monomial, not {type(other).__name__}")
+        if not (self[1] and other[1]):  # a factor is 1
+            return self if not other[1] else other
+        return _monomial_of(tuple(sorted({*self[1], *other[1]})))
+
+    __rmul__ = __mul__
 
     def __iter__(self) -> Iterator[Variable]:
         return iter(self.vars)
 
+    def __contains__(self, v: object) -> bool:  # not the tuple's: a variable of the product
+        return v in self.vars
+
     def __str__(self) -> str:
-        return "*".join(self.names) or "1"
+        return "*".join(self[1]) or "1"
+
+
+def _monomial_of(names: tuple[str, ...]) -> Monomial:
+    """The monomial of ``names``, which are distinct and sorted; unchecked."""
+    return _new(Monomial, ("Monomial", names))
 
 
 ONE = Monomial()
@@ -136,7 +137,7 @@ class Polynomial:
                 raise ValueError(f"negative coefficient {coeff} for {mon}")
             if coeff:
                 acc[mon] = acc.get(mon, 0) + coeff
-        self._terms: dict[Monomial, int] = {m: acc[m] for m in sorted(acc, key=_names)}
+        self._terms: dict[Monomial, int] = {m: acc[m] for m in sorted(acc)}
 
     def terms(self) -> tuple[tuple[Monomial, int], ...]:
         return tuple(self._terms.items())
@@ -148,10 +149,7 @@ class Polynomial:
         return tuple(self._terms)
 
     def variables(self) -> frozenset[Variable]:
-        out: set[Variable] = set()
-        for mon in self._terms:
-            out.update(mon.vars)
-        return frozenset(out)
+        return frozenset().union(*map(Monomial.variables, self._terms))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -180,6 +178,9 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash(tuple(self._terms.items()))
 
+    def __reduce__(self):
+        return Polynomial, (self._terms,)
+
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -195,14 +196,10 @@ class Polynomial:
 ZERO = Polynomial()
 
 
-@dataclass(frozen=True)
-class SemiringSpec:
+class SemiringSpec(_Node, fields=("zero", "one", "add", "mul")):
     """A commutative semiring the caller asserts to be x-idempotent."""
 
-    zero: object
-    one: object
-    add: Callable
-    mul: Callable
+    __slots__ = ()
 
 
 BOOLEAN = SemiringSpec(zero=False, one=True, add=lambda a, b: a or b, mul=lambda a, b: a and b)

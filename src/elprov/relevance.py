@@ -21,7 +21,7 @@ from functools import cached_property
 
 from .completion import Limits, _axiom, _fact, _MergeStore, _Saturator, _VarTable, probe
 from .ontology import AnnotatedOntology, Axiom, normalize
-from .provenance import Monomial
+from .provenance import Monomial, _monomial_of
 
 __all__ = [
     "MergedSet",
@@ -75,6 +75,6 @@ def relevant_monomial(
     """
     extended, assertion, markers = probe(ontology, target)
     mon = merged_saturate(normalize(extended), limits=limits).monomial(assertion)
-    if mon is None or not markers.variables() <= mon.variables():
+    if mon is None or not set(markers.names).issubset(mon.names):
         return None
-    return Monomial(tuple(v for v in mon.vars if not v.name.startswith("__")))
+    return _monomial_of(tuple(name for name in mon.names if not name.startswith("__")))

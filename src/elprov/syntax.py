@@ -11,8 +11,10 @@ character outside a token is an error, and an error carries the line and
 column it is at. In a file, ``#`` starts a comment that runs to the end of
 the line. A line end is a token of an ontology file and a blank of a query.
 
-Concepts, axioms, provenance variables, query terms and atoms, and the
-domain elements of a model are ``_Node`` subclasses.
+Concepts, axioms, provenance variables and monomials, query terms and
+atoms, the domain elements of a model, resource limits, query rewritings
+and answers, semiring specifications and the engine's join plans are
+``_Node`` subclasses.
 """
 
 from __future__ import annotations
@@ -47,11 +49,13 @@ class _Node(tuple):
     ``property(itemgetter(i))`` reads them. ``repr`` is dataclass-style and
     a pickle carries the fields, never a hash, which depends on the
     process's string hash seed. ``_text``, where a class has it, is the
-    node written out, ``%``-formatted with the fields. ``==`` between two
+    node written out, ``%``-formatted with the fields; a node without it
+    prints as its ``repr``. ``==`` between two
     deep trees built apart compares them level by level in C, under the
     recursion limit."""
 
     __slots__ = ()
+    _text = None
 
     def __init_subclass__(cls, fields: tuple[str, ...] = (), **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -63,7 +67,7 @@ class _Node(tuple):
         # a constructor taking the fields, made as collections.namedtuple makes
         # its own: a plain call is what the parser and normalize pay per node
         args, scope = "".join(f"{f}, " for f in fields), {"new": _new}
-        exec(f"def __new__(cls, {args}):\n    return new(cls, ({cls.__name__!r}, {args}))", scope)
+        exec(f"def __new__(_cls, {args}):\n    return new(_cls, ({cls.__name__!r}, {args}))", scope)
         cls.__new__ = scope["__new__"]
 
     def __getnewargs__(self) -> tuple:
@@ -74,7 +78,7 @@ class _Node(tuple):
         return f"{type(self).__qualname__}({fields})"
 
     def __str__(self) -> str:
-        return self._text % self[1:]
+        return self._text % self[1:] if self._text else repr(self)
 
 
 class ParseError(ValueError):

@@ -161,10 +161,11 @@ class TestBuildCanonicalModel:
         # ontology, whose few facts stay under the saturator's 256-tick
         # interval between clock checks; only the model phase can trip
         o = parse_ontology("ca A(a) @ u\ngci A <= B @ v\ngci B <= C @ w")
-        limits = Limits(max_seconds=1e-9)
-        saturate(normalize(o), limits=limits)
-        with pytest.raises(ResourceCapExceeded, match="canonical model wall-clock"):
-            build_canonical_model(o, limits)
+        for budget in (1e-9, 0):  # 0 is a budget too; only None is none
+            limits = Limits(max_seconds=budget)
+            saturate(normalize(o), limits=limits)
+            with pytest.raises(ResourceCapExceeded, match="canonical model wall-clock"):
+                build_canonical_model(o, limits)
 
     def test_named_part_agrees_with_the_chase_oracle(self):
         # 20-40 axioms; the seed count is fixed, a failing seed is a bug
@@ -305,6 +306,10 @@ class TestJoinAgainstTheScan:
         with pytest.raises(ResourceCapExceeded, match="query matching wall-clock"):
             answer_query(o, q, parse_polynomial("1"), Limits(max_seconds=0.5))
         assert time.monotonic() - start < 10
+        # a zero budget is a budget: the join's first clock check trips it
+        model = build_canonical_model(o)
+        with pytest.raises(ResourceCapExceeded, match="query matching wall-clock"):
+            provenance_of_matches(model, q, compute_rewriting(q), Limits(max_seconds=0))
 
 
 class TestManyMatches:

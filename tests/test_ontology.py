@@ -39,8 +39,10 @@ from elprov.ontology import (
     render_annotated,
     render_axiom,
 )
+from elprov.canonical import Fork, QueryAnswer, RewritingConditions
+from elprov.completion import Limits, _Plan, _Step
 from elprov.interpretation import AuxElement, ConceptAtom, Ind, Named, RoleAtom, Var
-from elprov.provenance import ONE, Monomial, Variable
+from elprov.provenance import FUZZY, ONE, ZERO, Monomial, Variable, parse_polynomial
 from elprov.syntax import LINE_BREAK, _Node
 
 from crosscheck import (
@@ -385,6 +387,9 @@ def deep_conj(depth: int) -> Conj:
     return c
 
 
+# a join step's callables, here builtins, pickle by reference
+STEP = _Step(2, len, ((2, 4),), True, None, tuple)
+
 # one node of every type
 NODES = (
     TOP,
@@ -406,6 +411,14 @@ NODES = (
     Var("x"),
     ConceptAtom("A", Var("x"), Var("t")),
     RoleAtom("R", Ind("a"), Var("x"), Var("t")),
+    Monomial((Variable("v"), Variable("u"))),
+    Limits(max_seconds=0.5),
+    Fork((Ind("a"), Var("x")), Var("y"), frozenset([Var("y"), Var("z")])),
+    RewritingConditions((frozenset([Var("x")]),), frozenset([Var("x")]), ()),
+    QueryAnswer(True, 3, parse_polynomial("2 u*v + w")),
+    FUZZY,
+    STEP,
+    _Plan(0, "sub", 1, (None,), STEP),
 )
 
 
@@ -498,7 +511,20 @@ class TestSyntaxNodes:
                 "R(?x, a, ?t)",
                 "RoleAtom(role='R', arg1=Var(name='x'), arg2=Ind(name='a'), prov=Var(name='t'))",
             ),
+            mon: ("u*v", "Monomial(vars=(Variable(name='u'), Variable(name='v')))"),
+            ONE: ("1", "Monomial(vars=())"),
         }
+        # the other value types print as their repr, as the dataclasses did
+        reprs = {
+            Limits(): "Limits(max_axioms=1000000, max_seconds=None)",
+            Fork((Ind("a"),), Var("y"), frozenset([Var("y")])):
+                "Fork(pre=(Ind(name='a'),), representative=Var(name='y'), cls=frozenset({Var(name='y')}))",
+            RewritingConditions((), frozenset(), ()):
+                "RewritingConditions(classes=(), cyc=frozenset(), forks=())",
+            QueryAnswer(False, 0, ZERO): "QueryAnswer(entailed=False, matches=0, provenance=Polynomial('0'))",
+            FUZZY: "SemiringSpec(zero=0.0, one=1.0, add=<built-in function max>, mul=<built-in function min>)",
+        }
+        shown.update((value, (rep, rep)) for value, rep in reprs.items())
         for node, (text, rep) in shown.items():
             assert (str(node), repr(node)) == (text, rep)
 

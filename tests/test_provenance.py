@@ -67,6 +67,16 @@ class TestMonomial:
         m = Monomial((w, u))
         assert Monomial(m.vars) == m
 
+    def test_a_monomial_holds_its_variables_not_its_node_fields(self):
+        m = Monomial(vars=(v, u, v))
+        assert list(m) == [u, v] and m.vars == (u, v) and m.names == ("u", "v") and m.degree == 2
+        assert u in m and w not in m and "Monomial" not in m and ("u", "v") not in m
+
+    def test_an_int_does_not_repeat_a_monomial(self):
+        for bad in (lambda m: 2 * m, lambda m: m * 2, lambda m: m * u):
+            with pytest.raises(TypeError):  # not the tuple's repeat
+                bad(mono(u, v))
+
     @given(monomials, monomials, monomials)
     def test_laws(self, a, b, c):
         assert a * b == b * a
