@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 import warnings
@@ -94,6 +93,8 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, obj) -> None:
+    import json  # only for --json: a plain-text command does without its import
+
     _emit(args, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 

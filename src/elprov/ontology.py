@@ -31,12 +31,16 @@ once. One parser reads a file's tokens from one scan, a line end being a
 token; a line and column are computed only for an error. It claims each
 name's kind where the grammar reads it, checks a name only when first
 seen, and reads a concept in one loop that checks the left-hand side
-grammar. A parsed ontology takes the parser's name table and its dedup
-dict; a derived one (``extended``, ``normalize``) validates only the
-axioms it adds, and ``normalize``, whose output has no repeats, hashes
-none. The sorted name views and the dict answering membership and
-equality are built when first needed. ``normalize`` rewrites ``(lhs,
-rhs, annotation)`` triples and builds only the axioms it outputs.
+grammar; a well-formed ``<=``, ``@``, right-hand concept name and line
+end are read inline, and the checking call runs only to raise. A parsed
+ontology takes the parser's name table and its dedup dict; a derived one
+(``extended``, ``normalize``) validates only the axioms it adds, and
+``normalize``, whose output has no repeats, hashes none. The sorted name
+views and the dict answering membership and equality are built when
+first needed. ``normalize`` rewrites ``(lhs, rhs, annotation)`` triples
+with inline type tests, rebuilds a rewritten node from its tag and
+fields and builds only the axioms it outputs. The printer writes a
+normal-form line from its names, with no ``str`` call per field.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ import re
 from collections import deque
 from collections.abc import Iterable, Iterator
 from itertools import count, filterfalse, islice
+from operator import itemgetter
 
 from .provenance import ONE, Monomial, Variable
 from .syntax import ONTOLOGY_FILE_TOKENS, ONTOLOGY_TOKENS, ParseError, Scanner, _new, _Node, file_text
@@ -228,8 +233,25 @@ def render_axiom(ax: Axiom) -> str:
 
 
 def render_annotated(ann: AnnotatedAxiom) -> str:
-    ax = ann[1]
-    return f"{ax._text % ax[1:]} @ {ann[2]}"
+    """The axiom's line, written from its names: a normal-form GCI side is
+    one type test, and only a left-hand side that is not flat takes ``str``."""
+    if not isinstance(ann, AnnotatedAxiom):
+        raise TypeError(f"not an annotated axiom: {ann!r}")
+    ax, names = ann[1], "*".join(ann[2][1]) or "1"
+    if type(ax) is not GCI:
+        return f"{ax._text % ax[1:]} @ {names}"
+    lhs, rhs = ax[1], ax[2]
+    kind = type(lhs)
+    if kind is Atomic:
+        left = lhs[1]
+    elif kind is Conj and type(lhs[1]) is Atomic and type(lhs[2]) is Atomic:
+        left = f"and({lhs[1][1]}, {lhs[2][1]})"
+    elif kind is ExistsQ and type(lhs[2]) is Atomic:
+        left = f"some({lhs[1]}, {lhs[2][1]})"
+    else:
+        left = str(lhs)
+    right = rhs[1] if type(rhs) is Atomic else f"some({rhs[1]})" if type(rhs) is Exists else str(rhs)
+    return f"gci {left} <= {right} @ {names}"
 
 
 _VARIABLE = "provenance variable"
@@ -383,20 +405,6 @@ def _valid(axioms: tuple, index: dict | None, kinds: dict, top: bool) -> Annotat
     return out
 
 
-def _is_normal_gci(lhs: Concept, rhs: Concept) -> bool:
-    if isinstance(rhs, Atomic):
-        if is_atomic_or_top(lhs):
-            return True
-        if isinstance(lhs, Conj):
-            return is_atomic_or_top(lhs.left) and is_atomic_or_top(lhs.right)
-        if isinstance(lhs, ExistsQ):
-            return is_atomic_or_top(lhs.filler)
-        return False
-    if isinstance(rhs, Exists):
-        return is_atomic_or_top(lhs)
-    return False
-
-
 # --- fresh names ----------------------------------------------------------
 
 
@@ -436,32 +444,40 @@ class FreshNames:
 def normalize(ontology: AnnotatedOntology) -> AnnotatedOntology:
     """Rewrite all GCIs into normal form.
 
-    An axiom passes through when it is not a GCI or ``_is_normal_gci``
-    holds. Otherwise one of four rewrites replaces part of its left-hand
-    side by a fresh concept name defined with annotation 1: a non-atomic
-    right conjunct, else a non-atomic left conjunct, else a non-atomic
-    existential filler, else (the right-hand side is ``some(R)``) the
-    whole left-hand side. Fresh names are memoized per concept structure
-    so repeated subconcepts share one definition. The rewrites run on one
-    FIFO queue, which fixes the order of the fresh names and of the output.
-    A normal-form ontology is returned as is, with no new construction.
-    The output is not deduplicated: a part has one fresh name, so an output
-    GCI determines its input, and an axiom passed through has no fresh name.
+    An axiom passes through when it is not a GCI or is in normal form: a
+    left-hand side ``A``, ``and(A, B)`` or ``some(R, A)`` under a concept
+    name, or ``A`` under ``some(R)``, where ``A`` and ``B`` are concept
+    names or Top. Otherwise one of four rewrites replaces part of its
+    left-hand side by a fresh concept name defined with annotation 1: a
+    non-atomic right conjunct, else a non-atomic left conjunct, else a
+    non-atomic existential filler, else (the right-hand side is
+    ``some(R)``) the whole left-hand side. Fresh names are memoized per
+    concept structure so repeated subconcepts share one definition. The
+    rewrites run on one FIFO queue, which fixes the order of the fresh
+    names and of the output. A normal-form ontology is returned as is,
+    with no new construction. The output is not deduplicated: a part has
+    one fresh name, so an output GCI determines its input, and an axiom
+    passed through has no fresh name.
     """
     out: list[AnnotatedAxiom] = []
     work: deque[tuple[Concept, Concept, Monomial]] = deque()  # GCIs to rewrite, unbuilt
+    leaves = (Atomic, Top)
     for ann in ontology.axioms:
-        ax = ann.axiom
-        if isinstance(ax, GCI) and not _is_normal_gci(ax.lhs, ax.rhs):
-            work.append((ax.lhs, ax.rhs, ann.annotation))
-        else:
+        ax = ann[1]
+        if type(ax) is not GCI or type(ax[1]) in leaves:
             out.append(ann)
+            continue
+        lhs = ax[1]  # a Conj or an ExistsQ, normal when flat under a concept name
+        if type(ax[2]) is Atomic and type(lhs[2]) in leaves and (type(lhs) is ExistsQ or type(lhs[1]) in leaves):
+            out.append(ann)
+        else:
+            work.append((lhs, ax[2], ann[2]))
     if not work:
         return ontology
     # the names ``__nf0``, ``__nf1``, ... that the ontology does not use
     fresh = filterfalse(ontology._kinds.__contains__, map("__nf{}".format, count()))
     memo: dict[Concept, Atomic] = {}
-    pop, push, leaves = work.popleft, work.append, (Atomic, Top)
+    pop, push = work.popleft, work.append
     while work:
         # a queued lhs is Atomic, Top, Conj or ExistsQ; ``part`` is named, at ``at``
         lhs, rhs, annotation = pop()
@@ -479,10 +495,12 @@ def normalize(ontology: AnnotatedOntology) -> AnnotatedOntology:
         if a is None:
             a = memo[part] = _new(Atomic, ("Atomic", next(fresh)))
             push((part, a, ONE))
-        push((_new(kind, lhs[:at] + (a,) + lhs[at + 1 :]) if at else a, rhs, annotation))
+        if at:  # the node rebuilt as (tag, left, a) or (tag, a, right)
+            a = _new(kind, (lhs[0], lhs[1], a) if at == 2 else (lhs[0], a, lhs[2]))
+        push((a, rhs, annotation))
     # the output is valid and names the input's names and the fresh ones
     kinds = dict(ontology._kinds)
-    kinds.update((a.name, "concept") for a in memo.values())
+    kinds.update(dict.fromkeys(map(itemgetter(1), memo.values()), "concept"))
     return _valid(tuple(out), None, kinds, ontology._top_occurs)
 
 
@@ -597,9 +615,13 @@ class _Parser(Scanner):
                 return c, lhs
 
     def annotation(self) -> Monomial:
-        """The ``@`` annotation ending the line."""
-        self.take("@")
-        tok = self.tokens[self.i]
+        """The ``@`` annotation ending the line; a well-formed one is read
+        inline, and ``take`` and ``finish`` raise at the first wrong token."""
+        tokens = self.tokens
+        if tokens[self.i] != "@":
+            self.take("@")
+        self.i += 1
+        tok = tokens[self.i]
         mon = self.monomials.get(tok)
         if mon is not None:
             self.i += 1
@@ -609,7 +631,8 @@ class _Parser(Scanner):
         else:
             got = tok or "end of line"
             raise self.error(f"annotation must be a single variable or 1, got {got!r}")
-        self.finish("annotation must be a single variable or 1")
+        if tokens[self.i]:
+            self.finish("annotation must be a single variable or 1")
         return mon
 
 
@@ -619,10 +642,16 @@ def _parse_axiom(p: _Parser) -> Axiom:
     if keyword not in ("gci", "ri", "rr", "ca", "ra"):
         raise p.error(f"expected one of gci/ri/rr/ca/ra, got {keyword or 'end of input'!r}")
     p.i += 1
-    if keyword == "gci":
+    if keyword == "gci":  # a "<=" and a known concept name on the right are read inline
         lhs, in_grammar = p.concept()
-        p.take("<=")
-        rhs = p.concept()[0]
+        if p.tokens[p.i] != "<=":
+            p.take("<=")
+        p.i += 1
+        rhs = p.atoms.get(p.tokens[p.i])
+        if rhs is None:
+            rhs = p.concept()[0]
+        else:
+            p.i += 1
         if not in_grammar:
             raise p.error(f"left-hand side violates the concept grammar: {lhs}")
         if type(rhs) is not Atomic and type(rhs) is not Exists:

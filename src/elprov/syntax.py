@@ -29,9 +29,10 @@ LINE_BREAK = re.compile(r"\r\n|\r|\n")
 _COMMENT = re.compile(r"#[^\n]*")
 
 # the token alphabets: names, then what else each grammar has; in an
-# ontology file a line end is a token, which the empty group makes ""
+# ontology file a line end is a token, the empty match "" of ``$`` before
+# each "\n" and at the end of the text
 ONTOLOGY_TOKENS = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|1|<=|[(),@*]")
-ONTOLOGY_FILE_TOKENS = re.compile(rf"({ONTOLOGY_TOKENS.pattern})|\n")
+ONTOLOGY_FILE_TOKENS = re.compile(rf"{ONTOLOGY_TOKENS.pattern}|$", re.M)
 QUERY_TOKENS = re.compile(r"\??[A-Za-z_][A-Za-z0-9_]*|[(),&]")  # '?' starts a variable
 PROVENANCE_TOKENS = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[*+]")
 
@@ -50,9 +51,9 @@ class _Node(tuple):
     a pickle carries the fields, never a hash, which depends on the
     process's string hash seed. ``_text``, where a class has it, is the
     node written out, ``%``-formatted with the fields; a node without it
-    prints as its ``repr``. ``==`` between two
-    deep trees built apart compares them level by level in C, under the
-    recursion limit."""
+    prints as its ``repr``. ``+`` raises ``TypeError`` on either side: a
+    node is no sequence to concatenate. ``==`` between two deep trees built
+    apart compares them level by level in C, under the recursion limit."""
 
     __slots__ = ()
     _text = None
@@ -79,6 +80,11 @@ class _Node(tuple):
 
     def __str__(self) -> str:
         return self._text % self[1:] if self._text else repr(self)
+
+    def __add__(self, other: object):  # NotImplemented would fall back to the tuple's concatenation
+        raise TypeError(f"unsupported operand for +: {type(self).__name__}")
+
+    __radd__ = __add__
 
 
 class ParseError(ValueError):

@@ -115,7 +115,6 @@ from elprov.ontology import (
     NamespaceError,
     ParseError,
     Top,
-    _is_normal_gci,
     _walk,
     normalize,
 )
@@ -128,7 +127,7 @@ from semantics import Ran, evaluate_concept
 def is_normal_form(ontology: AnnotatedOntology) -> bool:
     """Whether every GCI of the ontology is in normal form."""
     gcis = (a.axiom for a in ontology if isinstance(a.axiom, GCI))
-    return all(_is_normal_gci(ax.lhs, ax.rhs) for ax in gcis)
+    return all(_dc_is_normal_gci(to_dataclass(ax)) for ax in gcis)
 
 
 def reduce_ca_to_gci(

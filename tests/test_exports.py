@@ -37,3 +37,21 @@ def test_the_cli_imports_no_dataclasses_typing_or_inspect():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-S", "-c", check], env=env, capture_output=True, text=True)
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def test_a_plain_text_command_imports_no_json():
+    # only --json needs json, so a plain-text entail does without its import
+    check = (
+        "import sys\n"
+        "from elprov.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'json' in sys.modules)\n"
+    )
+    golden = Path(__file__).resolve().parent / "golden"
+    argv = ["entail", "-i", "mayor.elp", "--kind", "assertion", "--axiom", "ca Mayor(Brugnaro)", "--prov", "v1*v3*v4"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", check, *argv], cwd=golden, env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout) == (0, "not entailed\n1 False\n"), done.stderr

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import os
 import pickle
 import random
@@ -460,13 +461,41 @@ class TestSyntaxNodes:
                 c, text = Conj(c, Exists("S")), f"and({text}, some(S))"
         assert str(c) == text
         assert render_axiom(GCI(c, Atomic("E"))) == f"gci {text} <= E"
+        assert render_annotated(AnnotatedAxiom(GCI(c, Atomic("E")), ONE)) == f"gci {text} <= E @ 1"
 
     def test_str_agrees_with_the_recursive_printer(self):
         rng = random.Random(12)
-        for _ in range(2000):
+        rhss = (Atomic("E"), Exists("S"))
+        # the unit, one variable and three, given unsorted
+        mons = [(ONE, "1"), (Monomial((Variable("v"),)), "v"), (Monomial(tuple(map(Variable, "wuv"))), "u*v*w")]
+        for i in range(2000):
             c = random_concept(rng, rng.randrange(7))
             if isinstance(c, Concept):
                 assert str(c) == printed(c)
+                rhs, (mon, names) = rhss[i % 2], mons[i % 3]
+                held = AnnotatedAxiom(GCI(c, rhs), mon)
+                assert render_annotated(held) == str(held) == f"gci {printed(c)} <= {printed(rhs)} @ {names}"
+        others = {
+            CA(TOP, "a"): "ca Top(a)",
+            CA(Atomic("A"), "a"): "ca A(a)",
+            RA("R", "a", "b"): "ra R(a, b)",
+            RI("R", "S"): "ri R <= S",
+            RR("R", "A"): "rr ran(R) <= A",
+        }
+        for (ax, text), (mon, names) in itertools.product(others.items(), mons):
+            assert render_annotated(AnnotatedAxiom(ax, mon)) == f"{text} @ {names}"
+        # each printer takes its own kind of value only
+        gci = GCI(Conj(Atomic("A"), Atomic("B")), Atomic("C"))
+        for render, value in ((render_axiom, AnnotatedAxiom(gci, ONE)), (render_annotated, gci)):
+            with pytest.raises(TypeError, match="^not an"):
+                render(value)
+
+    @pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+    def test_plus_raises_on_a_node(self, node):
+        # a tuple's + would concatenate, so Monomial + Monomial was no sum
+        for add in (lambda: node + node, lambda: node + (), lambda: () + node):
+            with pytest.raises(TypeError, match="^unsupported operand for \\+"):
+                add()
 
     def test_a_node_is_its_tag_and_fields(self):
         assert Atomic("A") == ("Atomic", "A") and hash(Atomic("A")) == hash(("Atomic", "A"))
